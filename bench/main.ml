@@ -314,8 +314,8 @@ let e_unsat () =
   (* Matching: the Lemma 4.7-4.9 counting certificate on generated
      double covers. *)
   Format.printf "@.x-maximal y-matching counting certificates (y = 1, Δ = 5Δ'):@.";
-  Format.printf "  %4s %6s %7s %10s %10s %8s %10s@." "Δ'" "n" "girth"
-    "P lower" "P upper" "contra" "det rnds";
+  Format.printf "  %4s %6s %7s %6s %8s %10s %10s %8s %10s@." "Δ'" "n" "girth"
+    "target" "feasible" "P lower" "P upper" "contra" "det rnds";
   List.iter
     (fun delta' ->
       let delta = 5 * delta' in
@@ -329,8 +329,9 @@ let e_unsat () =
             | None -> max_int
             | Some g -> g
           in
-          Format.printf "  %4d %6d %7d %10.0f %10.0f %8b %10d@." delta'
-            (Bipartite.n support) girth c.Counting.p_lower c.Counting.p_upper
+          Format.printf "  %4d %6d %7d %6d %8b %10.0f %10.0f %8b %10d@." delta'
+            (Bipartite.n support) girth cert.Gen.target_girth
+            cert.Gen.girth_feasible c.Counting.p_lower c.Counting.p_upper
             c.Counting.contradictory
             (Re_supported.theorem_b2 ~k ~girth)
       | None -> Format.printf "  %4d: support shape rejected@." delta')
@@ -338,8 +339,8 @@ let e_unsat () =
   (* Arbdefective colorings: the Corollary 5.8 chromatic certificate on
      measured graphs. *)
   Format.printf "@.arbdefective coloring chromatic certificates (Corollary 5.8):@.";
-  Format.printf "  %5s %4s %4s %14s %12s %10s@." "n" "Δ" "k" "independence"
-    "χ lower" "2k < χ?";
+  Format.printf "  %5s %4s %4s %6s %6s %8s %14s %12s %10s@." "n" "Δ" "k"
+    "girth" "target" "feasible" "independence" "χ lower" "2k < χ?";
   List.iter
     (fun (n, d, k) ->
       let cert = Gen.high_girth_low_independence rng ~n ~d () in
@@ -348,7 +349,9 @@ let e_unsat () =
         Independence.chromatic_lower_of_independence ~n:nn
           ~independence:cert.Gen.independence_upper
       in
-      Format.printf "  %5d %4d %4d %10d (%s) %12d %10b@." nn d k
+      Format.printf "  %5d %4d %4d %6s %6d %8b %10d (%s) %12d %10b@." nn d k
+        (match cert.Gen.girth with None -> "∞" | Some g -> string_of_int g)
+        cert.Gen.target_girth cert.Gen.girth_feasible
         cert.Gen.independence_upper
         (if cert.Gen.independence_exact then "=" else "≤")
         chromatic_lower
@@ -405,15 +408,16 @@ let e_seq () =
 (* E-G *)
 
 let e_g () =
-  Format.printf "  %5s %3s %7s %12s %14s %16s@." "n" "d" "girth" "ε·log_d n"
-    "independence" "Alon α·n·ln d/d";
+  Format.printf "  %5s %3s %7s %6s %8s %12s %14s %16s@." "n" "d" "girth"
+    "target" "feasible" "ε·log_d n" "independence" "Alon α·n·ln d/d";
   let rng = Prng.create 7 in
   List.iter
     (fun (n, d) ->
       let c = Gen.high_girth_low_independence rng ~n ~d () in
       let nn = Graph.n c.Gen.graph in
-      Format.printf "  %5d %3d %7s %12.1f %10d (%s) %16.1f@." nn d
+      Format.printf "  %5d %3d %7s %6d %8b %12.1f %10d (%s) %16.1f@." nn d
         (match c.Gen.girth with None -> "∞" | Some g -> string_of_int g)
+        c.Gen.target_girth c.Gen.girth_feasible
         (log (float_of_int nn) /. log (float_of_int d))
         c.Gen.independence_upper
         (if c.Gen.independence_exact then "exact" else "bound")
@@ -1010,7 +1014,10 @@ let all_experiments =
 (* The CI smoke subset: cheap experiments only (pure tables, diagrams,
    and the small solver instances). *)
 let quick_ids =
-  [ "FIG1"; "FIG2"; "FIG3"; "T15"; "T16"; "T17"; "T13"; "E-FIX"; "E-G"; "E-CYCLE" ]
+  [
+    "FIG1"; "FIG2"; "FIG3"; "T15"; "T16"; "T17"; "T13"; "E-UNSAT"; "E-FIX"; "E-G";
+    "E-CYCLE";
+  ]
 
 type experiment_record = {
   id : string;

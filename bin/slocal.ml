@@ -1133,10 +1133,12 @@ let gen_cmd =
     let rng = Slocal_util.Prng.create seed in
     let c = Gen.high_girth_low_independence rng ~n ~d () in
     let g = c.Gen.graph in
-    Format.printf "generated %d-regular graph: n=%d girth=%s independence<=%d (%s)@."
+    Format.printf
+      "generated %d-regular graph: n=%d girth=%s target=%d feasible=%b \
+       independence<=%d (%s)@."
       d (Graph.n g)
       (match c.Gen.girth with None -> "∞" | Some x -> string_of_int x)
-      c.Gen.independence_upper
+      c.Gen.target_girth c.Gen.girth_feasible c.Gen.independence_upper
       (if c.Gen.independence_exact then "exact" else "matching bound");
     Format.printf "Lemma 2.1 target: girth >= ε·log_Δ n = %.2f·ε, independence <= α·%.2f@."
       (log (float_of_int (Graph.n g)) /. log (float_of_int d))

@@ -1,127 +1,60 @@
-(* BFS from a source; whenever a non-tree edge joins two visited
-   vertices, [dist u + dist v + 1] bounds a cycle length, and the
-   minimum of these bounds over all sources is the girth. *)
+(* BFS from every source (see Adjacency.search): a non-tree edge met
+   from a source bounds a cycle length, and the minimum of these
+   bounds over all sources is the girth.  One adjacency and one
+   scratch serve all the sources of a call. *)
 
-module Telemetry = Slocal_obs.Telemetry
+let prepare g =
+  let t = Adjacency.of_graph g in
+  (t, Adjacency.scratch t.Adjacency.n)
 
-let c_bfs_runs = Telemetry.counter "girth.bfs_runs"
-
-let bfs_cycle_bound g src ~stop_below =
-  Telemetry.incr c_bfs_runs;
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent_edge = Array.make n (-1) in
-  let best = ref max_int in
-  let q = Queue.create () in
-  dist.(src) <- 0;
-  Queue.push src q;
-  (try
-     while not (Queue.is_empty q) do
-       let v = Queue.pop q in
-       List.iter
-         (fun e ->
-           let w = Graph.other_end g e v in
-           if e <> parent_edge.(v) then
-             if dist.(w) = max_int then begin
-               dist.(w) <- dist.(v) + 1;
-               parent_edge.(w) <- e;
-               Queue.push w q
-             end
-             else begin
-               let len = dist.(v) + dist.(w) + 1 in
-               if len < !best then best := len;
-               if !best < stop_below then raise Exit
-             end)
-         (Graph.incident g v)
-     done
-   with Exit -> ());
-  !best
+let bound _ b = b
+let to_option b = if b = max_int then None else Some b
 
 let shortest_cycle_through g v =
-  let b = bfs_cycle_bound g v ~stop_below:0 in
-  if b = max_int then None else Some b
+  let t, sc = prepare g in
+  to_option (Adjacency.search t sc v ~stop_below:0 ~cap:max_int bound)
 
 let girth g =
+  let t, sc = prepare g in
   let best = ref max_int in
-  for v = 0 to Graph.n g - 1 do
-    let b = bfs_cycle_bound g v ~stop_below:0 in
-    if b < !best then best := b
+  for v = 0 to t.Adjacency.n - 1 do
+    best := min !best (Adjacency.search t sc v ~stop_below:0 ~cap:!best bound)
   done;
-  if !best = max_int then None else Some !best
+  to_option !best
 
 let girth_at_least g k =
-  let ok = ref true in
-  (try
-     for v = 0 to Graph.n g - 1 do
-       if bfs_cycle_bound g v ~stop_below:k < k then begin
-         ok := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !ok
+  let t, sc = prepare g in
+  let rec from v =
+    v >= t.Adjacency.n
+    || (Adjacency.search t sc v ~stop_below:k ~cap:k bound >= k && from (v + 1))
+  in
+  from 0
 
-(* Reconstruct some shortest cycle: rerun the BFS recording parents and
-   rebuild the two root paths at the first closing edge matching the
-   optimal length, then trim the closed walk to a simple cycle. *)
+(* The first source whose search closes a walk of exactly the girth
+   lies on a shortest cycle: its two tree paths meet only at the
+   source, since a shared vertex below it would close a shorter
+   cycle. *)
 let shortest_cycle g =
   match girth g with
   | None -> None
   | Some target ->
-      let n = Graph.n g in
-      let found = ref None in
-      let try_source src =
-        let dist = Array.make n max_int in
-        let parent = Array.make n (-1) in
-        let parent_edge = Array.make n (-1) in
-        let q = Queue.create () in
-        dist.(src) <- 0;
-        Queue.push src q;
-        try
-          while not (Queue.is_empty q) do
-            let v = Queue.pop q in
-            List.iter
-              (fun e ->
-                let w = Graph.other_end g e v in
-                if e <> parent_edge.(v) then
-                  if dist.(w) = max_int then begin
-                    dist.(w) <- dist.(v) + 1;
-                    parent.(w) <- v;
-                    parent_edge.(w) <- e;
-                    Queue.push w q
-                  end
-                  else if dist.(v) + dist.(w) + 1 = target then begin
-                    let rec path u = if u = src then [ src ] else u :: path parent.(u) in
-                    let walk = List.rev (path v) @ path w in
-                    found := Some walk;
-                    raise Exit
-                  end)
-              (Graph.incident g v)
-          done
-        with Exit -> ()
+      let t, sc = prepare g in
+      let closing src e b =
+        if b > target then None
+        else
+          let x = t.Adjacency.ends.(2 * e) and y = t.Adjacency.ends.((2 * e) + 1) in
+          Some
+            (List.rev (Adjacency.tree_path t sc x)
+            @ List.filter (fun u -> u <> src) (Adjacency.tree_path t sc y))
       in
-      let v = ref 0 in
-      while !found = None && !v < n do
-        try_source !v;
-        incr v
-      done;
-      (match !found with
-      | None -> None
-      | Some walk ->
-          (* Trim the closed walk to a simple cycle: keep the segment
-             between the two occurrences of the first repeated vertex. *)
-          let tbl = Hashtbl.create 16 in
-          let rec scan i = function
-            | [] -> None
-            | x :: rest -> (
-                match Hashtbl.find_opt tbl x with
-                | Some j -> Some (j, i)
-                | None ->
-                    Hashtbl.add tbl x i;
-                    scan (i + 1) rest)
-          in
-          (match scan 0 (walk @ [ List.hd walk ]) with
-          | None -> Some walk
-          | Some (j, i) ->
-              let seg = List.filteri (fun k _ -> k >= j && k < i) (walk @ [ List.hd walk ]) in
-              Some seg))
+      let rec from src =
+        if src >= t.Adjacency.n then None
+        else
+          match
+            Adjacency.search t sc src ~stop_below:(target + 1) ~cap:(target + 1)
+              (closing src)
+          with
+          | Some c -> Some c
+          | None -> from (src + 1)
+      in
+      from 0

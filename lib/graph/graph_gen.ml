@@ -3,7 +3,6 @@ module Telemetry = Slocal_obs.Telemetry
 
 let c_gen_attempts = Telemetry.counter "graph.gen_attempts"
 let c_repair_sweeps = Telemetry.counter "graph.repair_sweeps"
-let c_girth_swaps = Telemetry.counter "graph.girth_swaps"
 let g_girth_achieved = Telemetry.gauge "graph.girth_achieved"
 let g_independence_upper = Telemetry.gauge "graph.independence_upper"
 
@@ -218,14 +217,14 @@ let complement g =
   done;
   Graph.create ~n !edges
 
-let rec random_regular rng ~n ~d =
+let rec regular rng ~n ~d =
   if n * d mod 2 <> 0 then invalid_arg "Graph_gen.random_regular: n*d must be even";
   if d >= n then invalid_arg "Graph_gen.random_regular: need d < n";
   if d = 0 then Graph.create ~n []
   else if 2 * d > n - 1 then
     (* Dense regime: the configuration model cannot be repaired into a
        simple graph efficiently; generate the sparse complement. *)
-    complement (random_regular rng ~n ~d:(n - 1 - d))
+    complement (regular rng ~n ~d:(n - 1 - d))
   else begin
     let attempt max_sweeps =
       Telemetry.incr c_gen_attempts;
@@ -254,6 +253,9 @@ let rec random_regular rng ~n ~d =
     in
     go 0
   end
+
+let random_regular rng ~n ~d =
+  Telemetry.span "graph.random_regular" @@ fun () -> regular rng ~n ~d
 
 let bipartite_complement b ~nw ~nb =
   let g = Bipartite.graph b in
@@ -302,58 +304,32 @@ let rec random_biregular rng ~nw ~nb ~dw ~db =
   go 0
   end
 
-(* One degree-preserving 2-swap targeting an edge of a shortest cycle:
-   replace {u,v}, {x,y} by {u,x}, {v,y} when that keeps the graph
-   simple.  Swaps preserve the degree sequence. *)
-let try_swap rng g =
-  match Girth.shortest_cycle g with
-  | None | Some [] -> None
-  | Some (c0 :: rest) ->
-      let cyc = Array.of_list (c0 :: rest) in
-      let k = Array.length cyc in
-      let i = Prng.int rng k in
-      let u = cyc.(i) and v = cyc.((i + 1) mod k) in
-      let m = Graph.m g in
-      let rec pick tries =
-        if tries = 0 then None
-        else begin
-          let e = Prng.int rng m in
-          let x, y = Graph.edge g e in
-          let x, y = if Prng.bool rng then (x, y) else (y, x) in
-          if x = u || x = v || y = u || y = v then pick (tries - 1)
-          else if Graph.mem_edge g u x || Graph.mem_edge g v y then pick (tries - 1)
-          else Some (x, y)
-        end
-      in
-      (match pick 64 with
-      | None -> None
-      | Some (x, y) ->
-          let old1 = if u < v then (u, v) else (v, u) in
-          let old2 = if x < y then (x, y) else (y, x) in
-          let keep (a, b) =
-            let e = if a < b then (a, b) else (b, a) in
-            e <> old1 && e <> old2
-          in
-          let edges =
-            Array.to_list (Graph.edges g) |> List.filter keep
-          in
-          Some (Graph.create ~n:(Graph.n g) ((u, x) :: (v, y) :: edges)))
+(* The Moore bound: a graph of minimum degree d >= 2 and girth g has
+   at least 1 + d·Σ_{i<r}(d-1)^i vertices when g = 2r+1, and
+   2·Σ_{i<r}(d-1)^i when g = 2r.  The sum stops once it passes n. *)
+let moore_feasible ~n ~d ~girth =
+  d < 2
+  ||
+  let r = girth / 2 in
+  let rec sum i term acc =
+    if i = r || acc > n then acc else sum (i + 1) (term * (d - 1)) (acc + term)
+  in
+  let s = sum 0 1 0 in
+  (if girth mod 2 = 1 then 1 + (d * s) else 2 * s) <= n
+
+(* The largest girth the Moore bound allows on n vertices of minimum
+   degree d (unbounded below degree 2). *)
+let max_feasible_girth ~n ~d =
+  if d < 2 then max_int
+  else
+    let rec up g = if moore_feasible ~n ~d ~girth:(g + 1) then up (g + 1) else g in
+    up 3
 
 let improve_girth rng g ~min_girth ~max_steps =
-  let girth_val g = match Girth.girth g with None -> max_int | Some x -> x in
-  let rec go g best best_girth steps =
-    if steps = 0 || girth_val g >= min_girth then
-      if girth_val g >= best_girth then g else best
-    else
-      match try_swap rng g with
-      | None -> if girth_val g >= best_girth then g else best
-      | Some g' ->
-          Telemetry.incr c_girth_swaps;
-          let bg = girth_val g' in
-          if bg >= best_girth then go g' g' bg (steps - 1)
-          else go g' best best_girth (steps - 1)
+  let target =
+    min min_girth (max_feasible_girth ~n:(Graph.n g) ~d:(Graph.min_degree g))
   in
-  go g g (girth_val g) max_steps
+  Girth_repair.repair rng g ~target ~max_steps
 
 let greedy_matching_size g =
   let n = Graph.n g in
@@ -372,6 +348,8 @@ let greedy_matching_size g =
 type certified = {
   graph : Graph.t;
   girth : int option;
+  target_girth : int;
+  girth_feasible : bool;
   independence_upper : int;
   independence_exact : bool;
 }
@@ -380,15 +358,16 @@ let high_girth_low_independence rng ~n ~d ?min_girth () =
   Telemetry.span "graph.high_girth_low_independence" @@ fun () ->
   if d < 2 then invalid_arg "high_girth_low_independence: need d >= 2";
   let n = if n * d mod 2 = 0 then n else n + 1 in
-  let min_girth =
+  let requested =
     match min_girth with
     | Some g -> g
     | None ->
         let lg = log (float_of_int n) /. log (float_of_int (max 2 d)) in
         max 5 (int_of_float (ceil lg))
   in
+  let target_girth = min requested (max_feasible_girth ~n ~d) in
   let g = random_regular rng ~n ~d in
-  let g = improve_girth rng g ~min_girth ~max_steps:(50 * n) in
+  let g = Girth_repair.repair rng g ~target:target_girth ~max_steps:(50 * n) in
   let girth = Girth.girth g in
   let exact_budget = if n <= 64 then 5_000_000 else 200_000 in
   let independence_upper, independence_exact =
@@ -400,6 +379,13 @@ let high_girth_low_independence rng ~n ~d ?min_girth () =
   in
   Telemetry.set g_girth_achieved (Option.value girth ~default:0);
   Telemetry.set g_independence_upper independence_upper;
-  { graph = g; girth; independence_upper; independence_exact }
+  {
+    graph = g;
+    girth;
+    target_girth;
+    girth_feasible = moore_feasible ~n ~d ~girth:requested;
+    independence_upper;
+    independence_exact;
+  }
 
 let double_cover = Bipartite.double_cover

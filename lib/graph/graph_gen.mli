@@ -38,12 +38,19 @@ val random_biregular : Slocal_util.Prng.t -> nw:int -> nb:int -> dw:int -> db:in
 
 val improve_girth : Slocal_util.Prng.t -> Graph.t -> min_girth:int -> max_steps:int -> Graph.t
 (** Destroy cycles shorter than [min_girth] by random degree-preserving
-    2-swaps that keep the graph simple.  Gives up after [max_steps]
-    swaps and returns the best graph found. *)
+    2-swaps that keep the graph simple, done in place and each checked
+    not to close a new short cycle.  [min_girth] is first clamped to
+    the largest girth the Moore bound allows for the vertex count and
+    the minimum degree.  The girth never decreases.  Gives up after
+    [max_steps] attempted swaps. *)
 
 type certified = {
   graph : Graph.t;
   girth : int option;  (** Measured girth. *)
+  target_girth : int;  (** The girth aimed for, after clamping. *)
+  girth_feasible : bool;
+      (** Whether the requested girth satisfies the Moore bound for
+          (n, d); when false, [target_girth] is below the request. *)
   independence_upper : int;
       (** An upper bound on the independence number: exact when the
           branch-and-bound finishes, otherwise a fractional-relaxation

@@ -1,5 +1,3 @@
-module Prng = Slocal_util.Prng
-
 let complete_3_uniform n =
   let edges = ref [] in
   for a = 0 to n - 1 do
@@ -16,67 +14,21 @@ let tight_cycle n r =
   Hypergraph.create ~n
     (List.init n (fun i -> List.init r (fun j -> (i + j) mod n)))
 
-(* Side-preserving double-edge swaps targeting short cycles of a
-   2-colored graph: replace (w1,b1),(w2,b2) by (w1,b2),(w2,b1). *)
-let improve_girth_bipartite rng bip ~min_girth ~max_steps =
-  let girth_of g = match Girth.girth g with None -> max_int | Some x -> x in
-  let colors v = Bipartite.color bip v in
-  let rec go g steps =
-    if steps = 0 || girth_of g >= min_girth then g
-    else
-      match Girth.shortest_cycle g with
-      | None -> g
-      | Some cyc ->
-          let cyc = Array.of_list cyc in
-          let k = Array.length cyc in
-          let i = Prng.int rng k in
-          let u = cyc.(i) and v = cyc.((i + 1) mod k) in
-          let w1, b1 = if colors u = Bipartite.White then (u, v) else (v, u) in
-          let m = Graph.m g in
-          let rec pick tries =
-            if tries = 0 then None
-            else begin
-              let e = Prng.int rng m in
-              let x, y = Graph.edge g e in
-              let w2, b2 =
-                if colors x = Bipartite.White then (x, y) else (y, x)
-              in
-              if
-                w2 = w1 || b2 = b1 || Graph.mem_edge g w1 b2
-                || Graph.mem_edge g w2 b1
-              then pick (tries - 1)
-              else Some (w2, b2)
-            end
-          in
-          (match pick 64 with
-          | None -> g
-          | Some (w2, b2) ->
-              let drop (a, b) =
-                let n1 = if a < b then (a, b) else (b, a) in
-                let o1 = if w1 < b1 then (w1, b1) else (b1, w1) in
-                let o2 = if w2 < b2 then (w2, b2) else (b2, w2) in
-                n1 <> o1 && n1 <> o2
-              in
-              let edges = Array.to_list (Graph.edges g) |> List.filter drop in
-              let g' =
-                Graph.create ~n:(Graph.n g) ((w1, b2) :: (w2, b1) :: edges)
-              in
-              go g' (steps - 1))
-  in
-  go (Bipartite.graph bip) max_steps
-
 let hypergraph_of_incidence ~n_vertices graph =
   let num_edges = Graph.n graph - n_vertices in
   Hypergraph.create ~n:n_vertices
     (List.init num_edges (fun j -> Graph.neighbors graph (n_vertices + j)))
 
 let incidence_swap_girth rng h ~min_girth ~max_steps =
-  let inc = Hypergraph.incidence h in
-  let improved =
-    improve_girth_bipartite rng inc ~min_girth:(2 * min_girth) ~max_steps
-  in
-  (* Rewrap: the vertex side keeps its ids, blacks are hyperedges. *)
-  hypergraph_of_incidence ~n_vertices:(Hypergraph.n h) improved
+  let n_vertices = Hypergraph.n h in
+  (* Whites are the vertices, blacks the hyperedges: exchanging only
+     black endpoints keeps every degree and every rank. *)
+  Girth_repair.repair
+    ~white:(fun v -> v < n_vertices)
+    rng
+    (Bipartite.graph (Hypergraph.incidence h))
+    ~target:(2 * min_girth) ~max_steps
+  |> hypergraph_of_incidence ~n_vertices
 
 let random_regular_uniform rng ~n ~degree ~rank ?(require_linear = true) () =
   if degree < 1 || rank < 2 then

@@ -31,4 +31,6 @@ val random_regular_uniform :
 val incidence_swap_girth :
   Slocal_util.Prng.t -> Hypergraph.t -> min_girth:int -> max_steps:int -> Hypergraph.t
 (** Raise the hypergraph girth (half incidence girth) by side-preserving
-    double-edge swaps on the incidence graph. *)
+    double-edge swaps on the incidence graph, with the engine of
+    {!Graph_gen.improve_girth}: only hyperedge endpoints are exchanged,
+    so degrees and ranks are kept. *)

@@ -1,3 +1,5 @@
+module Telemetry = Slocal_obs.Telemetry
+
 let greedy g =
   let n = Graph.n g in
   let order =
@@ -19,28 +21,45 @@ let greedy g =
 
 exception Budget_exceeded
 
-(* Branch and bound on the max-degree vertex of the remaining graph.
+(* Branch and bound on the first alive vertex of maximum alive-degree.
    The bound is the trivial |remaining| plus current; adequate for the
-   small, sparse support graphs used in the experiments. *)
+   small, sparse support graphs used in the experiments.  Alive degrees
+   are kept up to date as vertices die and revive, and the vertices a
+   branch kills go on one shared stack, so a search node allocates
+   nothing. *)
 let exact ?(max_nodes = 5_000_000) g =
+  Telemetry.span "graph.independence_exact" @@ fun () ->
   let n = Graph.n g in
+  let nbrs = Array.init n (fun v -> Array.of_list (Graph.neighbors g v)) in
   let best = ref (List.length (greedy g)) in
   let nodes = ref 0 in
   let alive = Array.make n true in
   let alive_count = ref n in
+  let alive_deg = Array.map Array.length nbrs in
+  let killed = Array.make n 0 and top = ref 0 in
+  let set_alive u b =
+    let d = if b then 1 else -1 in
+    alive.(u) <- b;
+    alive_count := !alive_count + d;
+    Array.iter (fun w -> alive_deg.(w) <- alive_deg.(w) + d) nbrs.(u)
+  in
+  let kill u =
+    if alive.(u) then begin
+      set_alive u false;
+      killed.(!top) <- u;
+      incr top
+    end
+  in
   let rec branch current =
     incr nodes;
     if !nodes > max_nodes then raise Budget_exceeded;
     if current + !alive_count <= !best then ()
     else begin
-      (* pick an alive vertex of max alive-degree *)
-      let pick = ref (-1) in
-      let pick_deg = ref (-1) in
+      let pick = ref (-1) and pick_deg = ref (-1) and deg_sum = ref 0 in
       for v = 0 to n - 1 do
         if alive.(v) then begin
-          let d =
-            List.length (List.filter (fun w -> alive.(w)) (Graph.neighbors g v))
-          in
+          let d = alive_deg.(v) in
+          deg_sum := !deg_sum + d;
           if d > !pick_deg then begin
             pick := v;
             pick_deg := d
@@ -53,44 +72,24 @@ let exact ?(max_nodes = 5_000_000) g =
       else if !pick_deg <= 1 then begin
         (* Remaining graph is a union of isolated vertices and single
            edges: take one endpoint of each edge and all isolated. *)
-        let extra = ref 0 in
-        let taken = Array.make n false in
-        for v = 0 to n - 1 do
-          if alive.(v) && not taken.(v) then begin
-            incr extra;
-            taken.(v) <- true;
-            List.iter
-              (fun w -> if alive.(w) then taken.(w) <- true)
-              (Graph.neighbors g v)
-          end
-        done;
-        if current + !extra > !best then best := current + !extra
+        let extra = !alive_count - (!deg_sum / 2) in
+        if current + extra > !best then best := current + extra
       end
       else begin
         let v = !pick in
-        let removed = ref [] in
-        let kill u =
-          if alive.(u) then begin
-            alive.(u) <- false;
-            decr alive_count;
-            removed := u :: !removed
-          end
-        in
+        let base = !top in
         (* Branch 1: include v *)
         kill v;
-        List.iter kill (Graph.neighbors g v);
+        Array.iter kill nbrs.(v);
         branch (current + 1);
-        List.iter
-          (fun u ->
-            alive.(u) <- true;
-            incr alive_count)
-          !removed;
+        while !top > base do
+          decr top;
+          set_alive killed.(!top) true
+        done;
         (* Branch 2: exclude v *)
-        alive.(v) <- false;
-        decr alive_count;
+        set_alive v false;
         branch current;
-        alive.(v) <- true;
-        incr alive_count
+        set_alive v true
       end
     end
   in

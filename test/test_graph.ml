@@ -464,6 +464,104 @@ let test_tight_cycle_girth () =
   check (Alcotest.option int_t) "2-uniform tight cycle girth" (Some 8)
     (Hypergraph.girth h)
 
+(* The Moore bound n₀(d, g), computed here independently of the
+   generator. *)
+let moore_bound ~d ~g =
+  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+  let s = List.fold_left (fun acc i -> acc + pow (d - 1) i) 0 (List.init (g / 2) Fun.id) in
+  if g mod 2 = 1 then 1 + (d * s) else 2 * s
+
+let max_feasible_girth ~n ~d =
+  let rec up g = if moore_bound ~d ~g:(g + 1) <= n then up (g + 1) else g in
+  up 3
+
+let is_simple g =
+  let norm (u, v) = (min u v, max u v) in
+  let es = Array.to_list (Array.map norm (Graph.edges g)) in
+  List.for_all (fun (u, v) -> u <> v) es
+  && List.length (List.sort_uniq compare es) = List.length es
+
+let girth_or_inf g = Option.value (Girth.girth g) ~default:max_int
+
+let test_improve_girth_property () =
+  List.iter
+    (fun (n, d) ->
+      List.iter
+        (fun seed ->
+          let rng = Prng.create seed in
+          let g = Gen.random_regular rng ~n ~d in
+          let target = min 6 (max_feasible_girth ~n ~d) in
+          let out = Gen.improve_girth rng g ~min_girth:6 ~max_steps:(50 * n) in
+          let name = Printf.sprintf "(%d,%d) seed %d" n d seed in
+          check int_t (name ^ " same n") n (Graph.n out);
+          check bool_t (name ^ " regular") true (Graph.is_regular out d);
+          check bool_t (name ^ " simple") true (is_simple out);
+          check bool_t (name ^ " girth never below min(target, input))") true
+            (girth_or_inf out >= min target (girth_or_inf g));
+          let c = Gen.high_girth_low_independence rng ~n ~d ~min_girth:5 () in
+          check (Alcotest.option int_t) (name ^ " certified girth measured")
+            (Girth.girth c.Gen.graph) c.Gen.girth;
+          check bool_t (name ^ " feasible iff n >= n0(d, 5)")
+            (Graph.n c.Gen.graph >= moore_bound ~d ~g:5)
+            c.Gen.girth_feasible;
+          check int_t (name ^ " target clamped")
+            (min 5 (max_feasible_girth ~n:(Graph.n c.Gen.graph) ~d))
+            c.Gen.target_girth)
+        [ 1; 2; 3 ])
+    [ (20, 3); (32, 3); (30, 4); (40, 5); (24, 8); (32, 12) ]
+
+let test_girth_five_cubic () =
+  List.iter
+    (fun n ->
+      for seed = 1 to 10 do
+        let rng = Prng.create seed in
+        let g = Gen.random_regular rng ~n ~d:3 in
+        let out = Gen.improve_girth rng g ~min_girth:5 ~max_steps:(50 * n) in
+        check bool_t
+          (Printf.sprintf "n=%d seed %d reaches girth 5" n seed)
+          true
+          (girth_or_inf out >= 5)
+      done)
+    [ 32; 40; 48 ]
+
+(* α by enumerating every vertex subset as a bitmask. *)
+let brute_force_alpha g =
+  let n = Graph.n g in
+  let adj = Array.make n 0 in
+  Array.iter
+    (fun (u, v) ->
+      adj.(u) <- adj.(u) lor (1 lsl v);
+      adj.(v) <- adj.(v) lor (1 lsl u))
+    (Graph.edges g);
+  let best = ref 0 in
+  for s = 0 to (1 lsl n) - 1 do
+    let independent = ref true and size = ref 0 in
+    for v = 0 to n - 1 do
+      if s land (1 lsl v) <> 0 then begin
+        incr size;
+        if s land adj.(v) <> 0 then independent := false
+      end
+    done;
+    if !independent && !size > !best then best := !size
+  done;
+  !best
+
+let test_independence_brute_force () =
+  for seed = 1 to 40 do
+    let rng = Prng.create seed in
+    let n = 4 + Prng.int rng 11 in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Prng.int rng 100 < 30 then edges := (u, v) :: !edges
+      done
+    done;
+    let g = Graph.create ~n !edges in
+    check (Alcotest.option int_t)
+      (Printf.sprintf "seed %d n=%d" seed n)
+      (Some (brute_force_alpha g)) (Independence.exact g)
+  done
+
 let test_independence_budget () =
   (* A big random graph exceeds a tiny budget. *)
   let rng = Prng.create 3 in
@@ -514,6 +612,8 @@ let () =
           Alcotest.test_case "random biregular" `Quick test_random_biregular;
           Alcotest.test_case "improve girth" `Quick test_improve_girth;
           Alcotest.test_case "high girth certified" `Quick test_high_girth_certified;
+          Alcotest.test_case "improve girth property" `Quick test_improve_girth_property;
+          Alcotest.test_case "girth 5 on cubic graphs" `Quick test_girth_five_cubic;
         ] );
       ( "girth",
         [
@@ -557,6 +657,7 @@ let () =
           Alcotest.test_case "known values" `Quick test_independence_known;
           Alcotest.test_case "greedy independent" `Quick test_independence_greedy_is_independent;
           Alcotest.test_case "budget" `Quick test_independence_budget;
+          Alcotest.test_case "brute force" `Quick test_independence_brute_force;
         ] );
       ( "coloring",
         [
