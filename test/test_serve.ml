@@ -132,6 +132,38 @@ let test_metrics_op () =
   check bool_t "exposition mentions slocal_ metrics" true
     (contains text "slocal_")
 
+(* The [result] object of one request per work op, pinned as a literal:
+   the protocol answer for a fixed request must not drift. *)
+let test_result_goldens () =
+  with_clean_telemetry @@ fun () ->
+  (* Leave the RE cache cold for the isolation tests that follow. *)
+  Fun.protect ~finally:Slocal_formalism.Re_step.clear_cache @@ fun () ->
+  let st = Serve.create () in
+  List.iter
+    (fun (line, want) ->
+      let r = ask st line in
+      check bool_t (line ^ " ok") true (is_ok r);
+      check string_t line want
+        (match member "result" r with
+        | Some j -> Json.to_string j
+        | None -> "<no result>"))
+    [
+      ( {|{"op":"re","problem":"mm:3"}|},
+        {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
+      );
+      ( {|{"op":"sequence","problem":"matching:2:0:1","steps":2}|},
+        {|{"length":3,"hashes":[433798271,292612649,637669361],"lower_bound":true}|}
+      );
+      ( {|{"op":"solve","problem":"col:2:2","graph":"cycle:3"}|},
+        {|{"outcome":"no_solution","nodes":11,"backtracks":10,"budget_exhausted":false}|}
+      );
+      ( {|{"op":"solve","problem":"mm:2","graph":"cycle:4","jobs":2}|},
+        {|{"outcome":"solution","start":0}|} );
+      ( {|{"op":"audit","problem":"col:2:2","graph":"cycle:3"}|},
+        {|{"support_nodes":6,"girth":6,"certificate":"unsolvable-by-search","det_rounds":1,"diagnostics":0,"exit_code":0}|}
+      );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Request isolation: the sum invariant *)
 
@@ -372,6 +404,8 @@ let () =
           Alcotest.test_case "failed work op records an error" `Quick
             test_work_op_error_record;
           Alcotest.test_case "metrics exposition" `Quick test_metrics_op;
+          Alcotest.test_case "result goldens per work op" `Quick
+            test_result_goldens;
         ] );
       ( "isolation",
         [
