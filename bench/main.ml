@@ -69,11 +69,6 @@ let header id title =
   Format.printf "[%s] %s@." id title;
   Format.printf "----------------------------------------------------------------@."
 
-let bipartite_cycle k =
-  Bipartite.make (Gen.cycle (2 * k))
-    (Array.init (2 * k) (fun v ->
-         if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
-
 (* ------------------------------------------------------------------ *)
 (* FIG1 *)
 
@@ -279,7 +274,7 @@ let t13 () =
 let e_lift () =
   List.iter
     (fun k ->
-      let support = bipartite_cycle k in
+      let support = Gen.bipartite_cycle k in
       let problems = Zero_round.two_label_problems () in
       let agree = ref 0 and solvable = ref 0 in
       List.iter
@@ -585,14 +580,14 @@ let e_b1 () =
     | Some None -> Format.printf "  %s: no algorithm to eliminate@." name
     | None -> Format.printf "  %s: search budget@." name
   in
-  run "2-coloring on C8" (bipartite_cycle 4) (Classic.coloring ~delta:2 ~c:2);
-  run "3-coloring on C10" (bipartite_cycle 5) (Classic.coloring ~delta:2 ~c:3);
-  run "matching (Δ'=2) on C8" (bipartite_cycle 4)
+  run "2-coloring on C8" (Gen.bipartite_cycle 4) (Classic.coloring ~delta:2 ~c:2);
+  run "3-coloring on C10" (Gen.bipartite_cycle 5) (Classic.coloring ~delta:2 ~c:3);
+  run "matching (Δ'=2) on C8" (Gen.bipartite_cycle 4)
     (Problem.parse ~name:"mm2" ~labels:[ "M"; "O"; "P" ] ~white:"M O | P^2"
        ~black:"M [O P] | O^2");
   (* The chained step: white T=2 → black T=1 for R(Π) → white T=0 for
      RE(Π). *)
-  (let support = bipartite_cycle 5 in
+  (let support = Gen.bipartite_cycle 5 in
    let p = Classic.coloring ~delta:2 ~c:3 in
    match
      Slocal_model.Zero_round_search.find_algorithm support p ~d_in_white:2
@@ -635,7 +630,7 @@ let e_cycle () =
   Format.printf "  %6s %12s %18s@." "cycle" "lift" "det rounds (B.2)";
   List.iter
     (fun k ->
-      let support = bipartite_cycle k in
+      let support = Gen.bipartite_cycle k in
       let r = Framework.analyze support ~last_problem:col2 ~k:100000 in
       Format.printf "  %6s %12s %18s@."
         (Printf.sprintf "C_%d" (2 * k))
@@ -726,7 +721,7 @@ let micro () =
   let pi32 = CF.pi ~delta:3 ~c:2 in
   let pi_last41 = MF.pi_last ~delta:4 ~y:1 in
   let ruling321 = RF.pi ~delta:3 ~c:2 ~beta:1 in
-  let c6 = bipartite_cycle 3 and c10 = bipartite_cycle 5 in
+  let c6 = Gen.bipartite_cycle 3 and c10 = Gen.bipartite_cycle 5 in
   let coloring3 = Classic.coloring ~delta:2 ~c:3 in
   let so = Classic.sinkless_orientation ~delta:3 in
   let so_lift = Lift.lift ~delta:4 ~r:4 so in
@@ -851,51 +846,6 @@ let micro () =
   List.rev !results
 
 (* ------------------------------------------------------------------ *)
-(* ------------------------------------------------------------------ *)
-(* E-PAR *)
-
-(* Threads-scaling micro: the exhaustive two-label search batch at
-   pool widths 1, 2, 4.  Verifies the pool contract (results
-   byte-identical to sequential) and prints the wall time plus the
-   par.* counter deltas per width; on a single-core container the
-   interesting column is the accounting, not the speedup.  Kept out
-   of the --quick subset and, because the search route never touches
-   re.enum_nodes, out of the bench regression gate's node-count
-   comparison. *)
-let e_par () =
-  let support = bipartite_cycle 3 in
-  Format.printf
-    "two-label search_batch (49 problems, C_6 support) by pool width:@.";
-  Format.printf "  %4s %12s %10s %10s %10s %8s@." "jobs" "wall" "submitted"
-    "completed" "stolen" "merges";
-  let baseline = ref None in
-  List.iter
-    (fun jobs ->
-      (* Fresh problems per width: each task must own its instance's
-         constraint memo tables. *)
-      let problems = Zero_round.two_label_problems () in
-      let before = Telemetry.snapshot () in
-      let t0 = Telemetry.now_ns () in
-      let results = Zero_round.search_batch ~jobs support problems in
-      let t1 = Telemetry.now_ns () in
-      let d = Telemetry.delta ~before ~after:(Telemetry.snapshot ()) in
-      let c name = Option.value ~default:0 (List.assoc_opt name d) in
-      Format.printf "  %4d %12s %10d %10d %10d %8d@." jobs
-        (Format.asprintf "%a" Telemetry.pp_duration (Int64.sub t1 t0))
-        (c "par.tasks_submitted")
-        (c "par.tasks_completed")
-        (c "par.tasks_stolen") (c "par.merges");
-      match !baseline with
-      | None -> baseline := Some results
-      | Some b ->
-          if results <> b then
-            failwith
-              (Printf.sprintf
-                 "E-PAR: results at jobs=%d differ from sequential" jobs))
-    [ 1; 2; 4 ];
-  Format.printf "results identical across widths: true@."
-
-(* ------------------------------------------------------------------ *)
 (* E-SCALE *)
 
 (* Threads-scaling over the real kernels, the rows CI archives as an
@@ -903,8 +853,8 @@ let e_par () =
    per problem, [Zero_round.decide_batch]) and an RE sequence
    ([Sequence.iterate_re], whose per-step lattice descents fan out
    wave by wave) at pool widths 1, 2 and 4.  Each row asserts the
-   results byte-identical to the width-1 run; like E-PAR, the
-   experiment stays out of --quick and has no baseline entry, so the
+   results byte-identical to the width-1 run; the experiment stays
+   out of --quick and has no baseline entry, so the
    honest single-core wall column (speedup materializes only on
    multi-core machines) never trips the regression gate. *)
 let e_scale () =
@@ -939,7 +889,7 @@ let e_scale () =
       widths;
     Format.printf "  results identical across widths: true@."
   in
-  let support = bipartite_cycle 3 in
+  let support = Gen.bipartite_cycle 3 in
   scale "E-LIFT decide_batch (49 problems x 2 routes, C_6 support)"
     (fun jobs ->
       (* Fresh problems per width: each task owns its memo tables. *)
@@ -1002,9 +952,6 @@ let all_experiments =
     ( "E-B1",
       "Lemma B.1, executable: one round elimination step on algorithms",
       e_b1 );
-    ( "E-PAR",
-      "Pool scaling: the 0-round search batch at widths 1/2/4, byte-identical",
-      e_par );
     ( "E-SCALE",
       "Threads scaling of the real kernels: E-LIFT decide_batch and E-SEQ \
        iterate_re at widths 1/2/4",

@@ -1,50 +1,15 @@
 (* slocal — a command-line interface to the Supported LOCAL framework.
 
-   Subcommands:
-     diagram  — print a problem and its black/white strength diagrams
-     re       — apply the round elimination step RE = R̄ ∘ R
-     lift     — print lift_{Δ,r}(Π) (Definition 3.1)
-     solve    — decide bipartite solvability of a problem on a graph
-     bounds   — evaluate the paper's bound formulas on given parameters
-     gen      — generate a support graph and report girth/independence
-     sequence — iterate RE and machine-check the lower-bound sequence
-     stats    — run a workload and print the telemetry counter summary
-     sweep    — decide 0-round solvability over the two-label space
-                (--jobs N fans the problems out over OCaml domains)
-     runs     — list/show/diff/gc the slocal.run/1 ledger
-     trace    — analyze a recorded trace (trace report FILE)
-     export   — print a problem in the textual document format
-     lint     — static analysis: verify the formalism invariants
-     audit    — re-validate a lower-bound certificate end to end
-     serve    — long-lived daemon: JSONL requests over a Unix socket,
-                warm RE cache, one request window per work request
-     client   — send requests to (or replay a capture against) a
-                serving daemon
-
-   The kernel-facing subcommands (re, lift, solve, gen, audit, stats,
-   sequence, sweep) accept [--trace FILE] to record a JSONL telemetry
-   trace (schema slocal.trace/4, domain-tagged with per-span GC-work
-   deltas and request-id stamps; see DESIGN.md) and [--metrics] to print the
-   counter summary to stderr on exit; each of them also appends one
-   slocal.run/1 manifest record to the run ledger (SLOCAL_LEDGER or
-   .slocal/runs.jsonl; "off" disables).  re/solve/sequence/audit/stats
-   additionally take [--openmetrics FILE] (Prometheus text exposition
-   on exit) and [--progress] (throttled stderr heartbeat; on by
-   default when stderr is a TTY).  [trace report FILE] reads a trace
-   back and prints a profile (span tree self-times, hotspots, critical
-   path, provenance table), with [--alloc] (self/cumulative
-   allocation), [--json] (schema slocal.profile/1), [--folded] /
-   [--folded-alloc] (flamegraph.pl / speedscope) and [--timeline]
-   (per-domain lanes, utilization) outputs.
-
-   Problems are selected from the built-in families of the paper:
-     matching:D:X:Y      Π_D(X,Y)            (Definition 4.2)
-     mm:D                maximal matching    (Appendix A)
-     arb:D:C             Π_D(C)              (Definition 5.2)
-     ruling:D:C:B        Π_D(C,B)            (Definition 6.2)
-     so:D                sinkless orientation
-     col:D:C             C-coloring
-*)
+   The work subcommands (re, sequence, solve, audit and the stats
+   workload) map their flags onto one Slocal_serve.Ops call each and
+   render the typed result as text: the same operations the serve
+   daemon answers over its socket.  The kernel-facing subcommands share
+   [with_telemetry] below (--trace, --metrics, --openmetrics,
+   --progress, one slocal.run/1 record per run in the run ledger;
+   SLOCAL_LEDGER=off disables it).  [slocal --help] and
+   [slocal CMD --help] document every subcommand and flag; the problem
+   and graph specs are documented at Slocal_serve.Ops.parse_problem and
+   parse_graph. *)
 
 open Cmdliner
 open Slocal_formalism
@@ -66,11 +31,13 @@ module Ledger = Slocal_obs.Ledger
 module Progress = Slocal_obs.Progress
 module Openmetrics = Slocal_obs.Openmetrics
 module Serve = Slocal_serve.Serve
+module Ops = Slocal_serve.Ops
 
-(* Spec parsing lives in Slocal_serve.Serve so the one-shot CLI and
-   the serve daemon accept identical problem/graph specs. *)
-let parse_problem = Serve.parse_problem_spec
-let parse_graph = Serve.parse_graph_spec
+(* Specs and the work operations live in Slocal_serve.Ops, so the
+   one-shot CLI and the serve daemon accept identical specs and give
+   identical answers. *)
+let parse_problem = Ops.parse_problem
+let parse_graph = Ops.parse_graph
 
 let problem_arg =
   let doc =
@@ -127,10 +94,6 @@ let jobs_opt =
            schedule recorded in a --trace file, and the par.* counters \
            change.")
 
-let kernel_name = function
-  | Re_step.Fast -> "fast"
-  | Re_step.Reference -> "reference"
-
 (* Observability wrapper around every kernel-facing subcommand: opens
    the run-ledger context (one slocal.run/1 record per invocation,
    regardless of flags), installs the requested trace sink, arms the
@@ -139,11 +102,13 @@ let kernel_name = function
    teardown is registered with [at_exit] as well, because lint/audit
    exit from inside their run function ([Fun.protect] finalizers do
    not run across [exit]); the [finished] guard keeps the paths
-   idempotent. *)
+   idempotent.  A failed operation (bad spec, bad parameter,
+   unreadable file: [Ops.error_message]) is reported as
+   "slocal CMD: MESSAGE" on stderr with exit code 2. *)
 let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
     openmetrics f =
   Ledger.begin_run ~argv:(Array.to_list Sys.argv);
-  Option.iter (fun k -> Ledger.note_kernel (kernel_name k)) kernel;
+  Option.iter (fun k -> Ledger.note_kernel (Ops.kernel_name k)) kernel;
   Option.iter (fun p -> Ledger.note_artifact ~kind:"trace" p) trace;
   Progress.set_mode progress_mode;
   let oc = Option.map open_out trace in
@@ -179,17 +144,39 @@ let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
   | v ->
       finish "ok";
       v
-  | exception e ->
-      finish "error";
-      raise e
+  | exception e -> (
+      match Ops.error_message e with
+      | None ->
+          finish "error";
+          raise e
+      | Some msg ->
+          Ledger.note_exit 2;
+          finish "error";
+          Format.print_flush ();
+          Format.eprintf "slocal %s: %s@." cmd msg;
+          exit 2)
+
+(* The observability flags of re, solve, sequence, sweep and audit
+   as one term, and [with_telemetry] over them. *)
+let obs_term =
+  Term.(
+    const (fun t m o p -> (t, m, o, p))
+    $ trace_opt $ metrics_flag $ openmetrics_opt $ progress_flag)
+
+let with_obs ~cmd ?kernel (trace, metrics, openmetrics, progress) =
+  with_telemetry ~cmd ?kernel
+    ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
+    trace metrics openmetrics
+
+let yes_no = function
+  | Some true -> "yes"
+  | Some false -> "no"
+  | None -> "undecided"
 
 let kernel_opt =
-  let kernel_conv =
-    Arg.enum [ ("fast", Re_step.Fast); ("reference", Re_step.Reference) ]
-  in
   Arg.(
     value
-    & opt kernel_conv Re_step.Fast
+    & opt (enum Ops.kernels) Re_step.Fast
     & info [ "kernel" ] ~docv:"KERNEL"
         ~doc:
           "Round elimination kernel: $(b,fast) (packed configuration keys, \
@@ -229,27 +216,21 @@ let re_cmd =
   let steps =
     Arg.(value & opt int 1 & info [ "steps"; "k" ] ~doc:"Number of RE steps.")
   in
-  let run spec steps kernel jobs trace metrics openmetrics progress =
-    Re_step.set_kernel kernel;
-    with_telemetry ~cmd:"re" ~kernel
-      ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
-    let p = ref (parse_problem spec) in
-    print_string (Problem.to_string !p);
-    for i = 1 to steps do
-      p := Re_step.re ~jobs !p;
-      Format.printf "@.--- after RE step %d ---@." i;
-      print_string (Problem.to_string !p)
-    done;
+  let run spec steps kernel jobs obs =
+    with_obs ~cmd:"re" ~kernel obs @@ fun () ->
+    let r = Ops.re ~jobs ~kernel ~steps (parse_problem spec) in
+    List.iteri
+      (fun i p ->
+        if i > 0 then Format.printf "@.--- after RE step %d ---@." i;
+        print_string (Problem.to_string p))
+      r.Ops.problems;
     Format.printf "@.fixed point (up to renaming): %b@."
-      (Re_step.is_fixed_point !p)
+      (r.Ops.fixed_point = Some true)
   in
   Cmd.v
     (Cmd.info "re" ~doc:"Apply round elimination steps")
     Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ trace_opt
-      $ metrics_flag $ openmetrics_opt $ progress_flag)
+      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ obs_term)
 
 let lift_cmd =
   let delta =
@@ -297,12 +278,8 @@ let solve_cmd =
              schedule (DESIGN.md §9).  Per-start node statistics are \
              schedule-dependent, so the effort lines are omitted.")
   in
-  let run spec gspec lift_flag budget jobs portfolio trace metrics openmetrics
-      progress =
-    with_telemetry ~cmd:"solve"
-      ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
+  let run spec gspec lift_flag budget jobs portfolio obs =
+    with_obs ~cmd:"solve" obs @@ fun () ->
     let p = parse_problem spec in
     let g = parse_graph gspec in
     let problem =
@@ -313,53 +290,46 @@ let solve_cmd =
     (match Girth.girth (Bipartite.graph g) with
     | None -> Format.printf "support: n=%d acyclic@." (Bipartite.n g)
     | Some girth -> Format.printf "support: n=%d girth=%d@." (Bipartite.n g) girth);
-    if portfolio > 1 then begin
-      (* Portfolio mode prints only schedule-independent facts: the
-         verdict, the checker bit and the winning start index.  The
-         aggregate effort counters depend on cancellation timing and
-         stay out of stdout (they still reach --metrics/--trace). *)
-      let outcome, winner =
-        Solver.solve_portfolio ~max_nodes:budget ~jobs ~starts:portfolio g
-          problem
-      in
-      match outcome with
-      | Solver.Solution s ->
-          Format.printf "SOLVABLE (checker: %b; portfolio start %d of %d)@."
-            (Checker.is_solution g problem s)
-            (Option.value winner ~default:(-1))
-            portfolio
-      | Solver.No_solution ->
-          Format.printf "NO SOLUTION (portfolio of %d starts)@." portfolio
-      | Solver.Budget_exceeded ->
-          Format.printf "UNDECIDED (budget; portfolio of %d starts)@." portfolio
-    end
-    else begin
-      let outcome, st = Solver.solve_stats ~max_nodes:budget g problem in
-      (match outcome with
-      | Solver.Solution s ->
-          Format.printf "SOLVABLE (checker: %b)@."
-            (Checker.is_solution g problem s)
-      | Solver.No_solution -> Format.printf "NO SOLUTION@."
-      | Solver.Budget_exceeded -> Format.printf "UNDECIDED (budget)@.");
-      Format.printf
-        "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
-        st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
-      if st.Solver.budget_exhausted then
+    let r = Ops.solve ~max_nodes:budget ~jobs ~starts:portfolio g problem in
+    (* A portfolio prints only schedule-independent facts: the verdict,
+       the checker bit and the winning start index.  Its aggregate
+       effort counters depend on cancellation timing and stay out of
+       stdout (they still reach --metrics/--trace). *)
+    (match (r.Ops.outcome, r.Ops.stats) with
+    | Solver.Solution s, stats ->
+        Format.printf "SOLVABLE (checker: %b%s)@."
+          (Checker.is_solution g problem s)
+          (if stats <> None then ""
+           else
+             Printf.sprintf "; portfolio start %d of %d"
+               (Option.value r.Ops.start ~default:(-1))
+               portfolio)
+    | Solver.No_solution, Some _ -> Format.printf "NO SOLUTION@."
+    | Solver.No_solution, None ->
+        Format.printf "NO SOLUTION (portfolio of %d starts)@." portfolio
+    | Solver.Budget_exceeded, Some _ -> Format.printf "UNDECIDED (budget)@."
+    | Solver.Budget_exceeded, None ->
+        Format.printf "UNDECIDED (budget; portfolio of %d starts)@." portfolio);
+    Option.iter
+      (fun st ->
         Format.printf
-          "budget of %d nodes was the limiting factor; raise --budget to \
-           decide@."
-          st.Solver.max_nodes
-      else
-        Format.printf "budget: %d of %d nodes used (not limiting)@."
-          st.Solver.nodes st.Solver.max_nodes
-    end
+          "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
+          st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
+        if st.Solver.budget_exhausted then
+          Format.printf
+            "budget of %d nodes was the limiting factor; raise --budget to \
+             decide@."
+            st.Solver.max_nodes
+        else
+          Format.printf "budget: %d of %d nodes used (not limiting)@."
+            st.Solver.nodes st.Solver.max_nodes)
+      r.Ops.stats
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Decide bipartite solvability on a concrete graph")
     Term.(
       const run $ problem_arg $ graph_arg 1 $ lift_flag $ budget $ jobs_opt
-      $ portfolio_opt $ trace_opt $ metrics_flag $ openmetrics_opt
-      $ progress_flag)
+      $ portfolio_opt $ obs_term)
 
 let bounds_cmd =
   let n = Arg.(value & opt float 1e9 & info [ "n" ] ~doc:"Number of nodes.") in
@@ -413,21 +383,18 @@ let sequence_cmd =
   let steps =
     Arg.(value & opt int 2 & info [ "steps"; "k" ] ~doc:"Number of RE iterations.")
   in
-  let run spec steps kernel jobs trace metrics openmetrics progress =
-    Re_step.set_kernel kernel;
-    with_telemetry ~cmd:"sequence" ~kernel
-      ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
-    let p = parse_problem spec in
-    let seq = Sequence.iterate_re ~jobs p ~steps in
+  let run spec steps kernel jobs obs =
+    with_obs ~cmd:"sequence" ~kernel obs @@ fun () ->
+    let r =
+      Ops.sequence ~jobs ~kernel ~max_nodes:5_000_000 ~steps (parse_problem spec)
+    in
     List.iteri
       (fun i q ->
         Format.printf "Π_%d: %d labels, %d white / %d black configurations@." i
           (Alphabet.size q.Problem.alphabet)
           (Constr.size q.Problem.white)
           (Constr.size q.Problem.black))
-      seq;
+      r.Ops.sequence;
     List.iter
       (fun (st : Sequence.step) ->
         Format.printf "step %d relaxation-of-RE check: %s@." st.Sequence.index
@@ -435,19 +402,14 @@ let sequence_cmd =
           | Some true -> "verified"
           | Some false -> "refuted"
           | None -> "budget"))
-      (Sequence.check ~max_nodes:5_000_000 ~jobs seq);
-    Format.printf "lower-bound sequence: %s@."
-      (match Sequence.is_lower_bound_sequence ~max_nodes:5_000_000 ~jobs seq with
-      | Some true -> "yes"
-      | Some false -> "no"
-      | None -> "undecided")
+      r.Ops.checks;
+    Format.printf "lower-bound sequence: %s@." (yes_no r.Ops.lower_bound)
   in
   Cmd.v
     (Cmd.info "sequence"
        ~doc:"Iterate RE and machine-check the lower-bound sequence")
     Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ trace_opt
-      $ metrics_flag $ openmetrics_opt $ progress_flag)
+      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ obs_term)
 
 let stats_cmd =
   let graph_opt =
@@ -482,44 +444,42 @@ let stats_cmd =
          --openmetrics a FILE";
       exit 2
     end;
-    Re_step.set_kernel kernel;
     (* Progress is stderr-only, but keep --json runs fully quiet. *)
     with_telemetry ~cmd:"stats" ~kernel
       ~progress_mode:(if json then Progress.Off else Progress.Auto)
       trace metrics openmetrics
     @@ fun () ->
     let p = parse_problem spec in
-    let q = ref p in
-    for _ = 1 to re_steps do
-      q := Re_step.re !q
-    done;
+    let q = Ops.last (Ops.re ~kernel ~fixed_point:false ~steps:re_steps p) in
     if not json then
       Format.printf
         "after %d RE step(s): %d labels, %d white / %d black configurations@."
         re_steps
-        (Alphabet.size !q.Problem.alphabet)
-        (Constr.size !q.Problem.white)
-        (Constr.size !q.Problem.black);
+        (Alphabet.size q.Problem.alphabet)
+        (Constr.size q.Problem.white)
+        (Constr.size q.Problem.black);
     let lift_result =
       match gspec with
       | None -> None
       | Some gs ->
           let g = parse_graph gs in
           let l = Core.Zero_round.lift_of_support g p in
-          let outcome, st =
-            Solver.solve_stats ~max_nodes:budget g l.Core.Lift.problem
+          let r = Ops.solve ~max_nodes:budget g l.Core.Lift.problem in
+          let nodes =
+            match r.Ops.stats with Some st -> st.Solver.nodes | None -> 0
           in
           let verdict =
-            match outcome with
-            | Solver.Solution _ -> "yes"
-            | Solver.No_solution -> "no"
-            | Solver.Budget_exceeded -> "undecided"
+            yes_no
+              (match r.Ops.outcome with
+              | Solver.Solution _ -> Some true
+              | Solver.No_solution -> Some false
+              | Solver.Budget_exceeded -> None)
           in
           if not json then
             Format.printf "lift solvable on support: %s (%d nodes explored)@."
               (if verdict = "undecided" then "undecided (budget)" else verdict)
-              st.Solver.nodes;
-          Some (verdict, st.Solver.nodes)
+              nodes;
+          Some (verdict, nodes)
     in
     let cache_pair hits misses =
       ( Telemetry.value (Telemetry.counter hits),
@@ -561,17 +521,17 @@ let stats_cmd =
         Json.Obj
           ([
              ("schema", Json.String "slocal.stats/1");
-             ("kernel", Json.String (kernel_name kernel));
+             ("kernel", Json.String (Ops.kernel_name kernel));
              ( "workload",
                Json.Obj
                  ([
                     ("problem", Json.String p.Problem.name);
                     ("re_steps", Json.Int re_steps);
-                    ("labels", Json.Int (Alphabet.size !q.Problem.alphabet));
+                    ("labels", Json.Int (Alphabet.size q.Problem.alphabet));
                     ( "white_configs",
-                      Json.Int (Constr.size !q.Problem.white) );
+                      Json.Int (Constr.size q.Problem.white) );
                     ( "black_configs",
-                      Json.Int (Constr.size !q.Problem.black) );
+                      Json.Int (Constr.size q.Problem.black) );
                   ]
                  @
                  match lift_result with
@@ -817,27 +777,16 @@ let export_cmd =
     Term.(const run $ problem_arg)
 
 (* ------------------------------------------------------------------ *)
-(* The two-label zero-round sweep: the pilot parallel workload.  49
-   independent per-problem decisions on one support, fanned out over
-   --jobs domains; the output is byte-identical whatever the width. *)
+(* The two-label zero-round sweep: 49 independent per-problem
+   decisions on one support, each by both routes (the lift and the
+   exhaustive 0-round search), fanned out over --jobs domains; the
+   output is byte-identical whatever the width. *)
 
 let sweep_cmd =
   let budget =
     Arg.(
       value & opt int 20_000_000
       & info [ "budget" ] ~doc:"Per-problem solver node budget (lift route).")
-  in
-  let route_opt =
-    let route_conv =
-      Arg.enum [ ("lift", `Lift); ("search", `Search); ("both", `Both) ]
-    in
-    Arg.(
-      value & opt route_conv `Both
-      & info [ "route" ] ~docv:"ROUTE"
-          ~doc:
-            "Decision route: $(b,lift) (solve lift_{Δ,r}(Π), Theorem 3.2), \
-             $(b,search) (exhaustive 0-round table search), or $(b,both) \
-             (the default; also reports agreement).")
   in
   let constr_label alphabet c =
     String.concat "|"
@@ -847,67 +796,33 @@ let sweep_cmd =
              (List.map (Alphabet.name alphabet) (Slocal_util.Multiset.to_list m)))
          (Constr.configs c))
   in
-  let verdict = function
-    | Some true -> "yes"
-    | Some false -> "no"
-    | None -> "undecided"
-  in
-  let run gspec jobs route budget trace metrics openmetrics progress =
-    with_telemetry ~cmd:"sweep"
-      ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
+  let run gspec jobs budget obs =
+    with_obs ~cmd:"sweep" obs @@ fun () ->
     let g = parse_graph gspec in
     let problems = Core.Zero_round.two_label_problems () in
-    let lift_res =
-      match route with
-      | `Lift | `Both ->
-          Some (Core.Zero_round.solvable_batch ~jobs ~max_nodes:budget g problems)
-      | `Search -> None
-    in
-    let search_res =
-      match route with
-      | `Search | `Both -> Some (Core.Zero_round.search_batch ~jobs g problems)
-      | `Lift -> None
-    in
+    let results = Core.Zero_round.decide_batch ~jobs ~max_nodes:budget g problems in
     Format.printf "two-label 0-round sweep: %d problems on %s@."
       (List.length problems) gspec;
     Format.printf "  %-12s %-12s %10s %10s %6s@." "white" "black" "lift"
       "search" "agree";
-    let solvable = ref 0 and agreements = ref 0 and compared = ref 0 in
-    List.iteri
-      (fun i p ->
-        let w = constr_label p.Problem.alphabet p.Problem.white in
-        let b = constr_label p.Problem.alphabet p.Problem.black in
-        let l = Option.map (fun r -> List.nth r i) lift_res in
-        let s = Option.map (fun r -> List.nth r i) search_res in
-        if l = Some (Some true) || (l = None && s = Some (Some true)) then
-          incr solvable;
-        let agree =
-          match (l, s) with
-          | Some l, Some s ->
-              incr compared;
-              if l = s then begin
-                incr agreements;
-                "yes"
-              end
-              else "NO"
-          | _ -> "-"
-        in
-        Format.printf "  %-12s %-12s %10s %10s %6s@." w b
-          (match l with Some v -> verdict v | None -> "-")
-          (match s with Some v -> verdict v | None -> "-")
-          agree)
-      problems;
-    Format.printf "%d/%d problems 0-round solvable@." !solvable
+    List.iter2
+      (fun p (l, s) ->
+        Format.printf "  %-12s %-12s %10s %10s %6s@."
+          (constr_label p.Problem.alphabet p.Problem.white)
+          (constr_label p.Problem.alphabet p.Problem.black)
+          (yes_no l) (yes_no s)
+          (if l = s then "yes" else "NO"))
+      problems results;
+    let count f = List.length (List.filter f results) in
+    let agreements = count (fun (l, s) -> l = s) in
+    Format.printf "%d/%d problems 0-round solvable@."
+      (count (fun (l, _) -> l = Some true))
       (List.length problems);
-    if !compared > 0 then begin
-      Format.printf "routes agree on %d/%d problems@." !agreements !compared;
-      if !agreements < !compared then begin
-        Format.eprintf
-          "sweep: the lift and search routes disagree — kernel bug@.";
-        exit 2
-      end
+    Format.printf "routes agree on %d/%d problems@." agreements
+      (List.length problems);
+    if agreements < List.length problems then begin
+      Format.eprintf "sweep: the lift and search routes disagree — kernel bug@.";
+      exit 2
     end
   in
   Cmd.v
@@ -916,8 +831,7 @@ let sweep_cmd =
          "Decide 0-round solvability for the whole two-label problem space \
           on one support, optionally in parallel (--jobs)")
     Term.(
-      const run $ graph_arg 0 $ jobs_opt $ route_opt $ budget $ trace_opt
-      $ metrics_flag $ openmetrics_opt $ progress_flag)
+      const run $ graph_arg 0 $ jobs_opt $ budget $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis: lint and audit.  Exit-code contract (documented in
@@ -1094,33 +1008,21 @@ let audit_cmd =
              ~doc:"Search-node budget for the independent unsolvability \
                    re-search (0 disables).")
   in
-  let run spec gspec k budget recheck_budget jobs machine trace metrics
-      openmetrics progress =
-    with_telemetry ~cmd:"audit"
-      ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
-    let last_problem, support =
-      match (parse_problem spec, parse_graph gspec) with
-      | p, g -> (p, g)
-      | exception Invalid_argument msg ->
-          Printf.eprintf "audit: %s\n" msg;
-          exit 2
+  let run spec gspec k budget recheck_budget jobs machine obs =
+    with_obs ~cmd:"audit" obs @@ fun () ->
+    let p = parse_problem spec in
+    let r =
+      Ops.audit ~max_nodes:budget ~recheck_budget ~jobs ~k (parse_graph gspec) p
     in
-    let res =
-      Core.Framework.analyze ~max_nodes:budget ~jobs support ~last_problem ~k
-    in
-    Format.printf "%a@." Core.Framework.pp_result res;
-    let diags = Chk.audit ~support ~last_problem ~k ~recheck_budget res in
-    report_and_exit ~machine diags
+    Format.printf "%a@." Core.Framework.pp_result r.Ops.analysis;
+    report_and_exit ~machine r.Ops.diagnostics
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Run the Theorem 3.4 pipeline and re-validate the resulting \
              certificate")
     Term.(const run $ problem_arg $ graph_arg 1 $ k $ budget $ recheck_budget
-          $ jobs_opt $ machine_flag $ trace_opt $ metrics_flag
-          $ openmetrics_opt $ progress_flag)
+          $ jobs_opt $ machine_flag $ obs_term)
 
 let gen_cmd =
   let n = Arg.(value & opt int 50 & info [ "n" ] ~doc:"Target node count.") in
@@ -1411,17 +1313,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "record" ] ~docv:"FILE"
           ~doc:
-            "Append one slocal.capture/1 line per work request (the request \
-             JSON plus its slocal.request/1 summary) to $(docv), for later \
+            "Append one slocal.request/1 record per work request (its cost \
+             summary plus the request body) to $(docv), for later \
              $(b,slocal client --replay).")
-  in
-  let request_ledger_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "request-ledger" ] ~docv:"FILE"
-          ~doc:
-            "Append one slocal.request/1 record per work request to $(docv).")
   in
   let heartbeat_flag =
     Arg.(
@@ -1431,14 +1325,12 @@ let serve_cmd =
             "Emit throttled [serve] heartbeat lines (uptime, requests \
              served, RE-cache hit rate) to stderr.")
   in
-  let run socket jobs record request_ledger heartbeat trace metrics openmetrics
-      =
+  let run socket jobs record heartbeat trace metrics openmetrics =
     with_telemetry ~cmd:"serve" trace metrics openmetrics @@ fun () ->
     let config =
       {
         Serve.jobs;
         record;
-        request_ledger;
         heartbeat = (if heartbeat then Some stderr else None);
         heartbeat_interval_ns =
           Serve.default_config.Serve.heartbeat_interval_ns;
@@ -1456,8 +1348,7 @@ let serve_cmd =
          "Serve re/sequence/solve/audit requests over a Unix socket, with a \
           warm RE cache and per-request observability")
     Term.(
-      const run $ socket_opt $ jobs_opt $ record_opt $ request_ledger_opt
-      $ heartbeat_flag $ trace_opt $ metrics_flag $ openmetrics_opt)
+      const run $ socket_opt $ jobs_opt $ record_opt $ heartbeat_flag $ trace_opt $ metrics_flag $ openmetrics_opt)
 
 let client_cmd =
   let req_args =
@@ -1474,9 +1365,9 @@ let client_cmd =
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Re-send the requests of a slocal.capture/1 file recorded with \
-             $(b,slocal serve --record) and print each request's wall/alloc \
-             numbers next to the recorded ones.")
+            "Re-send the request bodies of a slocal.request/1 file recorded \
+             with $(b,slocal serve --record) and print each request's \
+             wall/alloc numbers next to the recorded ones.")
   in
   let wait_opt =
     Arg.(
@@ -1510,37 +1401,40 @@ let client_cmd =
         exit 2
     in
     let failures = ref 0 in
-    let send_request ~recorded req =
+    let is_true k j = Option.bind (Json.member k j) Json.as_bool = Some true in
+    (* One round trip, reply printed; a transport failure counts. *)
+    let send what req =
       match Serve.roundtrip conn req with
+      | Ok resp ->
+          print_endline (Json.to_string resp);
+          Some resp
       | Error msg ->
           incr failures;
-          Printf.eprintf "client: %s\n" msg
-      | Ok resp -> (
-          print_endline (Json.to_string resp);
-          let ok =
-            Option.value ~default:false
-              (Option.bind (Json.member "ok" resp) Json.as_bool)
-          in
-          if not ok then incr failures;
-          match (recorded : Ledger.request_record option) with
-          | None -> ()
-          | Some prev -> (
-              match
-                Option.bind (Json.member "request" resp) (fun j ->
-                    Result.to_option (Ledger.request_of_json j))
-              with
-              | None -> ()
-              | Some now ->
-                  Format.eprintf
-                    "replay %-8s %-8s wall %a -> %a  alloc %dB -> %dB  cache \
-                     %d/%d -> %d/%d@."
-                    now.Ledger.rr_id now.Ledger.rr_op Telemetry.pp_duration
-                    (Int64.of_int prev.Ledger.rr_wall_ns)
-                    Telemetry.pp_duration
-                    (Int64.of_int now.Ledger.rr_wall_ns)
-                    prev.Ledger.rr_alloc_b now.Ledger.rr_alloc_b
-                    prev.Ledger.rr_cache_hits prev.Ledger.rr_cache_misses
-                    now.Ledger.rr_cache_hits now.Ledger.rr_cache_misses))
+          Printf.eprintf "client: %s%s\n" what msg;
+          None
+    in
+    let send_request ?recorded req =
+      Option.iter
+        (fun resp ->
+          if not (is_true "ok" resp) then incr failures;
+          match
+            ( (recorded : Ledger.request_record option),
+              Option.bind (Json.member "request" resp) (fun j ->
+                  Result.to_option (Ledger.request_of_json j)) )
+          with
+          | Some prev, Some now ->
+              Format.eprintf
+                "replay %-8s %-8s wall %a -> %a  alloc %dB -> %dB  cache \
+                 %d/%d -> %d/%d@."
+                now.Ledger.rr_id now.Ledger.rr_op Telemetry.pp_duration
+                (Int64.of_int prev.Ledger.rr_wall_ns)
+                Telemetry.pp_duration
+                (Int64.of_int now.Ledger.rr_wall_ns)
+                prev.Ledger.rr_alloc_b now.Ledger.rr_alloc_b
+                prev.Ledger.rr_cache_hits prev.Ledger.rr_cache_misses
+                now.Ledger.rr_cache_hits now.Ledger.rr_cache_misses
+          | _ -> ())
+        (send "" req)
     in
     List.iter
       (fun s ->
@@ -1548,49 +1442,43 @@ let client_cmd =
         | Error msg ->
             incr failures;
             Printf.eprintf "client: invalid request %S: %s\n" s msg
-        | Ok j -> send_request ~recorded:None j)
+        | Ok j -> send_request j)
       requests;
     (match replay with
     | None -> ()
     | Some path ->
-        let items, skipped = Serve.read_capture path in
+        let records, skipped = Ledger.read_requests_file path in
+        let replayable =
+          List.filter (fun rr -> rr.Ledger.rr_body <> None) records
+        in
+        let skipped = skipped + List.length records - List.length replayable in
         if skipped > 0 then
-          Printf.eprintf "client: %s: skipped %d damaged capture line(s)\n"
-            path skipped;
-        List.iter (fun (req, recorded) -> send_request ~recorded req) items);
-    (if check_sum then
-       match Serve.roundtrip conn (Json.Obj [ ("op", Json.String "stats") ]) with
-       | Error msg ->
-           incr failures;
-           Printf.eprintf "client: stats: %s\n" msg
-       | Ok resp ->
-           print_endline (Json.to_string resp);
-           let ok =
-             Option.value ~default:false
-               (Option.bind (Json.member "result" resp) (fun r ->
-                    Option.bind (Json.member "check_sum" r) Json.as_bool))
-           in
-           if ok then Printf.eprintf "client: check-sum ok\n"
-           else begin
-             incr failures;
-             Printf.eprintf "client: check-sum FAILED\n"
-           end);
-    if shutdown then begin
-      match
-        Serve.roundtrip conn (Json.Obj [ ("op", Json.String "shutdown") ])
-      with
-      | Ok resp -> print_endline (Json.to_string resp)
-      | Error msg ->
-          incr failures;
-          Printf.eprintf "client: shutdown: %s\n" msg
-    end;
+          Printf.eprintf
+            "client: %s: skipped %d damaged or body-less line(s)\n" path
+            skipped;
+        List.iter
+          (fun rr -> Option.iter (send_request ~recorded:rr) rr.Ledger.rr_body)
+          replayable);
+    let op name = Json.Obj [ ("op", Json.String name) ] in
+    if check_sum then
+      Option.iter
+        (fun resp ->
+          if Option.fold ~none:false ~some:(is_true "check_sum")
+               (Json.member "result" resp)
+          then prerr_endline "client: check-sum ok"
+          else begin
+            incr failures;
+            prerr_endline "client: check-sum FAILED"
+          end)
+        (send "stats: " (op "stats"));
+    if shutdown then ignore (send "shutdown: " (op "shutdown"));
     Serve.disconnect conn;
     if !failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "client"
        ~doc:
-         "Send JSONL requests (or replay a recorded capture) to a slocal \
+         "Send JSONL requests (or replay a --record file) to a slocal \
           serve daemon")
     Term.(
       const run $ socket_opt $ wait_opt $ req_args $ replay_opt

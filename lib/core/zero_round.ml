@@ -71,18 +71,6 @@ let two_label_problems () =
         nonempty_subsets)
     nonempty_subsets
 
-let solvable_batch ?(jobs = 1) ?max_nodes support problems =
-  Telemetry.span "zero_round.solvable_batch" @@ fun () ->
-  Pool.map ~jobs (fun p -> solvable ?max_nodes support p) problems
-
-let search_batch ?(jobs = 1) ?max_assignments support problems =
-  Telemetry.span "zero_round.search_batch" @@ fun () ->
-  Pool.map ~jobs
-    (fun p ->
-      Zero_round_search.exists_algorithm ?max_assignments support p
-        ~d_in_white:(Problem.d_white p) ~d_in_black:(Problem.d_black p))
-    problems
-
 let decide_batch ?(jobs = 1) ?max_nodes ?max_assignments support problems =
   Telemetry.span "zero_round.decide_batch" @@ fun () ->
   Pool.map ~jobs

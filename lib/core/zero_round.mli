@@ -41,7 +41,7 @@ val solvable_non_bipartite :
 
 val lift_of_hypergraph : Hypergraph.t -> Problem.t -> Lift.t
 
-(** {1 Batch decision — the pilot parallel workload}
+(** {1 Batch decision}
 
     Independent per-instance decisions fanned out over an
     {!Slocal_obs.Pool} of OCaml domains.  Each [Problem.t] (whose
@@ -57,23 +57,6 @@ val two_label_problems : unit -> Problem.t list
     (white, black) constraints.  Fresh problems on every call (so
     each caller owns its instances' memo tables). *)
 
-val solvable_batch :
-  ?jobs:int -> ?max_nodes:int -> Bipartite.t -> Problem.t list -> bool option list
-(** {!solvable} over a list of problems on a shared support,
-    fanned out over [jobs] domains (default 1 = sequential). *)
-
-val search_batch :
-  ?jobs:int ->
-  ?max_assignments:int ->
-  Bipartite.t ->
-  Problem.t list ->
-  bool option list
-(** The exhaustive-search route
-    ({!Slocal_model.Zero_round_search.exists_algorithm}, with
-    [d_in_white]/[d_in_black] taken from each problem's arities) over
-    a list of problems, fanned out over [jobs] domains.  The
-    independent tractable cross-check for {!solvable_batch}. *)
-
 val decide_batch :
   ?jobs:int ->
   ?max_nodes:int ->
@@ -83,8 +66,10 @@ val decide_batch :
   (bool option * bool option) list
 (** Both routes per problem in one task — the lift decision
     ({!solvable}, so each task builds and solves its own lift) paired
-    with the exhaustive 0-round search — fanned out over [jobs]
-    domains.  This is the full E-LIFT agreement workload; for every
+    with the exhaustive 0-round search
+    ({!Slocal_model.Zero_round_search.exists_algorithm}, with
+    [d_in_white]/[d_in_black] taken from each problem's arities) —
+    fanned out over [jobs] domains (default 1 = sequential).  This is the full E-LIFT agreement workload; for every
     width the result list is identical to [jobs = 1]. *)
 
 val algorithm_of_lift_solution :

@@ -305,10 +305,22 @@ let set_name alphabet s =
     String.concat "" names
   else "\xe2\x9f\xa8" ^ String.concat "," names ^ "\xe2\x9f\xa9"
 
+(* Label sets are bitsets over the alphabet, so RE is defined only up
+   to [Bitset.max_universe] labels. *)
+let check_universe alphabet =
+  let n = Alphabet.size alphabet in
+  if n > Bitset.max_universe then
+    invalid_arg
+      (Printf.sprintf
+         "cannot apply RE to a problem with %d labels: label sets hold at \
+          most %d (Bitset.max_universe)"
+         n Bitset.max_universe)
+
 (* Core of R: maximality on [strong] side, existence on [weak] side.
    [strong_constr] keeps its arity; new labels are the sets appearing
    in the maximal good configurations. *)
 let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
+  check_universe alphabet;
   Telemetry.span "re.step" @@ fun () ->
   Telemetry.incr c_steps;
   let diagram =
@@ -439,6 +451,7 @@ let re_fast ?jobs p =
   step2.problem
 
 let re ?(cache = true) ?jobs p =
+  check_universe p.Problem.alphabet;
   let renamed result = Problem.rename result ("RE(" ^ p.Problem.name ^ ")") in
   match !kernel with
   | Reference -> Re_reference.re p

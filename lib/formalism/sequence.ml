@@ -50,11 +50,13 @@ let check ?max_nodes ?jobs problems =
   in
   go 1 problems
 
-let is_lower_bound_sequence ?max_nodes ?jobs problems =
-  let steps = check ?max_nodes ?jobs problems in
+let verdict steps =
   if List.exists (fun s -> s.verified = Some false) steps then Some false
   else if List.exists (fun s -> s.verified = None) steps then None
   else Some true
+
+let is_lower_bound_sequence ?max_nodes ?jobs problems =
+  verdict (check ?max_nodes ?jobs problems)
 
 let iterate_re ?jobs p ~steps =
   Telemetry.span "sequence.iterate_re" @@ fun () ->

@@ -37,10 +37,13 @@ val check : ?max_nodes:int -> ?jobs:int -> Problem.t list -> step list
     of each check ({!Re_step.re}); the verdicts are identical for
     every width. *)
 
-val is_lower_bound_sequence :
-  ?max_nodes:int -> ?jobs:int -> Problem.t list -> bool option
+val verdict : step list -> bool option
 (** [Some true] iff every step verifies; [Some false] if some step is
     refuted; [None] if undecided within budget. *)
+
+val is_lower_bound_sequence :
+  ?max_nodes:int -> ?jobs:int -> Problem.t list -> bool option
+(** [verdict (check problems)]. *)
 
 val iterate_re : ?jobs:int -> Problem.t -> steps:int -> Problem.t list
 (** [Π, RE(Π), RE²(Π), …] — always a lower-bound sequence (each problem

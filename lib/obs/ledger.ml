@@ -228,7 +228,9 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let append ~path r =
+(* One record as a single flushed JSONL line, for run and request
+   records alike. *)
+let append_json ~path j =
   try
     mkdir_p (Filename.dirname path);
     let oc =
@@ -237,7 +239,7 @@ let append ~path r =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Json.to_string (to_json r));
+        output_string oc (Json.to_string j);
         output_char oc '\n';
         flush oc);
     Ok ()
@@ -245,35 +247,42 @@ let append ~path r =
   | Sys_error msg -> Error msg
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
+let append ~path r = append_json ~path (to_json r)
+
+(* Every non-blank line of a JSONL file, parsed, in file order. *)
+let json_lines path =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go acc =
+    match input_line ic with
+    | line -> go (if String.trim line = "" then acc else Json.of_string line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  go []
+
 type read_result = { records : record list; skipped : int; foreign : int }
 
-let read_channel ic =
-  let records = ref [] and skipped = ref 0 and foreign = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then begin
-         match Json.of_string line with
-         | Error _ -> incr skipped
-         | Ok j -> (
-             (* A well-formed record of some *other* schema (a
-                slocal.request/1 line in a shared ledger, a future
-                slocal.run/2) is foreign, not damaged: newer writers
-                must not make older readers report corruption. *)
-             match Option.bind (Json.member "schema" j) Json.as_string with
-             | Some s when s <> schema_version -> incr foreign
-             | _ -> (
-                 match of_json j with
-                 | Ok r -> records := r :: !records
-                 | Error _ -> incr skipped))
-       end
-     done
-   with End_of_file -> ());
-  { records = List.rev !records; skipped = !skipped; foreign = !foreign }
-
 let read_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
+  let r =
+    List.fold_left
+      (fun acc -> function
+        | Error _ -> { acc with skipped = acc.skipped + 1 }
+        | Ok j -> (
+            (* A well-formed record of some *other* schema (a
+               slocal.request/1 line in a shared ledger, a future
+               slocal.run/2) is foreign, not damaged: newer writers
+               must not make older readers report corruption. *)
+            match Option.bind (Json.member "schema" j) Json.as_string with
+            | Some s when s <> schema_version ->
+                { acc with foreign = acc.foreign + 1 }
+            | _ -> (
+                match of_json j with
+                | Ok r -> { acc with records = r :: acc.records }
+                | Error _ -> { acc with skipped = acc.skipped + 1 })))
+      { records = []; skipped = 0; foreign = 0 }
+      (json_lines path)
+  in
+  { r with records = List.rev r.records }
 
 (* ------------------------------------------------------------------ *)
 (* Record selection and comparison *)
@@ -354,11 +363,12 @@ type request_record = {
   rr_cache_hits : int;
   rr_cache_misses : int;
   rr_outcome : string;
+  rr_body : Json.t option;
 }
 
 let request_to_json r : Json.t =
   Json.Obj
-    [
+    ([
       ("schema", Json.String request_schema_version);
       ("id", Json.String r.rr_id);
       ("op", Json.String r.rr_op);
@@ -373,6 +383,7 @@ let request_to_json r : Json.t =
       ("cache_misses", Json.Int r.rr_cache_misses);
       ("outcome", Json.String r.rr_outcome);
     ]
+    @ match r.rr_body with Some b -> [ ("body", b) ] | None -> [])
 
 let request_of_json j : (request_record, string) result =
   let str k =
@@ -404,45 +415,17 @@ let request_of_json j : (request_record, string) result =
         rr_cache_hits = opt_int "cache_hits";
         rr_cache_misses = opt_int "cache_misses";
         rr_outcome;
+        rr_body = Json.member "body" j;
       }
 
-let append_request ~path r =
-  try
-    mkdir_p (Filename.dirname path);
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (Json.to_string (request_to_json r));
-        output_char oc '\n';
-        flush oc);
-    Ok ()
-  with
-  | Sys_error msg -> Error msg
-  | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+let append_request ~path r = append_json ~path (request_to_json r)
 
 let read_requests_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let records = ref [] and skipped = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then begin
-             match Json.of_string line with
-             | Error _ -> incr skipped
-             | Ok j -> (
-                 match request_of_json j with
-                 | Ok r -> records := r :: !records
-                 | Error _ -> incr skipped)
-           end
-         done
-       with End_of_file -> ());
-      (List.rev !records, !skipped))
+  let parsed =
+    List.map (fun l -> Result.bind l request_of_json) (json_lines path)
+  in
+  ( List.filter_map Result.to_option parsed,
+    List.length (List.filter Result.is_error parsed) )
 
 (* ------------------------------------------------------------------ *)
 (* The in-process run context.  [begin_run] opens it; the [note_*]

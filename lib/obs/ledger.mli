@@ -81,7 +81,6 @@ type read_result = {
           as corruption. *)
 }
 
-val read_channel : in_channel -> read_result
 val read_file : string -> read_result
 (** Tolerant read: damaged lines are counted in [skipped],
     other-schema lines in [foreign]; neither is fatal.
@@ -106,13 +105,11 @@ val gc : path:string -> keep:int -> (int * int, string) result
 
 (** {1 Per-request records (schema [slocal.request/1])}
 
-    The [slocal serve] daemon appends one record per request: id, op,
-    the problems it touched (canonical hashes), kernel and job width,
-    wall/allocation cost and the RE-cache hit/miss delta — the
-    durable per-request companion of the per-run manifest above. *)
-
-val request_schema_version : string
-(** ["slocal.request/1"]. *)
+    [slocal serve --record FILE] appends one record per work request:
+    id, op, the problems it touched (canonical hashes), kernel and job
+    width, wall/allocation cost, the RE-cache hit/miss delta and the
+    request body — the durable, replayable per-request companion of
+    the per-run manifest above. *)
 
 type request_record = {
   rr_id : string;  (** Request id (unique within a daemon run). *)
@@ -128,6 +125,10 @@ type request_record = {
   rr_cache_hits : int;  (** [re.cache_hits] delta over the window. *)
   rr_cache_misses : int;  (** [re.cache_misses] delta over the window. *)
   rr_outcome : string;  (** ["ok"] or ["error"]. *)
+  rr_body : Json.t option;
+      (** The verbatim request object, so the record can be replayed
+          ([slocal serve --record] writes it, [slocal client --replay]
+          re-sends it).  Serialized only when present. *)
 }
 
 val request_to_json : request_record -> Json.t

@@ -7,15 +7,8 @@ module Json = Slocal_obs.Json
 module Ledger = Slocal_obs.Ledger
 module Telemetry = Slocal_obs.Telemetry
 module Openmetrics = Slocal_obs.Openmetrics
-module Gen = Slocal_graph.Graph_gen
-module Bipartite = Slocal_graph.Bipartite
 module Solver = Slocal_model.Solver
-module MF = Slocal_problems.Matching_family
-module CF = Slocal_problems.Coloring_family
-module RF = Slocal_problems.Ruling_family
-module Classic = Slocal_problems.Classic
 module Framework = Supported_local.Framework
-module Chk = Slocal_analysis.Check
 module Diagnostic = Slocal_analysis.Diagnostic
 
 (* serve.requests/serve.errors tick inside the request window (so they
@@ -30,63 +23,10 @@ let c_control = Telemetry.counter "serve.control"
 
 let out_of_window = [ "serve.connections"; "serve.heartbeats"; "serve.control" ]
 
-(* ------------------------------------------------------------------ *)
-(* Spec parsing, shared with the one-shot CLI (bin/slocal.ml delegates
-   here so the daemon and the CLI accept identical specs). *)
-
-let parse_problem_spec spec =
-  let p =
-    match String.split_on_char ':' spec with
-    | [ "matching"; d; x; y ] ->
-        MF.pi ~delta:(int_of_string d) ~x:(int_of_string x) ~y:(int_of_string y)
-    | [ "mm"; d ] -> MF.maximal_matching ~delta:(int_of_string d)
-    | [ "arb"; d; c ] -> CF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
-    | [ "ruling"; d; c; b ] ->
-        RF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
-          ~beta:(int_of_string b)
-    | [ "so"; d ] -> Classic.sinkless_orientation ~delta:(int_of_string d)
-    | [ "col"; d; c ] ->
-        Classic.coloring ~delta:(int_of_string d) ~c:(int_of_string c)
-    | "file" :: rest ->
-        let path = String.concat ":" rest in
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        Problem.of_string text
-    | _ -> invalid_arg (Printf.sprintf "unknown problem spec %S" spec)
-  in
-  (* No-op unless a run context is open (kernel-facing subcommands). *)
-  Ledger.note_problem ~name:p.Problem.name ~hash:(Problem.canonical_hash p);
-  p
-
-let parse_graph_spec spec =
-  let bipartite_cycle k =
-    let g = Gen.cycle (2 * k) in
-    Bipartite.make g
-      (Array.init (2 * k) (fun v ->
-           if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
-  in
-  match String.split_on_char ':' spec with
-  | [ "cycle"; k ] -> bipartite_cycle (int_of_string k)
-  | [ "kbb"; a; b ] -> Gen.complete_bipartite (int_of_string a) (int_of_string b)
-  | [ "cover-petersen" ] -> Gen.double_cover (Gen.petersen ())
-  | [ "cover-random"; n; d; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
-      let c =
-        Gen.high_girth_low_independence rng ~n:(int_of_string n)
-          ~d:(int_of_string d) ()
-      in
-      Gen.double_cover c.Gen.graph
-  | [ "biregular"; nw; nb; dw; db; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
-      Gen.random_biregular rng ~nw:(int_of_string nw) ~nb:(int_of_string nb)
-        ~dw:(int_of_string dw) ~db:(int_of_string db)
-  | _ -> invalid_arg (Printf.sprintf "unknown graph spec %S" spec)
-
-let kernel_name = function
-  | Re_step.Fast -> "fast"
-  | Re_step.Reference -> "reference"
+(* Spec parsing lives in Ops; these aliases keep the daemon's
+   historical entry points. *)
+let parse_problem_spec = Ops.parse_problem
+let parse_graph_spec = Ops.parse_graph
 
 (* ------------------------------------------------------------------ *)
 (* Daemon state. *)
@@ -94,7 +34,6 @@ let kernel_name = function
 type config = {
   jobs : int;
   record : string option;
-  request_ledger : string option;
   heartbeat : out_channel option;
   heartbeat_interval_ns : int64;
 }
@@ -103,7 +42,6 @@ let default_config =
   {
     jobs = 1;
     record = None;
-    request_ledger = None;
     heartbeat = None;
     heartbeat_interval_ns = 500_000_000L;
   }
@@ -114,7 +52,6 @@ type state = {
   cfg : config;
   started_ns : int64;
   baseline : (string * int) list;
-  capture : out_channel option;
   mutable served : int;
   mutable errors : int;
   mutable auto_id : int;
@@ -129,10 +66,6 @@ let create ?(config = default_config) () =
     cfg = config;
     started_ns = started;
     baseline = Telemetry.snapshot ();
-    capture =
-      Option.map
-        (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
-        config.record;
     served = 0;
     errors = 0;
     auto_id = 0;
@@ -146,11 +79,6 @@ let served st = st.served
 let errored st = st.errors
 let stopped st = st.stop
 let request_totals st = st.totals
-
-let close st =
-  match st.capture with
-  | Some oc -> ( try close_out oc with Sys_error _ -> ())
-  | None -> ()
 
 let merge_counters totals deltas =
   List.fold_left
@@ -176,30 +104,9 @@ let jobs_of st req =
 
 let opt_int_json = function Some v -> Json.Int v | None -> Json.Null
 
-let need_problem problems req =
-  let p = parse_problem_spec (require_string req "problem") in
-  problems := (p.Problem.name, Problem.canonical_hash p) :: !problems;
-  p
-
-let with_kernel req kernel_used f =
-  match member_string req "kernel" with
-  | None ->
-      kernel_used := Some (kernel_name (Re_step.current_kernel ()));
-      f ()
-  | Some k ->
-      let k' =
-        match k with
-        | "fast" -> Re_step.Fast
-        | "reference" -> Re_step.Reference
-        | s -> invalid_arg (Printf.sprintf "unknown kernel %S" s)
-      in
-      let prev = Re_step.current_kernel () in
-      Re_step.set_kernel k';
-      kernel_used := Some k;
-      Fun.protect ~finally:(fun () -> Re_step.set_kernel prev) f
-
 (* ------------------------------------------------------------------ *)
-(* Work ops: one Telemetry.with_request window each. *)
+(* Work ops: the request fields mapped onto one Ops call, the typed
+   result rendered as the response's [result] object. *)
 
 let outcome_name = function
   | Solver.Solution _ -> "solution"
@@ -215,86 +122,83 @@ let is_work_op = function
   | "re" | "sequence" | "solve" | "audit" -> true
   | _ -> false
 
-let run_op st ~problems ~kernel_used req op =
-  let jobs = jobs_of st req in
-  let budget = member_int req "budget" in
+let work_op st ~problems ~kernel_used req op =
+  let jobs = jobs_of st req and max_nodes = member_int req "budget" in
+  let int_field k ~default ~min = max min (Option.value ~default (member_int req k)) in
+  let problem () =
+    let p = Ops.parse_problem (require_string req "problem") in
+    problems := (p.Problem.name, Problem.canonical_hash p) :: !problems;
+    p
+  in
+  let graph () = Ops.parse_graph (require_string req "graph") in
+  let kernel () =
+    let k = Option.map Ops.kernel_of_name (member_string req "kernel") in
+    kernel_used :=
+      Some (Ops.kernel_name (Option.value k ~default:(Re_step.current_kernel ())));
+    k
+  in
   match op with
   | "re" ->
-      with_kernel req kernel_used @@ fun () ->
-      let steps = max 1 (Option.value ~default:1 (member_int req "steps")) in
-      let p = ref (need_problem problems req) in
-      for _ = 1 to steps do
-        p := Re_step.re ~jobs !p
-      done;
-      let q = !p in
-      let base =
-        [
-          ("steps", Json.Int steps);
-          ("labels", Json.Int (Alphabet.size q.Problem.alphabet));
-          ("white_configs", Json.Int (Constr.size q.Problem.white));
-          ("black_configs", Json.Int (Constr.size q.Problem.black));
-          ("hash", Json.Int (Problem.canonical_hash q));
-          ("fixed_point", Json.Bool (Re_step.is_fixed_point q));
-        ]
-      in
+      let kernel = kernel () in
+      let steps = int_field "steps" ~default:1 ~min:1 in
+      let r = Ops.re ~jobs ?kernel ~steps (problem ()) in
+      let q = Ops.last r in
       let text =
         match Option.bind (Json.member "text" req) Json.as_bool with
         | Some true -> [ ("text", Json.String (Problem.to_string q)) ]
         | _ -> []
       in
-      Json.Obj (base @ text)
+      Json.Obj
+        ([
+           ("steps", Json.Int steps);
+           ("labels", Json.Int (Alphabet.size q.Problem.alphabet));
+           ("white_configs", Json.Int (Constr.size q.Problem.white));
+           ("black_configs", Json.Int (Constr.size q.Problem.black));
+           ("hash", Json.Int (Problem.canonical_hash q));
+           ("fixed_point", Json.Bool (r.Ops.fixed_point = Some true));
+         ]
+        @ text)
   | "sequence" ->
-      with_kernel req kernel_used @@ fun () ->
-      let steps = max 0 (Option.value ~default:1 (member_int req "steps")) in
-      let p = need_problem problems req in
-      let seq = Sequence.iterate_re ~jobs p ~steps in
-      let verdict = Sequence.is_lower_bound_sequence ?max_nodes:budget ~jobs seq in
+      let kernel = kernel () in
+      let steps = int_field "steps" ~default:1 ~min:0 in
+      let r = Ops.sequence ~jobs ?kernel ?max_nodes ~steps (problem ()) in
       Json.Obj
         [
-          ("length", Json.Int (List.length seq));
+          ("length", Json.Int (List.length r.Ops.sequence));
           ( "hashes",
             Json.List
-              (List.map (fun q -> Json.Int (Problem.canonical_hash q)) seq) );
+              (List.map (fun q -> Json.Int (Problem.canonical_hash q)) r.Ops.sequence)
+          );
           ( "lower_bound",
-            match verdict with Some b -> Json.Bool b | None -> Json.Null );
+            match r.Ops.lower_bound with Some b -> Json.Bool b | None -> Json.Null );
         ]
-  | "solve" ->
-      let p = need_problem problems req in
-      let g = parse_graph_spec (require_string req "graph") in
-      if jobs <= 1 then begin
-        let outcome, s = Solver.solve_stats ?max_nodes:budget g p in
-        Json.Obj
-          [
-            ("outcome", Json.String (outcome_name outcome));
-            ("nodes", Json.Int s.Solver.nodes);
-            ("backtracks", Json.Int s.Solver.backtracks);
-            ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
-          ]
-      end
-      else begin
-        let outcome, start =
-          Solver.solve_portfolio ?max_nodes:budget ~jobs ~starts:jobs g p
-        in
-        Json.Obj
-          [
-            ("outcome", Json.String (outcome_name outcome));
-            ("start", opt_int_json start);
-          ]
-      end
+  | "solve" -> (
+      let p = problem () in
+      let r = Ops.solve ~jobs ~starts:jobs ?max_nodes (graph ()) p in
+      let outcome = ("outcome", Json.String (outcome_name r.Ops.outcome)) in
+      match r.Ops.stats with
+      | Some s ->
+          Json.Obj
+            [
+              outcome;
+              ("nodes", Json.Int s.Solver.nodes);
+              ("backtracks", Json.Int s.Solver.backtracks);
+              ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
+            ]
+      | None -> Json.Obj [ outcome; ("start", opt_int_json r.Ops.start) ])
   | "audit" ->
-      let p = need_problem problems req in
-      let g = parse_graph_spec (require_string req "graph") in
-      let k = max 1 (Option.value ~default:1 (member_int req "k")) in
-      let r = Framework.analyze ?max_nodes:budget ~jobs g ~last_problem:p ~k in
-      let diags = Chk.audit ~support:g ~last_problem:p ~k r in
+      let p = problem () in
+      let k = int_field "k" ~default:1 ~min:1 in
+      let r = Ops.audit ~jobs ?max_nodes ~k (graph ()) p in
+      let a = r.Ops.analysis in
       Json.Obj
         [
-          ("support_nodes", Json.Int r.Framework.support_nodes);
-          ("girth", opt_int_json r.Framework.girth);
-          ("certificate", Json.String (certificate_name r.Framework.certificate));
-          ("det_rounds", opt_int_json r.Framework.det_rounds);
-          ("diagnostics", Json.Int (List.length diags));
-          ("exit_code", Json.Int (Diagnostic.exit_code diags));
+          ("support_nodes", Json.Int a.Framework.support_nodes);
+          ("girth", opt_int_json a.Framework.girth);
+          ("certificate", Json.String (certificate_name a.Framework.certificate));
+          ("det_rounds", opt_int_json a.Framework.det_rounds);
+          ("diagnostics", Json.Int (List.length r.Ops.diagnostics));
+          ("exit_code", Json.Int (Diagnostic.exit_code r.Ops.diagnostics));
         ]
   | op -> invalid_arg (Printf.sprintf "unknown op %S" op)
 
@@ -363,22 +267,16 @@ let control_op st op =
 (* ------------------------------------------------------------------ *)
 (* One request. *)
 
-let capture_schema_version = "slocal.capture/1"
+let error_text e =
+  match Ops.error_message e with Some m -> m | None -> Printexc.to_string e
 
-let write_capture st req rr =
-  match st.capture with
-  | None -> ()
-  | Some oc ->
-      output_string oc
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.String capture_schema_version);
-                ("request", req);
-                ("summary", Ledger.request_to_json rr);
-              ]));
-      output_char oc '\n';
-      flush oc
+let reply ~id ~op body extra =
+  Json.Obj
+    ([ ("id", Json.String id); ("op", Json.String op) ]
+    @ (match body with
+      | Ok r -> [ ("ok", Json.Bool true); ("result", r) ]
+      | Error msg -> [ ("ok", Json.Bool false); ("error", Json.String msg) ])
+    @ extra)
 
 let handle_request st req =
   let id =
@@ -395,11 +293,11 @@ let handle_request st req =
     let body, summary =
       Telemetry.with_request ~id (fun () ->
           Telemetry.incr c_requests;
-          match run_op st ~problems ~kernel_used req op with
+          match work_op st ~problems ~kernel_used req op with
           | j -> Ok j
           | exception e ->
               Telemetry.incr c_errors;
-              Error (Printexc.to_string e))
+              Error (error_text e))
     in
     (match body with Error _ -> st.errors <- st.errors + 1 | Ok _ -> ());
     let cdelta nm =
@@ -418,56 +316,39 @@ let handle_request st req =
         rr_cache_hits = cdelta "re.cache_hits";
         rr_cache_misses = cdelta "re.cache_misses";
         rr_outcome = (match body with Ok _ -> "ok" | Error _ -> "error");
+        rr_body = None;
       }
     in
     st.totals <- merge_counters st.totals summary.Telemetry.rq_counters;
     Telemetry.Histogram.record
       (Telemetry.histogram "serve.request_ns")
       (Int64.to_int summary.Telemetry.rq_wall_ns);
-    (match st.cfg.request_ledger with
+    (match st.cfg.record with
     | Some path -> (
-        match Ledger.append_request ~path rr with
+        match Ledger.append_request ~path { rr with Ledger.rr_body = Some req } with
         | Ok () -> ()
-        | Error msg -> Printf.eprintf "serve: request ledger: %s\n%!" msg)
+        | Error msg -> Printf.eprintf "serve: record: %s\n%!" msg)
     | None -> ());
-    write_capture st req rr;
-    let payload =
-      match body with
-      | Ok r -> [ ("ok", Json.Bool true); ("result", r) ]
-      | Error msg -> [ ("ok", Json.Bool false); ("error", Json.String msg) ]
-    in
-    Json.Obj
-      ([ ("id", Json.String id); ("op", Json.String op) ]
-      @ payload
-      @ [
-          ("request", Ledger.request_to_json rr);
-          ( "counters",
-            Json.Obj
-              (List.map
-                 (fun (n, v) -> (n, Json.Int v))
-                 summary.Telemetry.rq_counters) );
-        ])
+    reply ~id ~op body
+      [
+        ("request", Ledger.request_to_json rr);
+        ( "counters",
+          Json.Obj
+            (List.map
+               (fun (n, v) -> (n, Json.Int v))
+               summary.Telemetry.rq_counters) );
+      ]
   end
   else begin
     Telemetry.incr c_control;
-    match control_op st op with
-    | j ->
-        Json.Obj
-          [
-            ("id", Json.String id);
-            ("op", Json.String op);
-            ("ok", Json.Bool true);
-            ("result", j);
-          ]
-    | exception e ->
-        st.errors <- st.errors + 1;
-        Json.Obj
-          [
-            ("id", Json.String id);
-            ("op", Json.String op);
-            ("ok", Json.Bool false);
-            ("error", Json.String (Printexc.to_string e));
-          ]
+    let body =
+      match control_op st op with
+      | j -> Ok j
+      | exception e ->
+          st.errors <- st.errors + 1;
+          Error (error_text e)
+    in
+    reply ~id ~op body []
   end
 
 let handle_line st line =
@@ -522,8 +403,7 @@ let serve ~socket st =
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try Sys.remove socket with Sys_error _ -> ());
-      close st)
+      try Sys.remove socket with Sys_error _ -> ())
   @@ fun () ->
   Unix.bind fd (Unix.ADDR_UNIX socket);
   Unix.listen fd 8;
@@ -591,35 +471,3 @@ let roundtrip conn req =
 let disconnect conn =
   (try flush conn.c_oc with Sys_error _ -> ());
   try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Capture files. *)
-
-let read_capture path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let items = ref [] and skipped = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Json.of_string line with
-             | Error _ -> incr skipped
-             | Ok j -> (
-                 match
-                   ( Option.bind (Json.member "schema" j) Json.as_string,
-                     Json.member "request" j )
-                 with
-                 | Some s, Some req when s = capture_schema_version ->
-                     let recorded =
-                       match Json.member "summary" j with
-                       | Some sj -> Result.to_option (Ledger.request_of_json sj)
-                       | None -> None
-                     in
-                     items := (req, recorded) :: !items
-                 | _ -> incr skipped)
-         done
-       with End_of_file -> ());
-      (List.rev !items, !skipped))

@@ -8,8 +8,10 @@
     [sequence], [solve], [audit]) one at a time, each inside a
     {!Slocal_obs.Telemetry.with_request} window: trace events carry the
     request id, the response reports the window's own counter deltas,
-    wall time and allocation, and one [slocal.request/1] ledger record
-    ({!Slocal_obs.Ledger.request_record}) is appended per request.
+    wall time and allocation, and — with [record] set — one
+    [slocal.request/1] record ({!Slocal_obs.Ledger.request_record},
+    request body included) is appended per request.  The operations
+    themselves are {!Ops}, shared with the one-shot CLI.
     {e Control} requests ([stats], [metrics], [shutdown]) run outside
     any window, so [stats] reads the registry at a quiescent point and
     can verify the sum invariant: the per-request counter deltas of the
@@ -17,14 +19,9 @@
     since daemon start, up to the daemon's own out-of-window counters
     ([serve.connections], [serve.heartbeats], [serve.control]).
 
-    {b Protocol.}  One JSON object per line in both directions.
-    Request fields: [op] (required), [id] (optional, auto-assigned
-    [rN]), [problem]/[graph] (spec strings, as on the CLI), [steps],
-    [jobs], [kernel], [budget], [k], [text].  Responses echo [id] and
-    [op], carry [ok] plus [result] or [error], and — for work requests
-    — the [request] record and the per-request [counters] object.
-    Lines that are not valid JSON get an [ok:false] reply and touch no
-    counter (they are not requests).
+    {b Protocol.}  One JSON object per line in both directions; the
+    request fields and the result of each op are specified in
+    DESIGN.md §10.
 
     The daemon is single-threaded by design: parallelism happens
     {e inside} a request (the [jobs] field fans kernel work out over
@@ -33,33 +30,22 @@
 
 open Slocal_formalism
 module Json = Slocal_obs.Json
-module Ledger = Slocal_obs.Ledger
 
-(** {1 Spec parsing} (shared with the one-shot CLI) *)
+(** {1 Spec parsing} *)
 
 val parse_problem_spec : string -> Problem.t
-(** Parse a problem spec ([matching:D:X:Y], [mm:D], [arb:D:C],
-    [ruling:D:C:B], [so:D], [col:D:C], [file:PATH]).  Notes the
-    problem into the run-ledger context when one is open.
-    @raise Invalid_argument on an unknown spec. *)
+(** {!Ops.parse_problem}. *)
 
 val parse_graph_spec : string -> Slocal_graph.Bipartite.t
-(** Parse a graph spec ([cycle:K], [kbb:A:B], [cover-petersen],
-    [cover-random:N:D:SEED], [biregular:NW:NB:DW:DB:SEED]).
-    @raise Invalid_argument on an unknown spec. *)
-
-val kernel_name : Re_step.kernel -> string
-(** ["fast"] or ["reference"]. *)
+(** {!Ops.parse_graph}. *)
 
 (** {1 Daemon state} *)
 
 type config = {
   jobs : int;  (** Default worker width for requests without [jobs]. *)
   record : string option;
-      (** Append one [slocal.capture/1] line per work request (the
-          request JSON plus its summary) to this file. *)
-  request_ledger : string option;
-      (** Append one [slocal.request/1] record per work request. *)
+      (** Append one [slocal.request/1] record per work request, with
+          its [body], to this file (for [slocal client --replay]). *)
   heartbeat : out_channel option;
       (** Emit throttled [\[serve\]] heartbeat lines (uptime, served,
           cache hit rate) here; [None] (default) disables them. *)
@@ -67,13 +53,12 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], no capture, no request ledger, no heartbeat, 500ms
-    heartbeat interval. *)
+(** [jobs = 1], no record file, no heartbeat, 500ms heartbeat
+    interval. *)
 
 type state
-(** One daemon's mutable state: served/error tallies, the summed
-    per-request counter deltas, the capture channel.  Confined to the
-    serving domain. *)
+(** One daemon's mutable state: served/error tallies and the summed
+    per-request counter deltas.  Confined to the serving domain. *)
 
 val create : ?config:config -> unit -> state
 (** Also snapshots the telemetry registry as the baseline that the
@@ -88,15 +73,13 @@ val request_totals : state -> (string * int) list
 (** Summed per-request counter deltas over every work request served
     so far, sorted by name. *)
 
-val close : state -> unit
-(** Flush and close the capture channel, if any.  Idempotent. *)
-
 (** {1 Request handling} *)
 
 val handle_request : state -> Json.t -> Json.t
 (** Handle one parsed request and return the response object.  Never
-    raises: op failures become [ok:false] responses (and, for work
-    ops, an [outcome:"error"] request record). *)
+    raises: op failures become [ok:false] responses carrying
+    {!Ops.error_message} (and, for work ops, an [outcome:"error"]
+    request record). *)
 
 val handle_line : state -> string -> string
 (** {!handle_request} over one protocol line: parse, handle, serialize.
@@ -126,15 +109,3 @@ val roundtrip : conn -> Json.t -> (Json.t, string) result
 (** Send one request line, read one response line. *)
 
 val disconnect : conn -> unit
-
-(** {1 Capture files} *)
-
-val capture_schema_version : string
-(** ["slocal.capture/1"] — one object per line: [schema], the verbatim
-    [request], and the [summary] ([slocal.request/1]) it produced. *)
-
-val read_capture : string -> (Json.t * Ledger.request_record option) list * int
-(** The captured requests in file order, each with its recorded
-    summary when intact ([None] when only the request half survived),
-    plus the count of damaged or other-schema lines.
-    @raise Sys_error when the file cannot be opened. *)

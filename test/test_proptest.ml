@@ -155,11 +155,12 @@ let constr_tests =
 (* ------------------------------------------------------------------ *)
 (* Parallel batch vs sequential: the pool contract on real work *)
 
-(* [Zero_round.solvable_batch ~jobs] promises results byte-identical
+(* [Zero_round.decide_batch ~jobs] promises results byte-identical
    to the sequential run.  Decide 200 seeded random (2,2) problems on
-   a C_6 support at widths 2..4 and compare against jobs=1; the
-   problem list is regenerated from the same seed per width, so each
-   batch owns fresh instances (and their constraint memo tables). *)
+   a C_6 support by both routes at widths 2..4 and compare against
+   jobs=1; the problem list is regenerated from the same seed per
+   width, so each batch owns fresh instances (and their constraint
+   memo tables). *)
 let parallel_tests =
   let bipartite_cycle k =
     let g = Slocal_graph.Graph_gen.cycle (2 * k) in
@@ -169,14 +170,14 @@ let parallel_tests =
            else Slocal_graph.Bipartite.Black))
   in
   [
-    Alcotest.test_case "solvable_batch parallel = sequential" `Slow (fun () ->
+    Alcotest.test_case "decide_batch parallel = sequential" `Slow (fun () ->
         let support = bipartite_cycle 3 in
         let problems () =
           let g = Slocal_util.Prng.create seed in
           List.init 200 (fun _ -> Proptest.problem ~d_white:2 ~d_black:2 g)
         in
         let decide jobs =
-          Supported_local.Zero_round.solvable_batch ~jobs ~max_nodes:1_000_000
+          Supported_local.Zero_round.decide_batch ~jobs ~max_nodes:1_000_000
             support (problems ())
         in
         let sequential = decide 1 in
@@ -188,7 +189,7 @@ let parallel_tests =
             if decide jobs <> sequential then
               Alcotest.fail
                 (Printf.sprintf
-                   "solvable_batch at jobs=%d differs from the sequential run"
+                   "decide_batch at jobs=%d differs from the sequential run"
                    jobs))
           [ 2; 3; 4 ]);
   ]

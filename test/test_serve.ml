@@ -1,7 +1,7 @@
 (* Tests for the slocal serve daemon core: the JSONL protocol, the
    per-request counter-delta isolation invariant (disjoint windows
-   summing to the global registry delta), capture/replay, the request
-   ledger, and the Unix-socket loop end to end. *)
+   summing to the global registry delta), record/replay through
+   slocal.request/1 records, and the Unix-socket loop end to end. *)
 
 module Json = Slocal_obs.Json
 module Telemetry = Slocal_obs.Telemetry
@@ -37,6 +37,11 @@ let str k j = Option.bind (member k j) Json.as_string
 let boolean k j = Option.bind (member k j) Json.as_bool
 
 let is_ok j = boolean "ok" j = Some true
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
 
 let counters_of j =
   match member "counters" j with
@@ -124,11 +129,6 @@ let test_metrics_op () =
       (Option.bind (member "result" r) (str "text"))
   in
   (* The OpenMetrics exposition carries the slocal_ name prefix. *)
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
   check bool_t "exposition mentions slocal_ metrics" true
     (contains text "slocal_")
 
@@ -163,6 +163,52 @@ let test_result_goldens () =
         {|{"support_nodes":6,"girth":6,"certificate":"unsolvable-by-search","det_rounds":1,"diagnostics":0,"exit_code":0}|}
       );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The shared operation layer *)
+
+module Ops = Slocal_serve.Ops
+
+(* A k-step sequence runs each relaxation check once: k checks, not
+   the 2k of building the verdict by a second [check] pass. *)
+let test_sequence_checks_once () =
+  with_clean_telemetry @@ fun () ->
+  let checks = Telemetry.counter "sequence.checks" in
+  List.iter
+    (fun k ->
+      let before = Telemetry.value checks in
+      let r = Ops.sequence ~steps:k (Ops.parse_problem "mm:3") in
+      check int_t (Printf.sprintf "%d checks for k=%d" k k) k
+        (Telemetry.value checks - before);
+      check int_t "one step record per check" k (List.length r.Ops.checks);
+      check (Alcotest.option bool_t) "verdict" (Some true) r.Ops.lower_bound)
+    [ 1; 2 ]
+
+(* Bad specs and an alphabet beyond the label-set limit are failed
+   operations with a message, in the library and over the protocol. *)
+let test_failed_operations () =
+  with_clean_telemetry @@ fun () ->
+  let message f =
+    match f () with
+    | _ -> Alcotest.fail "operation did not fail"
+    | exception e -> (
+        match Ops.error_message e with
+        | Some m -> m
+        | None -> Alcotest.failf "not a reported failure: %s" (Printexc.to_string e))
+  in
+  check string_t "bad problem spec" {|unknown problem spec "nonsense:9"|}
+    (message (fun () -> Ops.parse_problem "nonsense:9"));
+  check string_t "bad graph spec" {|unknown graph spec "bogus:1"|}
+    (message (fun () -> Ops.parse_graph "bogus:1"));
+  let big = message (fun () -> Ops.re ~steps:1 (Ops.parse_problem "col:2:3")) in
+  check bool_t "names the label count" true (contains big "78 labels");
+  check bool_t "names the limit" true
+    (contains big (string_of_int Slocal_util.Bitset.max_universe));
+  let st = Serve.create () in
+  let r = ask st {|{"op":"re","problem":"col:2:3"}|} in
+  check bool_t "daemon refuses" false (is_ok r);
+  check (Alcotest.option string_t) "daemon reports the same message" (Some big)
+    (str "error" r)
 
 (* ------------------------------------------------------------------ *)
 (* Request isolation: the sum invariant *)
@@ -218,25 +264,21 @@ let test_request_isolation () =
 
 let test_capture_replay_20 () =
   with_clean_telemetry @@ fun () ->
-  with_tmp "slocal_capture" @@ fun capture ->
-  with_tmp "slocal_reqledger" @@ fun ledger ->
+  with_tmp "slocal_record" @@ fun record ->
   let problems = [ "matching:3:0:1"; "matching:4:0:1"; "col:3:2"; "so:3" ] in
   let lines =
     List.init 20 (fun i ->
         Printf.sprintf {|{"op":"re","problem":"%s"}|}
           (List.nth problems (i mod 4)))
   in
-  let cfg =
-    {
-      Serve.default_config with
-      Serve.record = Some capture;
-      request_ledger = Some ledger;
-    }
-  in
+  let cfg = { Serve.default_config with Serve.record = Some record } in
   let st = Serve.create ~config:cfg () in
   let responses = List.map (ask st) lines in
-  Serve.close st;
   List.iter (fun r -> check bool_t "request ok" true (is_ok r)) responses;
+  (* The response's request record carries no body; only the file's
+     records do. *)
+  check bool_t "no body in the response" true
+    (Option.bind (member "request" (List.hd responses)) (member "body") = None);
   check int_t "20 served" 20 (Serve.served st);
   let totals = Serve.request_totals st in
   (* Each of the 4 problems is requested 5 times: 4 cold misses, the
@@ -245,35 +287,36 @@ let test_capture_replay_20 () =
     (assoc0 "re.cache_hits" totals > 0);
   check int_t "every window counted" 20 (assoc0 "request.count" totals);
   check bool_t "stats check_sum holds after 20 requests" true (stats_check st);
-  (* The capture holds all 20 requests with intact summaries. *)
-  let items, skipped = Serve.read_capture capture in
-  check int_t "no damaged capture lines" 0 skipped;
-  check int_t "20 captured requests" 20 (List.length items);
-  List.iter
-    (fun (req, recorded) ->
-      check bool_t "request half present" true (str "op" req = Some "re");
-      match recorded with
-      | Some rr -> check string_t "recorded outcome" "ok" rr.Ledger.rr_outcome
-      | None -> Alcotest.fail "capture line lost its summary")
-    items;
-  (* One slocal.request/1 ledger record per work request, in order. *)
-  let records, lskipped = Ledger.read_requests_file ledger in
-  check int_t "no skipped ledger lines" 0 lskipped;
-  check int_t "20 ledger records" 20 (List.length records);
+  (* One slocal.request/1 record per work request, in order, each
+     with its outcome and the verbatim request body. *)
+  let records, skipped = Ledger.read_requests_file record in
+  check int_t "no skipped record lines" 0 skipped;
+  check int_t "20 records" 20 (List.length records);
   check
     (Alcotest.list string_t)
-    "ledger ids in request order"
+    "record ids in request order"
     (List.init 20 (fun i -> Printf.sprintf "r%d" (i + 1)))
     (List.map (fun rr -> rr.Ledger.rr_id) records);
-  (* Replay the capture against a second daemon sharing the warm
+  let bodies =
+    List.map
+      (fun rr ->
+        check string_t "recorded outcome" "ok" rr.Ledger.rr_outcome;
+        match rr.Ledger.rr_body with
+        | Some body -> body
+        | None -> Alcotest.fail "record lost its body")
+      records
+  in
+  check (Alcotest.list string_t) "bodies are the requests" lines
+    (List.map Json.to_string bodies);
+  (* Replay the bodies against a second daemon sharing the warm
      process: every request answers ok and the repeated problems are
      now pure cache hits. *)
   let st2 = Serve.create () in
   List.iter
-    (fun (req, _) ->
-      let r = ask st2 (Json.to_string req) in
+    (fun body ->
+      let r = ask st2 (Json.to_string body) in
       check bool_t "replayed request ok" true (is_ok r))
-    items;
+    bodies;
   let totals2 = Serve.request_totals st2 in
   check bool_t "replay hits the warm cache" true
     (assoc0 "re.cache_hits" totals2 > 0);
@@ -318,6 +361,7 @@ let test_mixed_schema_ledger () =
       rr_cache_hits = 3;
       rr_cache_misses = 0;
       rr_outcome = "ok";
+      rr_body = None;
     }
   in
   (match Ledger.append ~path:file run with
@@ -406,6 +450,13 @@ let () =
           Alcotest.test_case "metrics exposition" `Quick test_metrics_op;
           Alcotest.test_case "result goldens per work op" `Quick
             test_result_goldens;
+        ] );
+      ( "ops",
+        [
+          Alcotest.test_case "sequence checks each step once" `Quick
+            test_sequence_checks_once;
+          Alcotest.test_case "failed operations report a message" `Quick
+            test_failed_operations;
         ] );
       ( "isolation",
         [
