@@ -305,22 +305,21 @@ let set_name alphabet s =
     String.concat "" names
   else "\xe2\x9f\xa8" ^ String.concat "," names ^ "\xe2\x9f\xa9"
 
-(* Label sets are bitsets over the alphabet, so RE is defined only up
-   to [Bitset.max_universe] labels. *)
-let check_universe alphabet =
-  let n = Alphabet.size alphabet in
+(* Label sets are bitsets over the alphabet, so R, R̄ and RE are
+   defined only up to [Bitset.max_universe] labels. *)
+let check_universe ~op (p : Problem.t) =
+  let n = Alphabet.size p.Problem.alphabet in
   if n > Bitset.max_universe then
     invalid_arg
       (Printf.sprintf
-         "cannot apply RE to a problem with %d labels: label sets hold at \
-          most %d (Bitset.max_universe)"
-         n Bitset.max_universe)
+         "cannot apply %s to %s: it has %d labels, label sets hold at most \
+          %d (Bitset.max_universe)"
+         op p.Problem.name n Bitset.max_universe)
 
 (* Core of R: maximality on [strong] side, existence on [weak] side.
    [strong_constr] keeps its arity; new labels are the sets appearing
    in the maximal good configurations. *)
 let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
-  check_universe alphabet;
   Telemetry.span "re.step" @@ fun () ->
   Telemetry.incr c_steps;
   let diagram =
@@ -368,6 +367,7 @@ let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
   (name, alphabet', strong', weak', meaning)
 
 let r_black_fast ?(jobs = 1) (p : Problem.t) =
+  check_universe ~op:"R" p;
   let name, alphabet, black, white, meaning =
     r_core ~jobs ~name:("R(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.black
@@ -376,6 +376,7 @@ let r_black_fast ?(jobs = 1) (p : Problem.t) =
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
 let r_white_fast ?(jobs = 1) (p : Problem.t) =
+  check_universe ~op:"R̄" p;
   let name, alphabet, white, black, meaning =
     r_core ~jobs ~name:("R̄(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.white
@@ -451,7 +452,7 @@ let re_fast ?jobs p =
   step2.problem
 
 let re ?(cache = true) ?jobs p =
-  check_universe p.Problem.alphabet;
+  check_universe ~op:"RE" p;
   let renamed result = Problem.rename result ("RE(" ^ p.Problem.name ^ ")") in
   match !kernel with
   | Reference -> Re_reference.re p

@@ -66,8 +66,9 @@ val re : ?cache:bool -> ?jobs:int -> Problem.t -> Problem.t
     recomputation (benchmarks).  [jobs > 1] parallelizes the two
     lattice descents (fast kernel only) with byte-identical output
     and exact counter totals — DESIGN.md §9.
-    @raise Invalid_argument, naming the label count and the limit,
-    when [Π] or [R(Π)] has more than [Bitset.max_universe] labels. *)
+    @raise Invalid_argument, naming the problem, its label count and
+    the limit, when [Π] or [R(Π)] has more than [Bitset.max_universe]
+    labels. *)
 
 val is_fixed_point : Problem.t -> bool
 (** Is [RE(Π)] equal to [Π] up to label renaming?  (E.g. Lemma 5.4:

@@ -13,9 +13,12 @@
 open Slocal_formalism
 
 val parse_problem : string -> Problem.t
-(** [matching:D:X:Y], [mm:D], [arb:D:C], [ruling:D:C:B], [so:D],
-    [col:D:C] or [file:PATH]; notes the problem into the open
-    run-ledger context, if any.  @raise Invalid_argument on an unknown
+(** [matching:D:X:Y] (Π_D(X,Y), Definition 4.2), [mm:D] (maximal
+    matching, Appendix A), [arb:D:C] (Π_D(C), Definition 5.2),
+    [ruling:D:C:B] (Π_D(C,B), Definition 6.2), [so:D] (sinkless
+    orientation), [col:D:C] (C-coloring) or [file:PATH] (a problem
+    document); notes the problem into the open run-ledger context, if
+    any.  @raise Invalid_argument on an unknown
     spec. *)
 
 val parse_graph : string -> Slocal_graph.Bipartite.t

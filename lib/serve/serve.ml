@@ -23,8 +23,8 @@ let c_control = Telemetry.counter "serve.control"
 
 let out_of_window = [ "serve.connections"; "serve.heartbeats"; "serve.control" ]
 
-(* Spec parsing lives in Ops; these aliases keep the daemon's
-   historical entry points. *)
+(* The Ops spec parsers, under the names library clients of the
+   daemon use. *)
 let parse_problem_spec = Ops.parse_problem
 let parse_graph_spec = Ops.parse_graph
 
