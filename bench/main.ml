@@ -580,9 +580,10 @@ let e_b1 () =
     | Some None -> Format.printf "  %s: no algorithm to eliminate@." name
     | None -> Format.printf "  %s: search budget@." name
   in
-  run "2-coloring on C8" (Gen.bipartite_cycle 4) (Classic.coloring ~delta:2 ~c:2);
-  run "3-coloring on C10" (Gen.bipartite_cycle 5) (Classic.coloring ~delta:2 ~c:3);
-  run "matching (Δ'=2) on C8" (Gen.bipartite_cycle 4)
+  let c8 = Gen.bipartite_cycle 4 and c10 = Gen.bipartite_cycle 5 in
+  run "2-coloring on C8" c8 (Classic.coloring ~delta:2 ~c:2);
+  run "3-coloring on C10" c10 (Classic.coloring ~delta:2 ~c:3);
+  run "matching (Δ'=2) on C8" c8
     (Problem.parse ~name:"mm2" ~labels:[ "M"; "O"; "P" ] ~white:"M O | P^2"
        ~black:"M [O P] | O^2");
   (* The chained step: white T=2 → black T=1 for R(Π) → white T=0 for

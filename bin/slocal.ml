@@ -386,7 +386,8 @@ let sequence_cmd =
   let run spec steps kernel jobs obs =
     with_obs ~cmd:"sequence" ~kernel obs @@ fun () ->
     let r =
-      Ops.sequence ~jobs ~kernel ~max_nodes:5_000_000 ~steps (parse_problem spec)
+      Ops.sequence ~jobs ~kernel ~max_nodes:5_000_000 ~steps
+        (parse_problem spec)
     in
     List.iteri
       (fun i q ->
@@ -800,7 +801,9 @@ let sweep_cmd =
     with_obs ~cmd:"sweep" obs @@ fun () ->
     let g = parse_graph gspec in
     let problems = Core.Zero_round.two_label_problems () in
-    let results = Core.Zero_round.decide_batch ~jobs ~max_nodes:budget g problems in
+    let results =
+      Core.Zero_round.decide_batch ~jobs ~max_nodes:budget g problems
+    in
     Format.printf "two-label 0-round sweep: %d problems on %s@."
       (List.length problems) gspec;
     Format.printf "  %-12s %-12s %10s %10s %6s@." "white" "black" "lift"
@@ -821,7 +824,8 @@ let sweep_cmd =
     Format.printf "routes agree on %d/%d problems@." agreements
       (List.length problems);
     if agreements < List.length problems then begin
-      Format.eprintf "sweep: the lift and search routes disagree — kernel bug@.";
+      Format.eprintf
+        "sweep: the lift and search routes disagree — kernel bug@.";
       exit 2
     end
   in
@@ -1348,7 +1352,8 @@ let serve_cmd =
          "Serve re/sequence/solve/audit requests over a Unix socket, with a \
           warm RE cache and per-request observability")
     Term.(
-      const run $ socket_opt $ jobs_opt $ record_opt $ heartbeat_flag $ trace_opt $ metrics_flag $ openmetrics_opt)
+      const run $ socket_opt $ jobs_opt $ record_opt $ heartbeat_flag
+      $ trace_opt $ metrics_flag $ openmetrics_opt)
 
 let client_cmd =
   let req_args =

@@ -69,8 +69,9 @@ val decide_batch :
     with the exhaustive 0-round search
     ({!Slocal_model.Zero_round_search.exists_algorithm}, with
     [d_in_white]/[d_in_black] taken from each problem's arities) —
-    fanned out over [jobs] domains (default 1 = sequential).  This is the full E-LIFT agreement workload; for every
-    width the result list is identical to [jobs = 1]. *)
+    fanned out over [jobs] domains (default 1 = sequential).  This is
+    the full E-LIFT agreement workload; for every width the result list
+    is identical to [jobs = 1]. *)
 
 val algorithm_of_lift_solution :
   Lift.t -> Bipartite.t -> int array -> Supported.white_algorithm

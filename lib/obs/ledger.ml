@@ -255,7 +255,8 @@ let json_lines path =
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
   let rec go acc =
     match input_line ic with
-    | line -> go (if String.trim line = "" then acc else Json.of_string line :: acc)
+    | line when String.trim line = "" -> go acc
+    | line -> go (Json.of_string line :: acc)
     | exception End_of_file -> List.rev acc
   in
   go []

@@ -8,19 +8,26 @@ module CF = Slocal_problems.Coloring_family
 module RF = Slocal_problems.Ruling_family
 module Classic = Slocal_problems.Classic
 
+(* An integer field of a spec. *)
+let int_field spec s =
+  try int_of_string s
+  with Failure _ ->
+    invalid_arg (Printf.sprintf "spec %S: %S is not an integer" spec s)
+
 let parse_problem spec =
   let p =
     match String.split_on_char ':' spec with
     | [ "matching"; d; x; y ] ->
-        MF.pi ~delta:(int_of_string d) ~x:(int_of_string x) ~y:(int_of_string y)
-    | [ "mm"; d ] -> MF.maximal_matching ~delta:(int_of_string d)
-    | [ "arb"; d; c ] -> CF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
+        MF.pi ~delta:(int_field spec d) ~x:(int_field spec x)
+          ~y:(int_field spec y)
+    | [ "mm"; d ] -> MF.maximal_matching ~delta:(int_field spec d)
+    | [ "arb"; d; c ] -> CF.pi ~delta:(int_field spec d) ~c:(int_field spec c)
     | [ "ruling"; d; c; b ] ->
-        RF.pi ~delta:(int_of_string d) ~c:(int_of_string c)
-          ~beta:(int_of_string b)
-    | [ "so"; d ] -> Classic.sinkless_orientation ~delta:(int_of_string d)
+        RF.pi ~delta:(int_field spec d) ~c:(int_field spec c)
+          ~beta:(int_field spec b)
+    | [ "so"; d ] -> Classic.sinkless_orientation ~delta:(int_field spec d)
     | [ "col"; d; c ] ->
-        Classic.coloring ~delta:(int_of_string d) ~c:(int_of_string c)
+        Classic.coloring ~delta:(int_field spec d) ~c:(int_field spec c)
     | "file" :: rest ->
         let path = String.concat ":" rest in
         let ic = open_in path in
@@ -31,25 +38,27 @@ let parse_problem spec =
     | _ -> invalid_arg (Printf.sprintf "unknown problem spec %S" spec)
   in
   (* No-op unless a run context is open (kernel-facing subcommands). *)
-  Slocal_obs.Ledger.note_problem ~name:p.Problem.name ~hash:(Problem.canonical_hash p);
+  Slocal_obs.Ledger.note_problem ~name:p.Problem.name
+    ~hash:(Problem.canonical_hash p);
   p
 
 let parse_graph spec =
   match String.split_on_char ':' spec with
-  | [ "cycle"; k ] -> Gen.bipartite_cycle (int_of_string k)
-  | [ "kbb"; a; b ] -> Gen.complete_bipartite (int_of_string a) (int_of_string b)
+  | [ "cycle"; k ] -> Gen.bipartite_cycle (int_field spec k)
+  | [ "kbb"; a; b ] ->
+      Gen.complete_bipartite (int_field spec a) (int_field spec b)
   | [ "cover-petersen" ] -> Gen.double_cover (Gen.petersen ())
   | [ "cover-random"; n; d; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
+      let rng = Slocal_util.Prng.create (int_field spec seed) in
       let c =
-        Gen.high_girth_low_independence rng ~n:(int_of_string n)
-          ~d:(int_of_string d) ()
+        Gen.high_girth_low_independence rng ~n:(int_field spec n)
+          ~d:(int_field spec d) ()
       in
       Gen.double_cover c.Gen.graph
   | [ "biregular"; nw; nb; dw; db; seed ] ->
-      let rng = Slocal_util.Prng.create (int_of_string seed) in
-      Gen.random_biregular rng ~nw:(int_of_string nw) ~nb:(int_of_string nb)
-        ~dw:(int_of_string dw) ~db:(int_of_string db)
+      let rng = Slocal_util.Prng.create (int_field spec seed) in
+      Gen.random_biregular rng ~nw:(int_field spec nw) ~nb:(int_field spec nb)
+        ~dw:(int_field spec dw) ~db:(int_field spec db)
   | _ -> invalid_arg (Printf.sprintf "unknown graph spec %S" spec)
 
 let kernels = [ ("fast", Re_step.Fast); ("reference", Re_step.Reference) ]
@@ -78,9 +87,12 @@ let last r = List.nth r.problems (List.length r.problems - 1)
 
 let re ?jobs ?kernel ?(fixed_point = true) ~steps p =
   with_kernel kernel @@ fun () ->
-  let rec go q i = if i >= steps then [ q ] else q :: go (Re_step.re ?jobs q) (i + 1) in
+  let rec go q i =
+    if i >= steps then [ q ] else q :: go (Re_step.re ?jobs q) (i + 1)
+  in
   let r = { problems = go p 0; fixed_point = None } in
-  if fixed_point then { r with fixed_point = Some (Re_step.is_fixed_point (last r)) } else r
+  if not fixed_point then r
+  else { r with fixed_point = Some (Re_step.is_fixed_point (last r)) }
 
 type sequence_result = {
   sequence : Problem.t list;
@@ -114,7 +126,9 @@ type audit_result = {
 }
 
 let audit ?jobs ?max_nodes ?recheck_budget ~k g p =
-  let analysis = Supported_local.Framework.analyze ?max_nodes ?jobs g ~last_problem:p ~k in
+  let analysis =
+    Supported_local.Framework.analyze ?max_nodes ?jobs g ~last_problem:p ~k
+  in
   let diagnostics =
     Slocal_analysis.Check.audit ~support:g ~last_problem:p ~k ?recheck_budget
       analysis

@@ -124,7 +124,9 @@ let is_work_op = function
 
 let work_op st ~problems ~kernel_used req op =
   let jobs = jobs_of st req and max_nodes = member_int req "budget" in
-  let int_field k ~default ~min = max min (Option.value ~default (member_int req k)) in
+  let int_field k ~default ~min =
+    max min (Option.value ~default (member_int req k))
+  in
   let problem () =
     let p = Ops.parse_problem (require_string req "problem") in
     problems := (p.Problem.name, Problem.canonical_hash p) :: !problems;
@@ -133,8 +135,8 @@ let work_op st ~problems ~kernel_used req op =
   let graph () = Ops.parse_graph (require_string req "graph") in
   let kernel () =
     let k = Option.map Ops.kernel_of_name (member_string req "kernel") in
-    kernel_used :=
-      Some (Ops.kernel_name (Option.value k ~default:(Re_step.current_kernel ())));
+    let used = Option.value k ~default:(Re_step.current_kernel ()) in
+    kernel_used := Some (Ops.kernel_name used);
     k
   in
   match op with
@@ -167,10 +169,13 @@ let work_op st ~problems ~kernel_used req op =
           ("length", Json.Int (List.length r.Ops.sequence));
           ( "hashes",
             Json.List
-              (List.map (fun q -> Json.Int (Problem.canonical_hash q)) r.Ops.sequence)
-          );
+              (List.map
+                 (fun q -> Json.Int (Problem.canonical_hash q))
+                 r.Ops.sequence) );
           ( "lower_bound",
-            match r.Ops.lower_bound with Some b -> Json.Bool b | None -> Json.Null );
+            match r.Ops.lower_bound with
+            | Some b -> Json.Bool b
+            | None -> Json.Null );
         ]
   | "solve" -> (
       let p = problem () in
@@ -195,7 +200,8 @@ let work_op st ~problems ~kernel_used req op =
         [
           ("support_nodes", Json.Int a.Framework.support_nodes);
           ("girth", opt_int_json a.Framework.girth);
-          ("certificate", Json.String (certificate_name a.Framework.certificate));
+          ( "certificate",
+            Json.String (certificate_name a.Framework.certificate) );
           ("det_rounds", opt_int_json a.Framework.det_rounds);
           ("diagnostics", Json.Int (List.length r.Ops.diagnostics));
           ("exit_code", Json.Int (Diagnostic.exit_code r.Ops.diagnostics));
@@ -325,7 +331,9 @@ let handle_request st req =
       (Int64.to_int summary.Telemetry.rq_wall_ns);
     (match st.cfg.record with
     | Some path -> (
-        match Ledger.append_request ~path { rr with Ledger.rr_body = Some req } with
+        match
+          Ledger.append_request ~path { rr with Ledger.rr_body = Some req }
+        with
         | Ok () -> ()
         | Error msg -> Printf.eprintf "serve: record: %s\n%!" msg)
     | None -> ());

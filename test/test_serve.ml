@@ -200,6 +200,8 @@ let test_failed_operations () =
     (message (fun () -> Ops.parse_problem "nonsense:9"));
   check string_t "bad graph spec" {|unknown graph spec "bogus:1"|}
     (message (fun () -> Ops.parse_graph "bogus:1"));
+  check string_t "non-integer field" {|spec "mm:x": "x" is not an integer|}
+    (message (fun () -> Ops.parse_problem "mm:x"));
   let big = message (fun () -> Ops.re ~steps:1 (Ops.parse_problem "col:2:3")) in
   check bool_t "names the label count" true (contains big "78 labels");
   check bool_t "names the limit" true
