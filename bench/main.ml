@@ -69,6 +69,11 @@ let header id title =
   Format.printf "[%s] %s@." id title;
   Format.printf "----------------------------------------------------------------@."
 
+let bipartite_cycle k =
+  Bipartite.make (Gen.cycle (2 * k))
+    (Array.init (2 * k) (fun v ->
+         if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
+
 (* ------------------------------------------------------------------ *)
 (* FIG1 *)
 
@@ -274,7 +279,7 @@ let t13 () =
 let e_lift () =
   List.iter
     (fun k ->
-      let support = Gen.bipartite_cycle k in
+      let support = bipartite_cycle k in
       let problems = Zero_round.two_label_problems () in
       let agree = ref 0 and solvable = ref 0 in
       List.iter
@@ -580,15 +585,14 @@ let e_b1 () =
     | Some None -> Format.printf "  %s: no algorithm to eliminate@." name
     | None -> Format.printf "  %s: search budget@." name
   in
-  let c8 = Gen.bipartite_cycle 4 and c10 = Gen.bipartite_cycle 5 in
-  run "2-coloring on C8" c8 (Classic.coloring ~delta:2 ~c:2);
-  run "3-coloring on C10" c10 (Classic.coloring ~delta:2 ~c:3);
-  run "matching (Δ'=2) on C8" c8
+  run "2-coloring on C8" (bipartite_cycle 4) (Classic.coloring ~delta:2 ~c:2);
+  run "3-coloring on C10" (bipartite_cycle 5) (Classic.coloring ~delta:2 ~c:3);
+  run "matching (Δ'=2) on C8" (bipartite_cycle 4)
     (Problem.parse ~name:"mm2" ~labels:[ "M"; "O"; "P" ] ~white:"M O | P^2"
        ~black:"M [O P] | O^2");
   (* The chained step: white T=2 → black T=1 for R(Π) → white T=0 for
      RE(Π). *)
-  (let support = Gen.bipartite_cycle 5 in
+  (let support = bipartite_cycle 5 in
    let p = Classic.coloring ~delta:2 ~c:3 in
    match
      Slocal_model.Zero_round_search.find_algorithm support p ~d_in_white:2
@@ -631,7 +635,7 @@ let e_cycle () =
   Format.printf "  %6s %12s %18s@." "cycle" "lift" "det rounds (B.2)";
   List.iter
     (fun k ->
-      let support = Gen.bipartite_cycle k in
+      let support = bipartite_cycle k in
       let r = Framework.analyze support ~last_problem:col2 ~k:100000 in
       Format.printf "  %6s %12s %18s@."
         (Printf.sprintf "C_%d" (2 * k))
@@ -722,7 +726,7 @@ let micro () =
   let pi32 = CF.pi ~delta:3 ~c:2 in
   let pi_last41 = MF.pi_last ~delta:4 ~y:1 in
   let ruling321 = RF.pi ~delta:3 ~c:2 ~beta:1 in
-  let c6 = Gen.bipartite_cycle 3 and c10 = Gen.bipartite_cycle 5 in
+  let c6 = bipartite_cycle 3 and c10 = bipartite_cycle 5 in
   let coloring3 = Classic.coloring ~delta:2 ~c:3 in
   let so = Classic.sinkless_orientation ~delta:3 in
   let so_lift = Lift.lift ~delta:4 ~r:4 so in
@@ -890,7 +894,7 @@ let e_scale () =
       widths;
     Format.printf "  results identical across widths: true@."
   in
-  let support = Gen.bipartite_cycle 3 in
+  let support = bipartite_cycle 3 in
   scale "E-LIFT decide_batch (49 problems x 2 routes, C_6 support)"
     (fun jobs ->
       (* Fresh problems per width: each task owns its memo tables. *)

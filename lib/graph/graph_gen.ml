@@ -10,11 +10,6 @@ let cycle n =
   if n < 3 then invalid_arg "Graph_gen.cycle: need n >= 3";
   Graph.create ~n (List.init n (fun i -> (i, (i + 1) mod n)))
 
-let bipartite_cycle k =
-  Bipartite.make (cycle (2 * k))
-    (Array.init (2 * k) (fun v ->
-         if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
-
 let path n =
   if n < 1 then invalid_arg "Graph_gen.path";
   Graph.create ~n (List.init (n - 1) (fun i -> (i, i + 1)))

@@ -9,10 +9,6 @@
     girth so that nothing is assumed. *)
 
 val cycle : int -> Graph.t
-
-val bipartite_cycle : int -> Bipartite.t
-(** [C_2k], even vertices white, odd vertices black. *)
-
 val path : int -> Graph.t
 val complete : int -> Graph.t
 val complete_bipartite : int -> int -> Bipartite.t

@@ -2,6 +2,7 @@
 
 open Slocal_formalism
 module Gen = Slocal_graph.Graph_gen
+module Bipartite = Slocal_graph.Bipartite
 module Solver = Slocal_model.Solver
 module MF = Slocal_problems.Matching_family
 module CF = Slocal_problems.Coloring_family
@@ -44,7 +45,11 @@ let parse_problem spec =
 
 let parse_graph spec =
   match String.split_on_char ':' spec with
-  | [ "cycle"; k ] -> Gen.bipartite_cycle (int_field spec k)
+  | [ "cycle"; k ] ->
+      let k = int_field spec k in
+      Bipartite.make (Gen.cycle (2 * k))
+        (Array.init (2 * k) (fun v ->
+             if v mod 2 = 0 then Bipartite.White else Bipartite.Black))
   | [ "kbb"; a; b ] ->
       Gen.complete_bipartite (int_field spec a) (int_field spec b)
   | [ "cover-petersen" ] -> Gen.double_cover (Gen.petersen ())
