@@ -169,10 +169,13 @@ let for_all_choices sets t =
   if List.length sets <> t.arity then invalid_arg "Constr.for_all_choices: arity mismatch";
   (* A partial pick that is not extendable witnesses a violating full
      pick (any completion of it), so the universal test may
-     short-circuit on it.  An empty position set makes the product
-     empty and the test vacuously true. *)
-  memoized t t.memo_for_all sets @@ fun () ->
-  for_all_pick ~complete:(fun acc -> mem acc t) sets t
+     short-circuit on it — but only when a completion exists.  An
+     empty position set makes the product empty and the test
+     vacuously true, answered before the walk (which could otherwise
+     short-circuit on an earlier position). *)
+  List.mem [] sets
+  || memoized t t.memo_for_all sets @@ fun () ->
+     for_all_pick ~complete:(fun acc -> mem acc t) sets t
 
 let exists_choice_partial sets t =
   if List.length sets > t.arity then invalid_arg "Constr.exists_choice_partial";
@@ -181,8 +184,9 @@ let exists_choice_partial sets t =
 
 let for_all_choices_partial sets t =
   if List.length sets > t.arity then invalid_arg "Constr.for_all_choices_partial";
-  memoized t t.memo_for_all_partial sets @@ fun () ->
-  for_all_pick ~complete:(fun acc -> extendable acc t) sets t
+  List.mem [] sets
+  || memoized t t.memo_for_all_partial sets @@ fun () ->
+     for_all_pick ~complete:(fun acc -> extendable acc t) sets t
 
 let labels_used t =
   Config_set.fold

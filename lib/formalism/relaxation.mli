@@ -23,8 +23,24 @@ val exists : ?max_nodes:int -> Problem.t -> Problem.t -> bool option
 (** [exists src dst]: does some witnessing map [f] (in the general,
     position-wise sense) exist, i.e. is [dst] a relaxation of [src]?
     Decided by backtracking over the image of each white configuration
-    with incremental pruning of the induced [r]; [None] if the search
-    budget [max_nodes] (default 2_000_000) is exhausted. *)
+    of [src], one search node per partial assignment (counted in
+    [relaxation.nodes]); [None] if the search budget [max_nodes]
+    (default 2_000_000 nodes) is exhausted.
+
+    Value order: when every label of a white configuration has a
+    same-named label in [dst] and the resulting tuple is a candidate
+    image, that tuple is tried first; otherwise candidates keep their
+    enumeration order.  Problems that share label names (RE iterates,
+    constant sequences, fixed-point checks) are then usually decided
+    along the first branch.  The order never changes the verdict, and
+    a refutation explores every consistent prefix, so its node count
+    does not depend on the order either.
+
+    Pruning is incremental: [r] only grows along a branch, so after a
+    tuple is applied only the black configurations of [src] that
+    contain a label whose [r(ℓ)] grew are rechecked, each once; one
+    with an empty [r(ℓ)] holds vacuously.  Growth is undone from a
+    trail of the overwritten sets. *)
 
 val witness :
   ?max_nodes:int ->

@@ -130,3 +130,49 @@ let query ~positions ~labels g =
   List.init positions (fun _ ->
       let s = List.filter (fun _ -> Prng.bool g) labels in
       if s = [] then [ Prng.pick g labels ] else s)
+
+(* A pair of problems with the same arity profile over shared label
+   names: [dst] is either an independent random problem (mostly not a
+   relaxation of [src]) or [src] with random configurations added to
+   both sides (a relaxation, witnessed by the identity map). *)
+let problem_pair ~d_white ~d_black g =
+  let src = problem ~d_white ~d_black g in
+  let dst =
+    if Prng.bool g then problem ~d_white ~d_black g
+    else
+      let labels = List.init (Alphabet.size src.Problem.alphabet) (fun i -> i) in
+      let widen c =
+        let arity = Constr.arity c in
+        Constr.make ~arity
+          (Constr.configs c @ Constr.configs (constr ~arity ~labels g))
+      in
+      Problem.make ~name:"random-wider" ~alphabet:src.Problem.alphabet
+        ~white:(widen src.Problem.white) ~black:(widen src.Problem.black)
+  in
+  (src, dst)
+
+(* [p] re-parsed with its label names permuted: the same integer
+   configurations, but label [i] now carries the name of label
+   [perm i].  Equal to [p] up to renaming, yet a name-preserving map
+   between the two is (usually) not a witness. *)
+let permute_names g (p : Problem.t) =
+  let names = Array.of_list (Alphabet.names p.Problem.alphabet) in
+  let shuffled = Array.copy names in
+  Prng.shuffle g shuffled;
+  let rename = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace rename n shuffled.(i)) names;
+  let map_tokens line =
+    String.split_on_char ' ' line
+    |> List.map (fun tok ->
+           Option.value ~default:tok (Hashtbl.find_opt rename tok))
+    |> String.concat " "
+  in
+  Problem.to_string p
+  |> String.split_on_char '\n'
+  |> List.map (fun line ->
+         if String.length line > 7 && String.sub line 0 7 = "labels:" then
+           "labels:" ^ map_tokens (String.sub line 7 (String.length line - 7))
+         else if String.length line > 0 && line.[0] = ' ' then map_tokens line
+         else line)
+  |> String.concat "\n"
+  |> Problem.of_string

@@ -129,6 +129,12 @@ let test_constr_vacuous () =
   let c = mm3.Problem.black in
   check bool_t "empty position set: for_all vacuous" true
     (Constr.for_all_choices [ []; [ o ]; [ o ] ] c);
+  (* The pick M, M is not extendable, but no full pick exists to
+     violate the constraint: still vacuous. *)
+  check bool_t "empty set after a dead pick: for_all vacuous" true
+    (Constr.for_all_choices [ [ m ]; [ m ]; [] ] c);
+  check bool_t "empty set after a dead pick: partial for_all vacuous" true
+    (Constr.for_all_choices_partial [ [ m ]; [ m ]; [] ] c);
   check bool_t "empty position set: exists false" false
     (Constr.exists_choice [ []; [ o ]; [ o ] ] c)
 

@@ -153,6 +153,142 @@ let constr_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Relaxation search vs the oracle *)
+
+(* [Relaxation.search] (name-guided value order, incremental black
+   check, undo trail) against the search it replaced, kept verbatim in
+   [relaxation_oracle.ml].  On every pair:
+
+   - the verdict of [Relaxation.exists] equals the oracle's whenever
+     the oracle decides within the budget;
+   - a witness is validated on its own terms: every image is a white
+     configuration of [dst], and the induced r(ℓ) (all images of ℓ)
+     passes [Constr.for_all_choices] on every black configuration of
+     [src];
+   - on a refuted pair [relaxation.nodes] moves by exactly the
+     oracle's node count (a refutation explores every consistent
+     prefix, whatever the value order). *)
+
+let relaxation_budget = 200_000
+let c_relaxation_nodes = Slocal_obs.Telemetry.counter "relaxation.nodes"
+
+let valid_witness (src : Problem.t) (dst : Problem.t) assignment =
+  let r = Array.make (Alphabet.size src.Problem.alphabet) [] in
+  List.map fst assignment = Constr.configs src.Problem.white
+  && List.for_all
+       (fun (cfg, tuple) ->
+         List.length tuple = Multiset.size cfg
+         && Constr.mem (Multiset.of_list tuple) dst.Problem.white
+         && begin
+              List.iter2
+                (fun l m -> if not (List.mem m r.(l)) then r.(l) <- m :: r.(l))
+                (Multiset.to_list cfg) tuple;
+              true
+            end)
+       assignment
+  && List.for_all
+       (fun c ->
+         Constr.for_all_choices
+           (List.map (fun l -> r.(l)) (Multiset.to_list c))
+           dst.Problem.black)
+       (Constr.configs src.Problem.black)
+
+(* Decided cases seen by the properties, refutations among them: the
+   sanity floor below keeps the suite from passing vacuously. *)
+let relaxation_decided = ref 0
+let relaxation_refuted = ref 0
+
+let relaxation_agrees (src, dst) =
+  let oracle, oracle_nodes =
+    Relaxation_oracle.search ~max_nodes:relaxation_budget src dst
+  in
+  let before = Slocal_obs.Telemetry.value c_relaxation_nodes in
+  let verdict = Relaxation.exists ~max_nodes:relaxation_budget src dst in
+  let nodes = Slocal_obs.Telemetry.value c_relaxation_nodes - before in
+  let witness_ok =
+    match Relaxation.witness ~max_nodes:relaxation_budget src dst with
+    | Some w -> valid_witness src dst w
+    | None -> verdict <> Some true
+  in
+  witness_ok
+  &&
+  match oracle with
+  | None -> true
+  | Some (Some _) ->
+      incr relaxation_decided;
+      verdict = Some true
+  | Some None ->
+      incr relaxation_decided;
+      incr relaxation_refuted;
+      verdict = Some false && nodes = oracle_nodes
+
+let print_pair (src, dst) =
+  Proptest.print_problem src ^ "--- dst\n" ^ Proptest.print_problem dst
+
+(* (RE p, RE p with permuted label names): always a relaxation, but the
+   name-preserving map is not the witness.  RE is iterated up to twice
+   while the output stays usable: at most 8 labels (the oracle's search
+   beyond that is too slow for a unit suite) and both constraints
+   non-empty (the text form of an empty one does not parse back).  RE
+   of a random problem often collapses to one or two labels; then p
+   itself is used. *)
+let re_permuted_pair g =
+  let d_white, d_black = Slocal_util.Prng.pick g [ (2, 2); (2, 3); (3, 2) ] in
+  let p = Proptest.problem ~d_white ~d_black g in
+  let usable q =
+    Alphabet.size q.Problem.alphabet <= 8
+    && Constr.size q.Problem.white > 0
+    && Constr.size q.Problem.black > 0
+  in
+  let rec climb q k =
+    if k = 0 then q
+    else
+      match Re_step.re ~cache:false q with
+      | q' when usable q' -> climb q' (k - 1)
+      | _ | (exception Invalid_argument _) -> q
+  in
+  let q = climb p 2 in
+  let q = if Alphabet.size q.Problem.alphabet < 3 then p else q in
+  (q, Proptest.permute_names g q)
+
+let relaxation_tests =
+  [
+    Alcotest.test_case "search = oracle (random pairs)" `Slow (fun () ->
+        relaxation_decided := 0;
+        relaxation_refuted := 0;
+        List.iter
+          (fun (d_white, d_black) ->
+            run
+              (Proptest.property ~count:150
+                 ~name:
+                   (Printf.sprintf "relaxation random pairs (%d,%d)" d_white
+                      d_black)
+                 ~gen:(Proptest.problem_pair ~d_white ~d_black)
+                 ~print:print_pair relaxation_agrees))
+          [ (2, 2); (2, 3); (3, 2) ];
+        Alcotest.(check bool)
+          (Printf.sprintf "sanity: %d decided, %d refuted" !relaxation_decided
+             !relaxation_refuted)
+          true
+          (!relaxation_decided >= 300 && !relaxation_refuted >= 60));
+    Alcotest.test_case "search = oracle (RE vs permuted names)" `Slow
+      (fun () ->
+        Re_step.set_kernel Re_step.Fast;
+        relaxation_decided := 0;
+        run
+          (Proptest.property ~count:100 ~name:"relaxation permuted names"
+             ~gen:re_permuted_pair ~print:print_pair (fun pair ->
+               relaxation_agrees pair
+               && Relaxation.exists ~max_nodes:relaxation_budget (fst pair)
+                    (snd pair)
+                  = Some true));
+        Alcotest.(check bool)
+          (Printf.sprintf "sanity: %d decided" !relaxation_decided)
+          true
+          (!relaxation_decided >= 90));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Parallel batch vs sequential: the pool contract on real work *)
 
 (* [Zero_round.decide_batch ~jobs] promises results byte-identical
@@ -347,6 +483,7 @@ let () =
     [
       ("re-differential", re_tests);
       ("constr-differential", constr_tests);
+      ("relaxation-differential", relaxation_tests);
       ("parallel-differential", parallel_tests);
       ("parallel-kernel", parallel_re_tests);
       ("alloc-determinism", alloc_determinism_tests);

@@ -261,6 +261,22 @@ let test_request_isolation () =
   (* And the daemon's own stats op agrees. *)
   check bool_t "stats check_sum holds" true (stats_check st)
 
+(* A traced daemon's major-cycle alarm ticks gc.majors whenever a cycle
+   ends, also between request windows: the sum invariant must tolerate
+   that movement without attribution. *)
+let test_gc_majors_between_windows () =
+  with_clean_telemetry @@ fun () ->
+  Telemetry.set_sink (Telemetry.collector_sink ignore);
+  let st = Serve.create () in
+  let r1 = ask st {|{"op":"re","problem":"mm:2"}|} in
+  let before = Telemetry.value (Telemetry.counter "gc.majors") in
+  Gc.full_major ();
+  check bool_t "an out-of-window major cycle was counted" true
+    (Telemetry.value (Telemetry.counter "gc.majors") > before);
+  let r2 = ask st {|{"op":"re","problem":"mm:3"}|} in
+  List.iter (fun r -> check bool_t "request ok" true (is_ok r)) [ r1; r2 ];
+  check bool_t "stats check_sum holds" true (stats_check st)
+
 (* ------------------------------------------------------------------ *)
 (* Capture, replay and the request ledger *)
 
@@ -464,6 +480,8 @@ let () =
         [
           Alcotest.test_case "disjoint deltas sum to the global delta" `Quick
             test_request_isolation;
+          Alcotest.test_case "gc.majors between windows" `Quick
+            test_gc_majors_between_windows;
         ] );
       ( "capture",
         [
