@@ -483,7 +483,7 @@ let () =
     [
       ("re-differential", re_tests);
       ("constr-differential", constr_tests);
-      ("relaxation-differential", relaxation_tests);
+      ("relaxation-oracle", relaxation_tests);
       ("parallel-differential", parallel_tests);
       ("parallel-kernel", parallel_re_tests);
       ("alloc-determinism", alloc_determinism_tests);
