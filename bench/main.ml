@@ -28,13 +28,11 @@
    Machine-readable output: [--json FILE] writes a slocal.bench/1
    document with per-experiment wall-clock timings and kernel-counter
    deltas (and ns/run for the microbenchmarks); [--quick] restricts the
-   experiments to the cheap CI smoke subset; [validate FILE] re-checks
-   a previously written JSON file against the schema; [compare
-   BASELINE CURRENT] gates CI on [re.enum_nodes] (fails when any
-   shared experiment exceeds the baseline by more than 10%); [report
-   BASELINE CURRENT] renders the same comparison as a markdown
-   regression report (wall-clock and counter deltas, gate flags,
-   microbenchmark table) suitable for pasting into a PR description. *)
+   experiments to the cheap CI smoke subset.  [validate FILE], [report
+   BASELINE CURRENT] (markdown regression report; exit 1 when a shared
+   experiment exceeds the re.enum_nodes or alloc_b gate) and [history
+   FILE...] (trends over a series) read such documents back through
+   Slocal_analysis.Bench_report. *)
 
 open Slocal_formalism
 module Telemetry = Slocal_obs.Telemetry
@@ -914,10 +912,10 @@ let e_scale () =
 
    Each experiment runs bracketed by a wall-clock reading and a
    telemetry snapshot; [--json FILE] serialises the per-experiment
-   timings and kernel-counter deltas in the slocal.bench/1 schema
-   (documented in DESIGN.md), which [validate FILE] re-checks. *)
+   timings and kernel-counter deltas as a slocal.bench/1 report
+   (Slocal_analysis.Bench_report, documented in DESIGN.md). *)
 
-let bench_schema_version = "slocal.bench/1"
+module BR = Slocal_analysis.Bench_report
 
 let all_experiments =
   [
@@ -971,16 +969,6 @@ let quick_ids =
     "E-CYCLE";
   ]
 
-type experiment_record = {
-  id : string;
-  title : string;
-  wall_ns : int;
-  alloc_b : int;
-  minor_n : int;
-  major_n : int;
-  counters : (string * int) list;
-}
-
 let c_experiments = Telemetry.counter "bench.experiments"
 
 let run_experiment (id, title, f) =
@@ -1022,636 +1010,67 @@ let run_experiment (id, title, f) =
   in
   let counters = Telemetry.delta ~before ~after:(Telemetry.snapshot ()) in
   {
-    id;
+    BR.id;
     title;
     wall_ns = Int64.to_int (Int64.sub t1 t0);
-    alloc_b;
-    minor_n = q1.Gc.minor_collections - q0.Gc.minor_collections;
-    major_n = q1.Gc.major_collections - q0.Gc.major_collections;
+    alloc_b = Some alloc_b;
+    minor_n = Some (q1.Gc.minor_collections - q0.Gc.minor_collections);
+    major_n = Some (q1.Gc.major_collections - q0.Gc.major_collections);
     counters;
   }
-
-let experiment_to_json e : Json.t =
-  Json.Obj
-    [
-      ("id", Json.String e.id);
-      ("title", Json.String e.title);
-      ("wall_ns", Json.Int e.wall_ns);
-      ("alloc_b", Json.Int e.alloc_b);
-      ("minor_n", Json.Int e.minor_n);
-      ("major_n", Json.Int e.major_n);
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters) );
-    ]
-
-let benchmark_to_json (name, ns) : Json.t =
-  Json.Obj [ ("name", Json.String name); ("ns_per_run", Json.Float ns) ]
-
-let report_to_json ~mode ~quick ~experiments ~benchmarks : Json.t =
-  Json.Obj
-    [
-      ("schema", Json.String bench_schema_version);
-      ("mode", Json.String mode);
-      ("quick", Json.Bool quick);
-      ("experiments", Json.List (List.map experiment_to_json experiments));
-      ("benchmarks", Json.List (List.map benchmark_to_json benchmarks));
-    ]
-
-let write_json file json =
-  let oc = open_out file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote %s@." file
-
-(* Structural validation of a slocal.bench/1 file; returns the exit
-   code (0 valid, 1 invalid). *)
-let validate file =
-  let fail msg =
-    Printf.eprintf "validate: %s: %s\n" file msg;
-    1
-  in
-  match
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Json.of_string text
-  with
-  | exception Sys_error msg -> fail msg
-  | Error msg -> fail ("invalid JSON: " ^ msg)
-  | Ok json -> (
-      let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-      let field obj k =
-        match Json.member k obj with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing field %S" k)
-      in
-      let check_string v k =
-        match Json.as_string v with
-        | Some s -> Ok s
-        | None -> Error (Printf.sprintf "field %S is not a string" k)
-      in
-      let check_int v k =
-        match Json.as_int v with
-        | Some _ -> Ok ()
-        | None -> Error (Printf.sprintf "field %S is not an integer" k)
-      in
-      let result =
-        let* schema = field json "schema" in
-        let* schema = check_string schema "schema" in
-        let* () =
-          if schema = bench_schema_version then Ok ()
-          else Error (Printf.sprintf "unknown schema %S" schema)
-        in
-        let* mode = field json "mode" in
-        let* _ = check_string mode "mode" in
-        let* exps = field json "experiments" in
-        let* exps =
-          match Json.as_list exps with
-          | Some l -> Ok l
-          | None -> Error "\"experiments\" is not a list"
-        in
-        let* () =
-          List.fold_left
-            (fun acc e ->
-              let* () = acc in
-              let* id = field e "id" in
-              let* id = check_string id "id" in
-              let* title = field e "title" in
-              let* _ = check_string title "title" in
-              let* wall = field e "wall_ns" in
-              let* () = check_int wall "wall_ns" in
-              (* Additive alloc fields: absent on older reports, must
-                 be integers when present. *)
-              let* () =
-                List.fold_left
-                  (fun acc k ->
-                    let* () = acc in
-                    match Json.member k e with
-                    | None -> Ok ()
-                    | Some v -> check_int v (id ^ "." ^ k))
-                  (Ok ())
-                  [ "alloc_b"; "minor_n"; "major_n" ]
-              in
-              let* counters = field e "counters" in
-              match Json.as_obj counters with
-              | None -> Error (Printf.sprintf "%s: \"counters\" is not an object" id)
-              | Some kvs ->
-                  List.fold_left
-                    (fun acc (k, v) ->
-                      let* () = acc in
-                      check_int v (id ^ ".counters." ^ k))
-                    (Ok ()) kvs)
-            (Ok ()) exps
-        in
-        let* benchs = field json "benchmarks" in
-        let* benchs =
-          match Json.as_list benchs with
-          | Some l -> Ok l
-          | None -> Error "\"benchmarks\" is not a list"
-        in
-        let* () =
-          List.fold_left
-            (fun acc b ->
-              let* () = acc in
-              let* name = field b "name" in
-              let* name = check_string name "name" in
-              let* ns = field b "ns_per_run" in
-              match Json.as_float ns with
-              | Some _ -> Ok ()
-              | None -> Error (Printf.sprintf "%s: \"ns_per_run\" is not a number" name))
-            (Ok ()) benchs
-        in
-        Ok (List.length exps, List.length benchs)
-      in
-      match result with
-      | Ok (ne, nb) ->
-          Printf.printf "%s: valid %s (%d experiments, %d benchmarks)\n" file
-            bench_schema_version ne nb;
-          0
-      | Error msg -> fail msg)
-
-(* --- shared loading/extraction helpers for [compare] and [report] --- *)
-
-let load_report file =
-  match
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Json.of_string text
-  with
-  | exception Sys_error msg -> Error msg
-  | Error msg -> Error ("invalid JSON: " ^ msg)
-  | Ok json -> Ok json
-
-(* Extraction and gate arithmetic live in Slocal_analysis.Bench_report
-   so the forward-compat contract is unit-testable; these wrappers
-   keep the harness-local shapes. *)
-module BR = Slocal_analysis.Bench_report
-
-(* id -> (wall_ns option, counters), in file order. *)
-let experiments_of json =
-  List.map
-    (fun e -> (e.BR.ex_id, (e.BR.ex_wall_ns, e.BR.ex_counters)))
-    (BR.experiments_of json)
-
-(* id -> re.enum_nodes, for experiments that report the counter. *)
-let enum_nodes = BR.enum_nodes
-let benchmarks_of = BR.benchmarks_of
-
-(* The CI gates: re.enum_nodes at 1.10x, alloc_b at 1.02x. *)
-let gate_ratio = BR.gate_ratio
-let alloc_gate_ratio = BR.alloc_gate_ratio
-let ratio_of = BR.ratio_of
-let breaches_gate ~base ~cur = BR.breaches ~ratio:gate_ratio ~base ~cur
-
-(* Regression gate between two slocal.bench/1 files: for every
-   experiment id present in both, the current [re.enum_nodes] may not
-   exceed the baseline by more than 10%, and the current [alloc_b] may
-   not exceed the baseline by more than 2% (deterministic sequential
-   allocation; parallel experiments exempt, reports lacking the alloc
-   fields skipped-and-noted).  Returns the exit code (0 within
-   tolerance, 1 regressed or unreadable). *)
-let compare_reports baseline_file current_file =
-  match (load_report baseline_file, load_report current_file) with
-  | Error msg, _ ->
-      Printf.eprintf "compare: %s: %s\n" baseline_file msg;
-      1
-  | _, Error msg ->
-      Printf.eprintf "compare: %s: %s\n" current_file msg;
-      1
-  | Ok baseline, Ok current ->
-      let base = enum_nodes baseline and cur = enum_nodes current in
-      let regressions = ref 0 and compared = ref 0 in
-      List.iter
-        (fun (id, b) ->
-          match List.assoc_opt id cur with
-          | None -> ()
-          | Some c ->
-              incr compared;
-              let flag = breaches_gate ~base:b ~cur:c in
-              if flag then incr regressions;
-              Printf.printf "%-10s re.enum_nodes %8d -> %8d  (%.2fx)%s\n" id b
-                c (ratio_of c b)
-                (if flag then "  REGRESSED" else ""))
-        base;
-      let alloc = BR.alloc_gate ~baseline ~current in
-      let alloc_regressions = ref 0 in
-      List.iter
-        (fun (ck : BR.alloc_check) ->
-          if ck.BR.ac_breach then incr alloc_regressions;
-          Printf.printf "%-10s alloc_b %12d -> %12d  (%.3fx)%s\n" ck.BR.ac_id
-            ck.BR.ac_base ck.BR.ac_cur
-            (ratio_of ck.BR.ac_cur ck.BR.ac_base)
-            (if ck.BR.ac_breach then "  REGRESSED"
-             else if ck.BR.ac_exempt then "  (exempt: parallel)"
-             else ""))
-        alloc.BR.checks;
-      List.iter
-        (Printf.printf
-           "%-10s alloc_b skipped (report predates the alloc fields)\n")
-        alloc.BR.skipped;
-      if !compared = 0 && alloc.BR.checks = [] then begin
-        Printf.eprintf
-          "compare: no shared experiments report re.enum_nodes or alloc_b\n";
-        1
-      end
-      else if !regressions > 0 || !alloc_regressions > 0 then begin
-        if !regressions > 0 then
-          Printf.printf "%d of %d experiment(s) regressed beyond 1.10x\n"
-            !regressions !compared;
-        if !alloc_regressions > 0 then
-          Printf.printf
-            "%d experiment(s) regressed beyond %.2fx on allocation\n"
-            !alloc_regressions alloc_gate_ratio;
-        1
-      end
-      else begin
-        Printf.printf
-          "all %d shared experiment(s) within 1.10x of baseline%s\n" !compared
-          (if alloc.BR.checks <> [] then
-             Printf.sprintf " (and %d within %.2fx on allocation)"
-               (List.length
-                  (List.filter (fun c -> not c.BR.ac_exempt) alloc.BR.checks))
-               alloc_gate_ratio
-           else "");
-        0
-      end
-
-(* [report BASE CUR]: a markdown regression report suitable for pasting
-   into a PR description — per-experiment wall-clock and re.enum_nodes
-   deltas with the same 1.10x gate as [compare], notable changes in the
-   other kernel counters, and the shared microbenchmark timings.
-   Returns the gate's exit code (0 within tolerance, 1 regressed or
-   unreadable). *)
-let report_markdown baseline_file current_file =
-  match (load_report baseline_file, load_report current_file) with
-  | Error msg, _ ->
-      Printf.eprintf "report: %s: %s\n" baseline_file msg;
-      1
-  | _, Error msg ->
-      Printf.eprintf "report: %s: %s\n" current_file msg;
-      1
-  | Ok baseline, Ok current ->
-      let p = Printf.printf in
-      let pretty_ns ns =
-        let ns = float_of_int ns in
-        if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.2f µs" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      let base_exps = experiments_of baseline
-      and cur_exps = experiments_of current in
-      let shared =
-        List.filter_map
-          (fun (id, b) ->
-            Option.map (fun c -> (id, b, c)) (List.assoc_opt id cur_exps))
-          base_exps
-      in
-      p "# Bench regression report\n\n";
-      p "baseline: `%s` — current: `%s`\n\n" baseline_file current_file;
-      p "Gates: per-experiment `re.enum_nodes` may not exceed the baseline \
-         by more than %.0f%%; per-experiment `alloc_b` by more than %.0f%% \
-         (deterministic sequential allocation; parallel experiments \
-         exempt).\n\n"
-        ((gate_ratio -. 1.) *. 100.)
-        ((alloc_gate_ratio -. 1.) *. 100.);
-      (* --- per-experiment wall clock and the gated counter --- *)
-      p "## Experiments\n\n";
-      p "| id | wall (base) | wall (cur) | wall Δ | enum_nodes (base) | \
-         enum_nodes (cur) | Δ | gate |\n";
-      p "|---|---:|---:|---:|---:|---:|---:|---|\n";
-      let regressions = ref 0 and gated = ref 0 in
-      List.iter
-        (fun (id, (bw, bc), (cw, cc)) ->
-          let wall_cell = function
-            | Some w -> pretty_ns w
-            | None -> "–"
-          in
-          let wall_ratio =
-            match (bw, cw) with
-            | Some b, Some c -> Printf.sprintf "%.2fx" (ratio_of c b)
-            | _ -> "–"
-          in
-          let nodes_b = List.assoc_opt "re.enum_nodes" bc
-          and nodes_c = List.assoc_opt "re.enum_nodes" cc in
-          let nodes_cell = function
-            | Some n -> string_of_int n
-            | None -> "–"
-          in
-          let nodes_ratio, gate =
-            match (nodes_b, nodes_c) with
-            | Some b, Some c ->
-                incr gated;
-                let flag = breaches_gate ~base:b ~cur:c in
-                if flag then incr regressions;
-                ( Printf.sprintf "%.2fx" (ratio_of c b),
-                  if flag then "**REGRESSED**" else "ok" )
-            | _ -> ("–", "–")
-          in
-          p "| %s | %s | %s | %s | %s | %s | %s | %s |\n" id (wall_cell bw)
-            (wall_cell cw) wall_ratio (nodes_cell nodes_b)
-            (nodes_cell nodes_c) nodes_ratio gate)
-        shared;
-      let only l l' =
-        List.filter_map
-          (fun (id, _) ->
-            if List.mem_assoc id l' then None else Some id)
-          l
-      in
-      (match only base_exps cur_exps with
-      | [] -> ()
-      | ids -> p "\nOnly in baseline: %s\n" (String.concat ", " ids));
-      (match only cur_exps base_exps with
-      | [] -> ()
-      | ids -> p "\nOnly in current: %s\n" (String.concat ", " ids));
-      (* --- the other counters, where they moved notably --- *)
-      let notable =
-        List.concat_map
-          (fun (id, (_, bc), (_, cc)) ->
-            List.filter_map
-              (fun (k, b) ->
-                if k = "re.enum_nodes" then None
-                else
-                  match List.assoc_opt k cc with
-                  | Some c
-                    when b <> c
-                         && (breaches_gate ~base:b ~cur:c
-                            || breaches_gate ~base:c ~cur:b) ->
-                      Some (id, k, b, c)
-                  | _ -> None)
-              bc)
-          shared
-      in
-      p "\n## Notable counter changes\n\n";
-      if notable = [] then
-        p "No other per-experiment counter moved by more than %.0f%%.\n"
-          ((gate_ratio -. 1.) *. 100.)
-      else begin
-        p "| id | counter | base | cur | Δ |\n";
-        p "|---|---|---:|---:|---:|\n";
-        List.iter
-          (fun (id, k, b, c) ->
-            p "| %s | `%s` | %d | %d | %.2fx |\n" id k b c (ratio_of c b))
-          notable
-      end;
-      (* --- the allocation gate --- *)
-      let alloc = BR.alloc_gate ~baseline ~current in
-      let alloc_regressions = ref 0 in
-      p "\n## Allocation\n\n";
-      if alloc.BR.checks = [] && alloc.BR.skipped = [] then
-        p "No shared experiment carries `alloc_b`.\n"
-      else begin
-        p "| id | alloc (base) | alloc (cur) | Δ | gate |\n";
-        p "|---|---:|---:|---:|---|\n";
-        List.iter
-          (fun (ck : BR.alloc_check) ->
-            if ck.BR.ac_breach then incr alloc_regressions;
-            p "| %s | %d | %d | %.3fx | %s |\n" ck.BR.ac_id ck.BR.ac_base
-              ck.BR.ac_cur
-              (ratio_of ck.BR.ac_cur ck.BR.ac_base)
-              (if ck.BR.ac_breach then "**REGRESSED**"
-               else if ck.BR.ac_exempt then "exempt (parallel)"
-               else "ok"))
-          alloc.BR.checks;
-        List.iter
-          (fun id -> p "| %s | – | – | – | skipped (older report) |\n" id)
-          alloc.BR.skipped
-      end;
-      (* --- microbenchmarks (informational, not gated: timings are
-             machine-dependent) --- *)
-      let base_micro = benchmarks_of baseline
-      and cur_micro = benchmarks_of current in
-      let shared_micro =
-        List.filter_map
-          (fun (name, b) ->
-            Option.map (fun c -> (name, b, c)) (List.assoc_opt name cur_micro))
-          base_micro
-      in
-      if shared_micro <> [] then begin
-        p "\n## Microbenchmarks (informational)\n\n";
-        p "| benchmark | base ns/run | cur ns/run | Δ |\n";
-        p "|---|---:|---:|---:|\n";
-        List.iter
-          (fun (name, b, c) ->
-            p "| `%s` | %.0f | %.0f | %.2fx |\n" name b c
-              (c /. Float.max 1. b))
-          shared_micro
-      end;
-      (* --- verdict --- *)
-      p "\n## Verdict\n\n";
-      if !gated = 0 then begin
-        p "No shared experiment reports `re.enum_nodes` — nothing to gate. \
-           **FAIL**\n";
-        1
-      end
-      else if !regressions > 0 || !alloc_regressions > 0 then begin
-        if !regressions > 0 then
-          p "%d of %d gated experiment(s) regressed beyond %.2fx. **FAIL**\n"
-            !regressions !gated gate_ratio;
-        if !alloc_regressions > 0 then
-          p "%d experiment(s) regressed beyond %.2fx on allocation. **FAIL**\n"
-            !alloc_regressions alloc_gate_ratio;
-        1
-      end
-      else begin
-        p "All %d gated experiment(s) within %.2fx of baseline%s. **PASS**\n"
-          !gated gate_ratio
-          (if alloc.BR.checks <> [] then
-             Printf.sprintf " (allocation within %.2fx)" alloc_gate_ratio
-           else "");
-        0
-      end
-
-(* [history FILE...]: aggregate a series of slocal.bench/1 reports
-   (given oldest first) into per-experiment trend tables — wall clock
-   and the gated [re.enum_nodes] — so the bench trajectory stops being
-   pairwise-only.  Regression detection is median-of-window: the
-   newest value of each experiment is gated (same 1.10x ratio as
-   [compare]) against the median of up to [history_window] previous
-   values, which tolerates a single noisy report in the middle of the
-   series.  Returns the exit code (0 ok, 1 regressed or unreadable). *)
-let history_window = 5
-
-let median_of = function
-  | [] -> None
-  | xs ->
-      let sorted = List.sort compare xs in
-      Some (List.nth sorted ((List.length sorted - 1) / 2))
-
-let history files =
-  let loaded =
-    List.map
-      (fun file ->
-        match load_report file with
-        | Ok json -> (file, json)
-        | Error msg ->
-            Printf.eprintf "history: %s: %s\n" file msg;
-            exit 1)
-      files
-  in
-  let pretty_ns ns =
-    let ns = float_of_int ns in
-    if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f µs" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  let p = Printf.printf in
-  (* Experiment ids in first-seen order across the series. *)
-  let ids =
-    List.fold_left
-      (fun acc (_, json) ->
-        List.fold_left
-          (fun acc (id, _) -> if List.mem id acc then acc else acc @ [ id ])
-          acc (experiments_of json))
-      [] loaded
-  in
-  p "# Bench history (%d report(s))\n" (List.length loaded);
-  p "\nGates: the newest `re.enum_nodes` of each experiment may not exceed \
-     the median of up to %d previous report(s) by more than %.0f%%; the \
-     newest `alloc_b` by more than %.0f%% (reports predating the alloc \
-     fields are skipped).\n"
-    history_window
-    ((gate_ratio -. 1.) *. 100.)
-    ((alloc_gate_ratio -. 1.) *. 100.);
-  let regressions = ref 0 in
-  List.iter
-    (fun id ->
-      let series =
-        List.map
-          (fun (file, json) ->
-            ( file,
-              List.find_opt (fun e -> e.BR.ex_id = id) (BR.experiments_of json)
-            ))
-          loaded
-      in
-      p "\n## %s\n\n" id;
-      p "| report | wall | re.enum_nodes | alloc_b |\n";
-      p "|---|---:|---:|---:|\n";
-      List.iter
-        (fun (file, entry) ->
-          match entry with
-          | None -> p "| %s | – | – | – |\n" file
-          | Some e ->
-              p "| %s | %s | %s | %s |\n" file
-                (match e.BR.ex_wall_ns with
-                | Some w -> pretty_ns w
-                | None -> "–")
-                (match List.assoc_opt "re.enum_nodes" e.BR.ex_counters with
-                | Some n -> string_of_int n
-                | None -> "–")
-                (match e.BR.ex_alloc_b with
-                | Some a -> string_of_int a
-                | None -> "–"))
-        series;
-      (* One median-of-window trend per gated metric; [None] entries
-         (absent experiment, or a report predating the alloc fields)
-         simply drop out of the series. *)
-      let trend ~label ~ratio values =
-        match List.rev values with
-        | [] -> p "\ntrend: no report carries `%s` for %s\n" label id
-        | [ _ ] -> p "\ntrend (%s): only one datapoint; nothing to gate\n" label
-        | latest :: previous_rev -> (
-            let window =
-              List.filteri (fun i _ -> i < history_window) previous_rev
-            in
-            match median_of window with
-            | None -> ()
-            | Some median ->
-                let flag = BR.breaches ~ratio ~base:median ~cur:latest in
-                if flag then incr regressions;
-                p
-                  "\ntrend (%s): latest %d vs median-of-previous %d (%.3fx) \
-                   — %s\n"
-                  label latest median (ratio_of latest median)
-                  (if flag then "**REGRESSED**" else "ok"))
-      in
-      trend ~label:"re.enum_nodes" ~ratio:gate_ratio
-        (List.filter_map
-           (fun (_, entry) ->
-             Option.bind entry (fun e ->
-                 List.assoc_opt "re.enum_nodes" e.BR.ex_counters))
-           series);
-      if not (List.mem id BR.alloc_exempt_ids) then
-        trend ~label:"alloc_b" ~ratio:alloc_gate_ratio
-          (List.filter_map
-             (fun (_, entry) -> Option.bind entry (fun e -> e.BR.ex_alloc_b))
-             series))
-    ids;
-  p "\n## Verdict\n\n";
-  if ids = [] then begin
-    p "No experiments found in the series. **FAIL**\n";
-    1
-  end
-  else if !regressions > 0 then begin
-    p "%d trend(s) regressed beyond their gate ratio (%.2fx nodes, %.2fx \
-       alloc) of the trailing median. **FAIL**\n"
-      !regressions gate_ratio alloc_gate_ratio;
-    1
-  end
-  else begin
-    p "All gated trends within their gate ratio (%.2fx nodes, %.2fx alloc) \
-       of the trailing median. **PASS**\n"
-      gate_ratio alloc_gate_ratio;
-    0
-  end
 
 let () =
   let json_file = ref None
   and quick = ref false
   and only = ref []
   and positional = ref [] in
+  let usage msg =
+    prerr_endline ("bench: " ^ msg);
+    exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
         json_file := Some file;
         parse rest
-    | [ "--json" ] ->
-        prerr_endline "bench: --json needs a FILE argument";
-        exit 2
+    | [ "--json" ] -> usage "--json needs a FILE argument"
     | "--quick" :: rest ->
         quick := true;
         parse rest
     | "--only" :: id :: rest ->
-        if not (List.exists (fun (i, _, _) -> i = id) all_experiments) then begin
-          Printf.eprintf "bench: --only %s: unknown experiment id (known: %s)\n"
-            id
-            (String.concat ", " (List.map (fun (i, _, _) -> i) all_experiments));
-          exit 2
-        end;
+        if not (List.exists (fun (i, _, _) -> i = id) all_experiments) then
+          usage
+            (Printf.sprintf "--only %s: unknown experiment id (known: %s)" id
+               (String.concat ", "
+                  (List.map (fun (i, _, _) -> i) all_experiments)));
         only := id :: !only;
         parse rest
-    | [ "--only" ] ->
-        prerr_endline "bench: --only needs an experiment ID argument";
-        exit 2
+    | [ "--only" ] -> usage "--only needs an experiment ID argument"
     | arg :: rest ->
         positional := arg :: !positional;
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   match List.rev !positional with
-  | [ "validate"; file ] -> exit (validate file)
-  | [ "validate" ] ->
-      prerr_endline "bench: validate needs a FILE argument";
-      exit 2
-  | [ "compare"; baseline; current ] -> exit (compare_reports baseline current)
-  | "compare" :: _ ->
-      prerr_endline "bench: compare needs BASELINE and CURRENT file arguments";
-      exit 2
-  | [ "report"; baseline; current ] -> exit (report_markdown baseline current)
-  | "report" :: _ ->
-      prerr_endline "bench: report needs BASELINE and CURRENT file arguments";
-      exit 2
-  | "history" :: (_ :: _ as files) -> exit (history files)
-  | [ "history" ] ->
-      prerr_endline "bench: history needs at least one FILE argument";
-      exit 2
-  | positional ->
+  | [ "validate"; file ] -> exit (BR.validate file)
+  | "validate" :: _ -> usage "validate needs one FILE argument"
+  | [ "report"; baseline; current ] -> exit (BR.report baseline current)
+  | "report" :: _ -> usage "report needs BASELINE and CURRENT file arguments"
+  | "history" :: (_ :: _ as files) -> exit (BR.history files)
+  | [ "history" ] -> usage "history needs at least one FILE argument"
+  | ([] | [ ("tables" | "micro" | "all") ]) as positional ->
       let mode = match positional with [] -> "all" | m :: _ -> m in
+      (* Open the report before any experiment runs, so an unwritable
+         path fails in milliseconds rather than after the whole run. *)
+      let json_out =
+        Option.map
+          (fun file ->
+            match open_out file with
+            | oc -> (file, oc)
+            | exception Sys_error msg ->
+                usage (Printf.sprintf "cannot write %s: %s" file msg))
+          !json_file
+      in
       (* A bench run is a kernel-facing invocation like any other: one
          slocal.run/1 ledger record per harness execution. *)
       Slocal_obs.Ledger.begin_run ~argv:(Array.to_list Sys.argv);
@@ -1669,11 +1088,23 @@ let () =
         | "micro" -> ([], micro ())
         | _ -> (List.map run_experiment selected, micro ())
       in
-      (match !json_file with
+      (match json_out with
       | None -> ()
-      | Some file ->
-          write_json file
-            (report_to_json ~mode ~quick:!quick ~experiments ~benchmarks);
+      | Some (file, oc) ->
+          output_string oc
+            (Json.to_string
+               (BR.to_json { mode; quick = !quick; experiments; benchmarks }));
+          output_char oc '\n';
+          close_out oc;
+          Format.printf "@.wrote %s@." file;
           Slocal_obs.Ledger.note_artifact ~kind:"bench" file);
       Slocal_obs.Ledger.finish_run ~outcome:"ok";
       Format.printf "@.done.@."
+  | mode :: _ when not (List.mem mode [ "tables"; "micro"; "all" ]) ->
+      usage
+        (Printf.sprintf
+           "unknown mode %S (modes: tables | micro | all; subcommands: \
+            validate, report, history)"
+           mode)
+  | _ :: extra ->
+      usage ("unexpected argument " ^ String.concat " " extra)

@@ -176,3 +176,62 @@ let permute_names g (p : Problem.t) =
          else line)
   |> String.concat "\n"
   |> Problem.of_string
+
+(* ------------------------------------------------------------------ *)
+(* slocal.bench/1 reports *)
+
+module Bench_report = Slocal_analysis.Bench_report
+
+(* A short string over bytes the JSON writer must escape or pass
+   through unchanged: quotes, backslashes, control characters,
+   non-ASCII. *)
+let text g =
+  String.init (Prng.int g 8) (fun _ ->
+      match Prng.int g 4 with
+      | 0 -> Prng.pick g [ '"'; '\\'; '\n'; '\001'; '/' ]
+      | 1 -> Char.chr (Prng.int g 256)
+      | _ -> Char.chr (Char.code 'a' + Prng.int g 26))
+
+let signed_int g = if Prng.bool g then Prng.next g else -Prng.next g
+
+let bench_report g : Bench_report.report =
+  let opt f = if Prng.bool g then Some (f g) else None in
+  let experiment _ =
+    {
+      Bench_report.id = text g;
+      title = text g;
+      wall_ns = signed_int g;
+      alloc_b = opt signed_int;
+      minor_n = opt signed_int;
+      major_n = opt signed_int;
+      counters = List.init (Prng.int g 4) (fun _ -> (text g, signed_int g));
+    }
+  in
+  {
+    mode = text g;
+    quick = Prng.bool g;
+    experiments = List.init (Prng.int g 5) experiment;
+    benchmarks =
+      List.init (Prng.int g 3) (fun _ -> (text g, Prng.float g 1e9 -. 1e3));
+  }
+
+(* A corrupted copy of [doc]: truncated, a few bytes overwritten, a
+   span deleted, or a span duplicated. *)
+let corrupt docs g =
+  let doc = Prng.pick g docs in
+  let n = String.length doc in
+  let i = Prng.int g (n + 1) in
+  let j = min n (i + Prng.int g 64) in
+  match Prng.int g 4 with
+  | 0 -> String.sub doc 0 i
+  | 1 ->
+      let b = Bytes.of_string doc in
+      for _ = 0 to Prng.int g 4 do
+        if n > 0 then
+          Bytes.set b (Prng.int g n)
+            (if Prng.bool g then Prng.pick g [ '{'; '}'; '"'; ','; ':'; '0' ]
+             else Char.chr (Prng.int g 256))
+      done;
+      Bytes.to_string b
+  | 2 -> String.sub doc 0 i ^ String.sub doc j (n - j)
+  | _ -> String.sub doc 0 j ^ String.sub doc i (n - i)

@@ -907,31 +907,45 @@ module BR = Slocal_analysis.Bench_report
 let bench_doc s =
   match Json.of_string s with Ok j -> j | Error e -> Alcotest.fail e
 
+let bench_of_json json =
+  match BR.of_json json with Ok r -> r | Error e -> Alcotest.fail e
+
 (* A minimal current-generation report: FIG1 and T15 carry the
    allocation fields, E-PAR is a parallel experiment. *)
 let bench_report ~fig1_alloc ~t15_alloc ~epar_alloc =
-  bench_doc
-    (Printf.sprintf
-       {|{"schema":"slocal.bench/1","mode":"tables","quick":false,
-          "experiments":[
-            {"id":"FIG1","wall_ns":100,"alloc_b":%d,"minor_n":3,"major_n":1,
-             "counters":{"re.enum_nodes":50}},
-            {"id":"E-PAR","wall_ns":100,"alloc_b":%d,"counters":{}},
-            {"id":"T15","wall_ns":100,"alloc_b":%d,"counters":{}}],
-          "benchmarks":[]}|}
-       fig1_alloc epar_alloc t15_alloc)
+  bench_of_json
+    (bench_doc
+       (Printf.sprintf
+          {|{"schema":"slocal.bench/1","mode":"tables","quick":false,
+             "experiments":[
+               {"id":"FIG1","title":"f","wall_ns":100,"alloc_b":%d,
+                "minor_n":3,"major_n":1,"counters":{"re.enum_nodes":50}},
+               {"id":"E-PAR","title":"p","wall_ns":100,"alloc_b":%d,
+                "counters":{}},
+               {"id":"T15","title":"t","wall_ns":100,"alloc_b":%d,
+                "counters":{}}],
+             "benchmarks":[]}|}
+          fig1_alloc epar_alloc t15_alloc))
+
+let alloc_row rows id = (List.find (fun r -> r.BR.id = id) rows).BR.alloc
 
 let test_bench_report_parse () =
-  let exps = BR.experiments_of (bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000) in
+  let r = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000 in
   check (Alcotest.list Alcotest.string) "experiment ids in file order"
     [ "FIG1"; "E-PAR"; "T15" ]
-    (List.map (fun e -> e.BR.ex_id) exps);
-  let fig1 = List.hd exps in
-  check (Alcotest.option int_t) "alloc_b parsed" (Some 1000) fig1.BR.ex_alloc_b;
-  check (Alcotest.option int_t) "minor_n parsed" (Some 3) fig1.BR.ex_minor_n;
-  check (Alcotest.option int_t) "major_n parsed" (Some 1) fig1.BR.ex_major_n;
+    (List.map (fun (e : BR.experiment) -> e.BR.id) r.BR.experiments);
+  let fig1 = List.hd r.BR.experiments in
+  check (Alcotest.option int_t) "alloc_b parsed" (Some 1000) fig1.BR.alloc_b;
+  check (Alcotest.option int_t) "minor_n parsed" (Some 3) fig1.BR.minor_n;
+  check (Alcotest.option int_t) "major_n parsed" (Some 1) fig1.BR.major_n;
   check (Alcotest.option int_t) "counters still read" (Some 50)
-    (List.assoc_opt "re.enum_nodes" fig1.BR.ex_counters);
+    (List.assoc_opt "re.enum_nodes" fig1.BR.counters);
+  check bool_t "a missing title is the diagnostic" true
+    (BR.of_json
+       (bench_doc
+          {|{"schema":"slocal.bench/1","mode":"tables","experiments":
+             [{"id":"FIG1","wall_ns":1,"counters":{}}],"benchmarks":[]}|})
+    = Error "missing field \"title\"");
   check bool_t "ratio clamps a zero baseline" true (BR.ratio_of 5 0 = 5.);
   check bool_t "gate arithmetic: 2% holds" false
     (BR.breaches ~ratio:BR.alloc_gate_ratio ~base:1000 ~cur:1020);
@@ -939,53 +953,77 @@ let test_bench_report_parse () =
     (BR.breaches ~ratio:BR.alloc_gate_ratio ~base:1000 ~cur:1021)
 
 let test_bench_alloc_gate () =
-  let baseline = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000 in
+  let baseline =
+    bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000
+  in
   (* Within tolerance everywhere; E-PAR triples but is exempt. *)
   let ok =
-    BR.alloc_gate ~baseline
-      ~current:(bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~epar_alloc:15000)
+    BR.evaluate
+      [
+        baseline;
+        bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~epar_alloc:15000;
+      ]
   in
-  check int_t "three shared experiments checked" 3 (List.length ok.BR.checks);
-  check (Alcotest.list Alcotest.string) "nothing skipped" [] ok.BR.skipped;
+  let checked, skipped =
+    List.partition
+      (fun r -> match r.BR.alloc with BR.Gated _ -> true | _ -> false)
+      ok
+  in
+  check int_t "three shared experiments checked" 3 (List.length checked);
+  check int_t "nothing skipped" 0 (List.length skipped);
   check bool_t "no breach within tolerance" true
-    (List.for_all (fun c -> not c.BR.ac_breach) ok.BR.checks);
+    (List.for_all
+       (fun r ->
+         match r.BR.alloc with BR.Gated { breach; _ } -> not breach | _ -> true)
+       ok);
   check bool_t "the parallel experiment is exempt, not gated" true
-    (List.exists (fun c -> c.BR.ac_id = "E-PAR" && c.BR.ac_exempt) ok.BR.checks);
+    (match alloc_row ok "E-PAR" with
+    | BR.Gated { breach = false; latest = 15000; median = 5000 } ->
+        List.exists (fun r -> r.BR.id = "E-PAR" && r.BR.exempt) ok
+    | _ -> false);
   (* A 3% regression on a gated experiment breaches. *)
   let bad =
-    BR.alloc_gate ~baseline
-      ~current:(bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~epar_alloc:5000)
+    BR.evaluate
+      [
+        baseline;
+        bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~epar_alloc:5000;
+      ]
   in
   check bool_t "3% regression breaches" true
-    (List.exists
-       (fun c -> c.BR.ac_id = "FIG1" && c.BR.ac_breach)
-       bad.BR.checks)
+    (match alloc_row bad "FIG1" with
+    | BR.Gated { breach; _ } -> breach
+    | _ -> false)
 
 let test_bench_forward_compat () =
   (* The committed pre-allocation baseline (a real slocal.bench/1
      report written before alloc_b existed) must parse cleanly and be
      skipped-and-noted by the allocation gate, never crash it. *)
-  let read path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  let old =
+    match BR.read_file (fixture "bench_v1_noalloc.json") with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
   in
-  let old = bench_doc (read (fixture "bench_v1_noalloc.json")) in
-  let exps = BR.experiments_of old in
+  let exps = old.BR.experiments in
   check bool_t "the fixture carries a full experiment sweep" true
     (List.length exps >= 15);
   check bool_t "no experiment carries allocation fields" true
-    (List.for_all (fun e -> e.BR.ex_alloc_b = None) exps);
-  check bool_t "enum_nodes still extracted" true (BR.enum_nodes old <> []);
-  let r =
-    BR.alloc_gate ~baseline:old
-      ~current:(bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~epar_alloc:1)
+    (List.for_all (fun (e : BR.experiment) -> e.BR.alloc_b = None) exps);
+  check bool_t "enum_nodes still extracted" true
+    (List.exists
+       (fun (e : BR.experiment) -> List.mem_assoc "re.enum_nodes" e.BR.counters)
+       exps);
+  let rows =
+    BR.evaluate
+      [ old; bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~epar_alloc:1 ]
   in
   check (Alcotest.list Alcotest.string) "older side: checked nothing" []
-    (List.map (fun c -> c.BR.ac_id) r.BR.checks);
+    (List.filter_map
+       (fun r ->
+         match r.BR.alloc with BR.Gated _ -> Some r.BR.id | _ -> None)
+       rows);
   check bool_t "shared experiments skipped-and-noted" true
-    (List.mem "FIG1" r.BR.skipped && List.mem "T15" r.BR.skipped)
+    (alloc_row rows "FIG1" = BR.One_point
+    && alloc_row rows "T15" = BR.One_point)
 
 (* ------------------------------------------------------------------ *)
 

@@ -478,6 +478,44 @@ let alloc_determinism_tests =
           (List.combine first second))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* slocal.bench/1: the writer and the one strict reader *)
+
+module BR = Slocal_analysis.Bench_report
+module Json = Slocal_obs.Json
+
+let bench_reader_tests =
+  [
+    Alcotest.test_case "of_json (to_json r) = Ok r" `Quick (fun () ->
+        run
+          (Proptest.property ~name:"bench round-trip" ~gen:Proptest.bench_report
+             ~print:(fun r -> Json.to_string (BR.to_json r))
+             (fun r ->
+               BR.of_json (BR.to_json r) = Ok r
+               && Result.bind
+                    (Json.of_string (Json.to_string (BR.to_json r)))
+                    BR.of_json
+                  = Ok r)));
+    (* Truncated and byte-mutated copies of the committed reports: the
+       reader returns a report or a diagnostic, and never raises. *)
+    Alcotest.test_case "corrupted reports: Ok or Error" `Quick (fun () ->
+        (* Paths from the repository root, or from the build's test
+           directory under [dune runtest]. *)
+        let read f =
+          let f = if Sys.file_exists f then f else Filename.concat ".." f in
+          In_channel.with_open_bin f In_channel.input_all
+        in
+        let docs =
+          List.map read
+            [ "BENCH_baseline.json"; "test/fixtures/bench_v1_noalloc.json" ]
+        in
+        run
+          (Proptest.property ~count:500 ~name:"bench reader total"
+             ~gen:(Proptest.corrupt docs) ~print:String.escaped (fun text ->
+               match Result.bind (Json.of_string text) BR.of_json with
+               | Ok _ | Error _ -> true)));
+  ]
+
 let () =
   Alcotest.run "proptest"
     [
@@ -487,4 +525,5 @@ let () =
       ("parallel-differential", parallel_tests);
       ("parallel-kernel", parallel_re_tests);
       ("alloc-determinism", alloc_determinism_tests);
+      ("bench-reader", bench_reader_tests);
     ]
