@@ -851,61 +851,42 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* E-SCALE *)
 
-(* Threads-scaling over the real kernels, the rows CI archives as an
-   artifact: the full E-LIFT agreement workload (both decision routes
-   per problem, [Zero_round.decide_batch]) and an RE sequence
-   ([Sequence.iterate_re], whose per-step lattice descents fan out
-   wave by wave) at pool widths 1, 2 and 4.  Each row asserts the
-   results byte-identical to the width-1 run; the experiment stays
-   out of --quick and has no baseline entry, so the
-   honest single-core wall column (speedup materializes only on
-   multi-core machines) never trips the regression gate. *)
+(* Threads-scaling of the one parallel kernel, the rows CI archives
+   as an artifact: the full E-LIFT agreement workload (both decision
+   routes per problem, [Zero_round.decide_batch]) at pool widths 1, 2
+   and 4.  Each row asserts the results byte-identical to the width-1
+   run; the experiment stays out of --quick and has no baseline
+   entry, so the honest single-core wall column (speedup materializes
+   only on multi-core machines) never trips the regression gate. *)
 let e_scale () =
-  let widths = [ 1; 2; 4 ] in
-  let row jobs wall base_wall =
-    Format.printf "  %4d %12s %8s@." jobs
-      (Format.asprintf "%a" Telemetry.pp_duration wall)
-      (if jobs = 1 then "1.00x"
-       else
-         Printf.sprintf "%.2fx"
-           (Int64.to_float base_wall /. Int64.to_float (Int64.max 1L wall)))
-  in
-  let scale title run check_equal =
-    Format.printf "%s by pool width:@." title;
-    Format.printf "  %4s %12s %8s@." "jobs" "wall" "speedup";
-    let baseline = ref None and base_wall = ref 0L in
-    List.iter
-      (fun jobs ->
-        let t0 = Telemetry.now_ns () in
-        let results = run jobs in
-        let wall = Int64.sub (Telemetry.now_ns ()) t0 in
-        (match !baseline with
-        | None ->
-            baseline := Some results;
-            base_wall := wall
-        | Some b ->
-            if not (check_equal b results) then
-              failwith
-                (Printf.sprintf "E-SCALE: %s at jobs=%d differs from \
-                                 sequential" title jobs));
-        row jobs wall !base_wall)
-      widths;
-    Format.printf "  results identical across widths: true@."
-  in
   let support = bipartite_cycle 3 in
-  scale "E-LIFT decide_batch (49 problems x 2 routes, C_6 support)"
+  Format.printf "E-LIFT decide_batch (49 problems x 2 routes, C_6 support) by pool width:@.";
+  Format.printf "  %4s %12s %8s@." "jobs" "wall" "speedup";
+  let baseline = ref None and base_wall = ref 0L in
+  List.iter
     (fun jobs ->
+      let t0 = Telemetry.now_ns () in
       (* Fresh problems per width: each task owns its memo tables. *)
-      Zero_round.decide_batch ~jobs support (Zero_round.two_label_problems ()))
-    (fun a b -> a = b);
-  scale "E-SEQ iterate_re (mm:3, 2 steps)"
-    (fun jobs ->
-      (* Cold RE cache per width, or widths > 1 would only replay
-         cached results. *)
-      Re_step.clear_cache ();
-      List.map Problem.to_string
-        (Sequence.iterate_re ~jobs (MF.maximal_matching ~delta:3) ~steps:2))
-    (fun a b -> a = b)
+      let results =
+        Zero_round.decide_batch ~jobs support (Zero_round.two_label_problems ())
+      in
+      let wall = Int64.sub (Telemetry.now_ns ()) t0 in
+      (match !baseline with
+      | None ->
+          baseline := Some results;
+          base_wall := wall
+      | Some b ->
+          if b <> results then
+            failwith
+              (Printf.sprintf "E-SCALE: decide_batch at jobs=%d differs from sequential" jobs));
+      Format.printf "  %4d %12s %8s@." jobs
+        (Format.asprintf "%a" Telemetry.pp_duration wall)
+        (if jobs = 1 then "1.00x"
+         else
+           Printf.sprintf "%.2fx"
+             (Int64.to_float !base_wall /. Int64.to_float (Int64.max 1L wall))))
+    [ 1; 2; 4 ];
+  Format.printf "  results identical across widths: true@."
 
 (* ------------------------------------------------------------------ *)
 (* Experiment registry, machine-readable output, and the driver.
@@ -956,8 +937,7 @@ let all_experiments =
       "Lemma B.1, executable: one round elimination step on algorithms",
       e_b1 );
     ( "E-SCALE",
-      "Threads scaling of the real kernels: E-LIFT decide_batch and E-SEQ \
-       iterate_re at widths 1/2/4",
+      "Threads scaling of the parallel kernel: E-LIFT decide_batch at widths 1/2/4",
       e_scale );
   ]
 

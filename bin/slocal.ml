@@ -83,17 +83,6 @@ let progress_flag =
           "Emit throttled [progress] heartbeat lines to stderr even when \
            stderr is not a TTY (on a TTY the heartbeat is on by default).")
 
-let jobs_opt =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Fan the command's independent kernel work out over $(docv) OCaml \
-           domains (default 1 = sequential).  The report is byte-identical \
-           for every $(docv) (DESIGN.md §9); only the wall time, the \
-           schedule recorded in a --trace file, and the par.* counters \
-           change.")
-
 (* Observability wrapper around every kernel-facing subcommand: opens
    the run-ledger context (one slocal.run/1 record per invocation,
    regardless of flags), installs the requested trace sink, arms the
@@ -216,9 +205,9 @@ let re_cmd =
   let steps =
     Arg.(value & opt int 1 & info [ "steps"; "k" ] ~doc:"Number of RE steps.")
   in
-  let run spec steps kernel jobs obs =
+  let run spec steps kernel obs =
     with_obs ~cmd:"re" ~kernel obs @@ fun () ->
-    let r = Ops.re ~jobs ~kernel ~steps (parse_problem spec) in
+    let r = Ops.re ~kernel ~steps (parse_problem spec) in
     List.iteri
       (fun i p ->
         if i > 0 then Format.printf "@.--- after RE step %d ---@." i;
@@ -229,8 +218,7 @@ let re_cmd =
   in
   Cmd.v
     (Cmd.info "re" ~doc:"Apply round elimination steps")
-    Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ obs_term)
+    Term.(const run $ problem_arg $ steps $ kernel_opt $ obs_term)
 
 let lift_cmd =
   let delta =
@@ -266,19 +254,7 @@ let solve_cmd =
   let budget =
     Arg.(value & opt int 20_000_000 & info [ "budget" ] ~doc:"Search node budget.")
   in
-  let portfolio_opt =
-    Arg.(
-      value & opt int 1
-      & info [ "portfolio" ] ~docv:"K"
-          ~doc:
-            "Race $(docv) search starts with diverse variable orderings \
-             (start 0 is the default BFS ordering) over the --jobs pool; \
-             the reported verdict is that of the lowest-indexed decisive \
-             start — deterministic for each $(docv), whatever the width or \
-             schedule (DESIGN.md §9).  Per-start node statistics are \
-             schedule-dependent, so the effort lines are omitted.")
-  in
-  let run spec gspec lift_flag budget jobs portfolio obs =
+  let run spec gspec lift_flag budget obs =
     with_obs ~cmd:"solve" obs @@ fun () ->
     let p = parse_problem spec in
     let g = parse_graph gspec in
@@ -290,46 +266,27 @@ let solve_cmd =
     (match Girth.girth (Bipartite.graph g) with
     | None -> Format.printf "support: n=%d acyclic@." (Bipartite.n g)
     | Some girth -> Format.printf "support: n=%d girth=%d@." (Bipartite.n g) girth);
-    let r = Ops.solve ~max_nodes:budget ~jobs ~starts:portfolio g problem in
-    (* A portfolio prints only schedule-independent facts: the verdict,
-       the checker bit and the winning start index.  Its aggregate
-       effort counters depend on cancellation timing and stay out of
-       stdout (they still reach --metrics/--trace). *)
-    (match (r.Ops.outcome, r.Ops.stats) with
-    | Solver.Solution s, stats ->
-        Format.printf "SOLVABLE (checker: %b%s)@."
-          (Checker.is_solution g problem s)
-          (if stats <> None then ""
-           else
-             Printf.sprintf "; portfolio start %d of %d"
-               (Option.value r.Ops.start ~default:(-1))
-               portfolio)
-    | Solver.No_solution, Some _ -> Format.printf "NO SOLUTION@."
-    | Solver.No_solution, None ->
-        Format.printf "NO SOLUTION (portfolio of %d starts)@." portfolio
-    | Solver.Budget_exceeded, Some _ -> Format.printf "UNDECIDED (budget)@."
-    | Solver.Budget_exceeded, None ->
-        Format.printf "UNDECIDED (budget; portfolio of %d starts)@." portfolio);
-    Option.iter
-      (fun st ->
-        Format.printf
-          "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
-          st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
-        if st.Solver.budget_exhausted then
-          Format.printf
-            "budget of %d nodes was the limiting factor; raise --budget to \
-             decide@."
-            st.Solver.max_nodes
-        else
-          Format.printf "budget: %d of %d nodes used (not limiting)@."
-            st.Solver.nodes st.Solver.max_nodes)
-      r.Ops.stats
+    let r = Ops.solve ~max_nodes:budget g problem in
+    (match r.Ops.outcome with
+    | Solver.Solution s ->
+        Format.printf "SOLVABLE (checker: %b)@." (Checker.is_solution g problem s)
+    | Solver.No_solution -> Format.printf "NO SOLUTION@."
+    | Solver.Budget_exceeded -> Format.printf "UNDECIDED (budget)@.");
+    let st = r.Ops.stats in
+    Format.printf "search effort: %d nodes, %d backtracks, %d forward-checking prunes@."
+      st.Solver.nodes st.Solver.backtracks st.Solver.fc_prunes;
+    if st.Solver.budget_exhausted then
+      Format.printf
+        "budget of %d nodes was the limiting factor; raise --budget to decide@."
+        st.Solver.max_nodes
+    else
+      Format.printf "budget: %d of %d nodes used (not limiting)@." st.Solver.nodes
+        st.Solver.max_nodes
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Decide bipartite solvability on a concrete graph")
     Term.(
-      const run $ problem_arg $ graph_arg 1 $ lift_flag $ budget $ jobs_opt
-      $ portfolio_opt $ obs_term)
+      const run $ problem_arg $ graph_arg 1 $ lift_flag $ budget $ obs_term)
 
 let bounds_cmd =
   let n = Arg.(value & opt float 1e9 & info [ "n" ] ~doc:"Number of nodes.") in
@@ -383,12 +340,9 @@ let sequence_cmd =
   let steps =
     Arg.(value & opt int 2 & info [ "steps"; "k" ] ~doc:"Number of RE iterations.")
   in
-  let run spec steps kernel jobs obs =
+  let run spec steps kernel obs =
     with_obs ~cmd:"sequence" ~kernel obs @@ fun () ->
-    let r =
-      Ops.sequence ~jobs ~kernel ~max_nodes:5_000_000 ~steps
-        (parse_problem spec)
-    in
+    let r = Ops.sequence ~kernel ~max_nodes:5_000_000 ~steps (parse_problem spec) in
     List.iteri
       (fun i q ->
         Format.printf "Π_%d: %d labels, %d white / %d black configurations@." i
@@ -409,8 +363,7 @@ let sequence_cmd =
   Cmd.v
     (Cmd.info "sequence"
        ~doc:"Iterate RE and machine-check the lower-bound sequence")
-    Term.(
-      const run $ problem_arg $ steps $ kernel_opt $ jobs_opt $ obs_term)
+    Term.(const run $ problem_arg $ steps $ kernel_opt $ obs_term)
 
 let stats_cmd =
   let graph_opt =
@@ -466,9 +419,7 @@ let stats_cmd =
           let g = parse_graph gs in
           let l = Core.Zero_round.lift_of_support g p in
           let r = Ops.solve ~max_nodes:budget g l.Core.Lift.problem in
-          let nodes =
-            match r.Ops.stats with Some st -> st.Solver.nodes | None -> 0
-          in
+          let nodes = r.Ops.stats.Solver.nodes in
           let verdict =
             yes_no
               (match r.Ops.outcome with
@@ -797,8 +748,20 @@ let sweep_cmd =
              (List.map (Alphabet.name alphabet) (Slocal_util.Multiset.to_list m)))
          (Constr.configs c))
   in
+  let jobs_opt =
+    Arg.(
+      value & opt int 1
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Fan the per-problem decisions out over $(docv) OCaml domains \
+             (default 1 = sequential; below 1 is a usage error).  The report \
+             is byte-identical for every $(docv) (DESIGN.md §9); only the wall \
+             time, the schedule recorded in a --trace file, and the par.* \
+             counters change.")
+  in
   let run gspec jobs budget obs =
     with_obs ~cmd:"sweep" obs @@ fun () ->
+    if jobs < 1 then invalid_arg (Printf.sprintf "--jobs must be at least 1, got %d" jobs);
     let g = parse_graph gspec in
     let problems = Core.Zero_round.two_label_problems () in
     let results =
@@ -834,8 +797,7 @@ let sweep_cmd =
        ~doc:
          "Decide 0-round solvability for the whole two-label problem space \
           on one support, optionally in parallel (--jobs)")
-    Term.(
-      const run $ graph_arg 0 $ jobs_opt $ budget $ obs_term)
+    Term.(const run $ graph_arg 0 $ jobs_opt $ budget $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis: lint and audit.  Exit-code contract (documented in
@@ -1012,12 +974,10 @@ let audit_cmd =
              ~doc:"Search-node budget for the independent unsolvability \
                    re-search (0 disables).")
   in
-  let run spec gspec k budget recheck_budget jobs machine obs =
+  let run spec gspec k budget recheck_budget machine obs =
     with_obs ~cmd:"audit" obs @@ fun () ->
     let p = parse_problem spec in
-    let r =
-      Ops.audit ~max_nodes:budget ~recheck_budget ~jobs ~k (parse_graph gspec) p
-    in
+    let r = Ops.audit ~max_nodes:budget ~recheck_budget ~k (parse_graph gspec) p in
     Format.printf "%a@." Core.Framework.pp_result r.Ops.analysis;
     report_and_exit ~machine r.Ops.diagnostics
   in
@@ -1026,7 +986,7 @@ let audit_cmd =
        ~doc:"Run the Theorem 3.4 pipeline and re-validate the resulting \
              certificate")
     Term.(const run $ problem_arg $ graph_arg 1 $ k $ budget $ recheck_budget
-          $ jobs_opt $ machine_flag $ obs_term)
+          $ machine_flag $ obs_term)
 
 let gen_cmd =
   let n = Arg.(value & opt int 50 & info [ "n" ] ~doc:"Target node count.") in
@@ -1329,19 +1289,18 @@ let serve_cmd =
             "Emit throttled [serve] heartbeat lines (uptime, requests \
              served, RE-cache hit rate) to stderr.")
   in
-  let run socket jobs record heartbeat trace metrics openmetrics =
+  let run socket record heartbeat trace metrics openmetrics =
     with_telemetry ~cmd:"serve" trace metrics openmetrics @@ fun () ->
     let config =
       {
-        Serve.jobs;
-        record;
+        Serve.record;
         heartbeat = (if heartbeat then Some stderr else None);
         heartbeat_interval_ns =
           Serve.default_config.Serve.heartbeat_interval_ns;
       }
     in
     let st = Serve.create ~config () in
-    Format.eprintf "serve: listening on %s (jobs=%d)@." socket jobs;
+    Format.eprintf "serve: listening on %s@." socket;
     Serve.serve ~socket st;
     Format.eprintf "serve: shut down after %d request(s) (%d error(s))@."
       (Serve.served st) (Serve.errored st)
@@ -1352,7 +1311,7 @@ let serve_cmd =
          "Serve re/sequence/solve/audit requests over a Unix socket, with a \
           warm RE cache and per-request observability")
     Term.(
-      const run $ socket_opt $ jobs_opt $ record_opt $ heartbeat_flag
+      const run $ socket_opt $ record_opt $ heartbeat_flag
       $ trace_opt $ metrics_flag $ openmetrics_opt)
 
 let client_cmd =

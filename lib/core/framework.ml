@@ -14,27 +14,17 @@ type result = {
   det_rounds : int option;
 }
 
-(* With [jobs > 1] the certificate solve runs as a multi-start
-   portfolio (one start per job) — same reported outcome for every
-   width (DESIGN.md §9), the schedule only affects wall time. *)
-let solve_certificate ?max_nodes ~jobs bip problem =
-  let outcome =
-    if jobs > 1 then
-      fst (Solver.solve_portfolio ?max_nodes ~starts:jobs ~jobs bip problem)
-    else Solver.solve ?max_nodes bip problem
-  in
-  match outcome with
+let solve_certificate ?max_nodes bip problem =
+  match Solver.solve ?max_nodes bip problem with
   | Solver.Solution s -> Solvable s
   | Solver.No_solution -> Unsolvable_by_search
   | Solver.Budget_exceeded -> Undecided
 
-let analyze ?max_nodes ?(jobs = 1) support ~last_problem ~k =
+let analyze ?max_nodes support ~last_problem ~k =
   let lift = Zero_round.lift_of_support support last_problem in
   let g = Bipartite.graph support in
   let girth = Girth.girth g in
-  let certificate =
-    solve_certificate ?max_nodes ~jobs support lift.Lift.problem
-  in
+  let certificate = solve_certificate ?max_nodes support lift.Lift.problem in
   let det_rounds =
     match (certificate, girth) with
     | Unsolvable_by_search, Some girth ->
@@ -46,13 +36,11 @@ let analyze ?max_nodes ?(jobs = 1) support ~last_problem ~k =
   in
   { support_nodes = Graph.n g; girth; lift; certificate; det_rounds }
 
-let analyze_hypergraph ?max_nodes ?(jobs = 1) h ~last_problem ~k =
+let analyze_hypergraph ?max_nodes h ~last_problem ~k =
   let lift = Zero_round.lift_of_hypergraph h last_problem in
   let girth = Hypergraph.girth h in
   let incidence = Hypergraph.incidence h in
-  let certificate =
-    solve_certificate ?max_nodes ~jobs incidence lift.Lift.problem
-  in
+  let certificate = solve_certificate ?max_nodes incidence lift.Lift.problem in
   let det_rounds =
     match (certificate, girth) with
     | Unsolvable_by_search, Some girth ->

@@ -30,24 +30,16 @@ type result = {
 
 val analyze :
   ?max_nodes:int ->
-  ?jobs:int ->
   Bipartite.t ->
   last_problem:Problem.t ->
   k:int ->
   result
 (** [last_problem] is [Π_k] (or a relaxation of it); [k] the sequence
-    length.  The support must be biregular.  [jobs > 1] (default 1)
-    runs the certificate solve as a [jobs]-start portfolio
-    ({!Slocal_model.Solver.solve_portfolio}): deterministic for each
-    [jobs] value; whenever start 0 — the default ordering, i.e. the
-    sequential solve — decides within budget, the certificate is
-    identical to [jobs = 1], and extra starts can only upgrade an
-    [Undecided] into a decision.
+    length.  The support must be biregular.
     @raise Invalid_argument if the support is not biregular. *)
 
 val analyze_hypergraph :
   ?max_nodes:int ->
-  ?jobs:int ->
   Hypergraph.t ->
   last_problem:Problem.t ->
   k:int ->

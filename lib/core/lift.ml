@@ -91,10 +91,6 @@ let lift ~delta ~r (base : Problem.t) =
   in
   { base; problem; meaning; delta; r }
 
-let lift_many ?(jobs = 1) ~delta ~r bases =
-  Telemetry.span "lift.lift_many" @@ fun () ->
-  Slocal_obs.Pool.map ~jobs (fun base -> lift ~delta ~r base) bases
-
 let label_of_set t set =
   let found = ref None in
   Array.iteri

@@ -31,16 +31,6 @@ val lift : delta:int -> r:int -> Problem.t -> t
 (** @raise Invalid_argument if [delta < d_white base] or
     [r < d_black base]. *)
 
-val lift_many : ?jobs:int -> delta:int -> r:int -> Problem.t list -> t list
-(** {!lift} over independent base problems, fanned out over [jobs]
-    domains (default 1 = sequential) of an {!Slocal_obs.Pool}.  Each
-    base problem — and therefore each set of constraint memo tables —
-    is owned by exactly one task, and results return in input order:
-    the output is identical for every width.  The [lift.labels] /
-    [lift.*_configs] gauges merge by {e max} across domains
-    (DESIGN.md §6), so under [jobs > 1] they report the largest lift
-    of the batch rather than the last. *)
-
 val label_of_set : t -> Slocal_util.Bitset.t -> int option
 (** The lift label denoting a given base label-set, if it is one of the
     (right-closed, non-empty) lift labels. *)

@@ -42,7 +42,7 @@ let solvable_non_bipartite ?max_nodes h problem =
   Solver.solvable ?max_nodes (Hypergraph.incidence h) l.Lift.problem
 
 (* ------------------------------------------------------------------ *)
-(* Batch decision over independent instances — the pilot parallel
+(* Batch decision over independent instances — the one parallel
    workload.  Each problem (with its on-demand constraint memo tables)
    belongs to exactly one task, and the support graph is immutable, so
    the tasks share no mutable state and a pool fan-out is safe; the

@@ -44,7 +44,9 @@ val lift_of_hypergraph : Hypergraph.t -> Problem.t -> Lift.t
 (** {1 Batch decision}
 
     Independent per-instance decisions fanned out over an
-    {!Slocal_obs.Pool} of OCaml domains.  Each [Problem.t] (whose
+    {!Slocal_obs.Pool} of OCaml domains — the one parallel kernel of
+    the library, behind [slocal sweep --jobs] and the E-SCALE bench
+    rows (DESIGN.md §9).  Each [Problem.t] (whose
     constraint memo tables fill on demand) is owned by exactly one
     task and the support graph is immutable, so the tasks share no
     mutable state; results come back in input order, byte-identical
@@ -69,9 +71,11 @@ val decide_batch :
     with the exhaustive 0-round search
     ({!Slocal_model.Zero_round_search.exists_algorithm}, with
     [d_in_white]/[d_in_black] taken from each problem's arities) —
-    fanned out over [jobs] domains (default 1 = sequential).  This is
-    the full E-LIFT agreement workload; for every width the result list
-    is identical to [jobs = 1]. *)
+    fanned out over [jobs] domains (default 1 = sequential; a
+    [jobs <= 1] run spawns nothing).  This is the full E-LIFT agreement
+    workload; for every width the result list is identical to
+    [jobs = 1].  A [decide_batch] issued from inside another pool task
+    runs sequentially (the pool's nested-run degradation). *)
 
 val algorithm_of_lift_solution :
   Lift.t -> Bipartite.t -> int array -> Supported.white_algorithm

@@ -2,7 +2,6 @@ module Bitset = Slocal_util.Bitset
 module Multiset = Slocal_util.Multiset
 module Config_key = Slocal_util.Config_key
 module Telemetry = Slocal_obs.Telemetry
-module Pool = Slocal_obs.Pool
 
 type grounding = {
   problem : Problem.t;
@@ -93,22 +92,8 @@ let match_up_subset a b =
 
    Visited configurations count into [re.enum_nodes] — the same
    budget the bottom-up enumeration used — so kernel comparisons are
-   apples-to-apples.
-
-   With [jobs > 1] the descent runs as a breadth-first wave sweep:
-   the coordinator keeps the [visited] dedup table and the [shrink]
-   memo to itself, and fans each wave's [violating_choice]
-   evaluations — the expensive part, all memoized constraint
-   queries — out over the pool as independent tasks with
-   index-addressed result slots.  The visited closure is the same set
-   as the depth-first walk's (the expansion rule per node is
-   identical and the closure is order-independent), so
-   [re.enum_nodes] is exact; the constraint memo totals are exact
-   because {!Constr} holds its memo lock across lookup+compute+store
-   while a pool region is open; and the final
-   cardinality-sweep-plus-sort below is order-independent, so the
-   output is byte-identical to [jobs = 1]. *)
-let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
+   apples-to-apples. *)
+let maximal_good_configs ~candidates ~arity constr =
   let cands = Array.of_list candidates in
   let k = Array.length cands in
   if k = 0 then []
@@ -199,8 +184,7 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
     let nodes = ref 0 in
     (* Children of a non-good cfg under a violating witness: for each
        witness position, the replacements of that position by a
-       ⊆-maximal candidate subset excluding the witness label.
-       Shared by the depth-first walk and the wave sweep. *)
+       ⊆-maximal candidate subset excluding the witness label. *)
     let children cfg witness =
       let positions = Multiset.to_list cfg in
       List.concat_map
@@ -211,21 +195,16 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
         witness
     in
     (* First visit of a config: dedup through [visited], count the
-       node.  Coordinator-only state in both modes. *)
-    let first_visit cfg =
+       node, expand it. *)
+    let rec visit cfg =
       let kk = key cfg in
-      if Config_key.Tbl.mem visited kk then false
-      else begin
+      if not (Config_key.Tbl.mem visited kk) then begin
         Config_key.Tbl.add visited kk ();
         incr nodes;
-        true
-      end
-    in
-    let rec visit cfg =
-      if first_visit cfg then
         match violating_choice cfg with
         | None -> frontier := cfg :: !frontier
         | Some witness -> List.iter visit (children cfg witness)
+      end
     in
     (* Top configurations: all size-[arity] multisets of ⊆-maximal
        candidates (a single one when the universe is a candidate, as
@@ -241,31 +220,7 @@ let maximal_good_configs ?(jobs = 1) ~candidates ~arity constr =
         done
     in
     top_configs 0 [] 0;
-    if jobs <= 1 then List.iter visit (List.rev !top_list)
-    else begin
-      (* Wave sweep: the coordinator dedups and expands, the pool
-         evaluates each wave's violating choices in parallel.  The
-         union of the waves is exactly the depth-first closure. *)
-      let wave = ref (List.filter first_visit (List.rev !top_list)) in
-      while !wave <> [] do
-        let arr = Array.of_list !wave in
-        let verdicts =
-          Pool.run ~jobs (Array.length arr) (fun i -> violating_choice arr.(i))
-        in
-        let next = ref [] in
-        Array.iteri
-          (fun i verdict ->
-            match verdict with
-            | None -> frontier := arr.(i) :: !frontier
-            | Some witness ->
-                List.iter
-                  (fun child ->
-                    if first_visit child then next := child :: !next)
-                  (children arr.(i) witness))
-          verdicts;
-        wave := List.rev !next
-      done
-    end;
+    List.iter visit (List.rev !top_list);
     Telemetry.add c_enum_nodes !nodes;
     let card = Array.map Bitset.cardinal cands in
     let total cfg =
@@ -319,7 +274,7 @@ let check_universe ~op (p : Problem.t) =
 (* Core of R: maximality on [strong] side, existence on [weak] side.
    [strong_constr] keeps its arity; new labels are the sets appearing
    in the maximal good configurations. *)
-let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
+let r_core ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.span "re.step" @@ fun () ->
   Telemetry.incr c_steps;
   let diagram =
@@ -329,7 +284,7 @@ let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
      configuration is dominated by its position-wise right closure). *)
   let candidates = Diagram.right_closed_sets diagram in
   let strong_configs =
-    maximal_good_configs ~jobs ~candidates ~arity:(Constr.arity strong_constr)
+    maximal_good_configs ~candidates ~arity:(Constr.arity strong_constr)
       strong_constr
   in
   if strong_configs = [] then
@@ -366,34 +321,34 @@ let r_core ~jobs ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.set g_weak_configs (List.length weak_configs);
   (name, alphabet', strong', weak', meaning)
 
-let r_black_fast ?(jobs = 1) (p : Problem.t) =
+let r_black_fast (p : Problem.t) =
   check_universe ~op:"R" p;
   let name, alphabet, black, white, meaning =
-    r_core ~jobs ~name:("R(" ^ p.Problem.name ^ ")")
+    r_core ~name:("R(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.black
       ~weak_constr:p.Problem.white
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
-let r_white_fast ?(jobs = 1) (p : Problem.t) =
+let r_white_fast (p : Problem.t) =
   check_universe ~op:"R̄" p;
   let name, alphabet, white, black, meaning =
-    r_core ~jobs ~name:("R̄(" ^ p.Problem.name ^ ")")
+    r_core ~name:("R̄(" ^ p.Problem.name ^ ")")
       ~alphabet:p.Problem.alphabet ~strong_constr:p.Problem.white
       ~weak_constr:p.Problem.black
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
-let r_black ?(jobs = 1) p =
+let r_black p =
   match !kernel with
-  | Fast -> r_black_fast ~jobs p
+  | Fast -> r_black_fast p
   | Reference ->
       let problem, meaning = Re_reference.r_black p in
       { problem; meaning }
 
-let r_white ?(jobs = 1) p =
+let r_white p =
   match !kernel with
-  | Fast -> r_white_fast ~jobs p
+  | Fast -> r_white_fast p
   | Reference ->
       let problem, meaning = Re_reference.r_white p in
       { problem; meaning }
@@ -446,17 +401,17 @@ let clear_cache () =
   Telemetry.zero c_cache_hits;
   Telemetry.zero c_cache_misses
 
-let re_fast ?jobs p =
-  let step1 = r_black_fast ?jobs p in
-  let step2 = r_white_fast ?jobs step1.problem in
+let re_fast p =
+  let step1 = r_black_fast p in
+  let step2 = r_white_fast step1.problem in
   step2.problem
 
-let re ?(cache = true) ?jobs p =
+let re ?(cache = true) p =
   check_universe ~op:"RE" p;
   let renamed result = Problem.rename result ("RE(" ^ p.Problem.name ^ ")") in
   match !kernel with
   | Reference -> Re_reference.re p
-  | Fast when not cache -> renamed (re_fast ?jobs p)
+  | Fast when not cache -> renamed (re_fast p)
   | Fast ->
       let h = Problem.canonical_hash p in
       let hit =
@@ -473,7 +428,7 @@ let re ?(cache = true) ?jobs p =
       (match hit with
       | Some (_, result) -> renamed result
       | None ->
-          let result = re_fast ?jobs p in
+          let result = re_fast p in
           (locked @@ fun () ->
            if !result_cache_entries >= max_result_cache_entries then begin
              Hashtbl.reset result_cache;

@@ -46,26 +46,23 @@ val set_kernel : kernel -> unit
 
 val current_kernel : unit -> kernel
 
-val r_black : ?jobs:int -> Problem.t -> grounding
+val r_black : Problem.t -> grounding
 (** The operator [R]: maximality on the black side, existence on the
-    white side.  [jobs > 1] fans the fast kernel's lattice descent
-    out over an {!Slocal_obs.Pool} (see {!maximal_good_configs});
-    output and counter totals are identical to [jobs = 1].  The
-    reference kernel ignores [jobs]. *)
+    white side. *)
 
-val r_white : ?jobs:int -> Problem.t -> grounding
+val r_white : Problem.t -> grounding
 (** The operator [R̄]: maximality on the white side, existence on the
-    black side.  [jobs] as in {!r_black}. *)
+    black side. *)
 
-val re : ?cache:bool -> ?jobs:int -> Problem.t -> Problem.t
+val re : ?cache:bool -> Problem.t -> Problem.t
 (** [RE(Π) = R̄(R(Π))], with fresh atomic labels.  With the fast
     kernel, results are cached across invocations (hits require
     structural {!Problem.equal}; buckets use
     {!Problem.canonical_hash}; [re.cache_hits]/[re.cache_misses]
     count both outcomes).  Pass [~cache:false] to force a full
-    recomputation (benchmarks).  [jobs > 1] parallelizes the two
-    lattice descents (fast kernel only) with byte-identical output
-    and exact counter totals — DESIGN.md §9.
+    recomputation (benchmarks).  Safe to call from concurrent
+    {!Slocal_obs.Pool} tasks: the cache and the constraint memos are
+    locked while a pool region is open.
     @raise Invalid_argument, naming the problem, its label count and
     the limit, when [Π] or [R(Π)] has more than [Bitset.max_universe]
     labels. *)
@@ -98,7 +95,6 @@ val set_name : Alphabet.t -> Slocal_util.Bitset.t -> string
     member names, ⟨a,b,…⟩ otherwise). *)
 
 val maximal_good_configs :
-  ?jobs:int ->
   candidates:Slocal_util.Bitset.t list ->
   arity:int ->
   Constr.t ->
@@ -108,8 +104,4 @@ val maximal_good_configs :
     constraint — computed by the fast top-down lattice search
     regardless of {!set_kernel} (the reference implementation lives in
     {!Re_reference.maximal_good_configs}).  Visited lattice nodes
-    count into [re.enum_nodes].  [jobs > 1] (default 1) evaluates the
-    per-configuration violating-choice tests wave by wave over an
-    {!Slocal_obs.Pool}: the visited closure, the output and the
-    [re.enum_nodes]/[constr.memo_*] totals are identical to the
-    sequential descent (DESIGN.md §9). *)
+    count into [re.enum_nodes]. *)

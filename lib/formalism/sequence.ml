@@ -36,14 +36,14 @@ let emit_provenance ~index ~wall_ns ~cache_hits ~cache_misses (p : Problem.t) =
     Telemetry.emit_counters ()
   end
 
-let check ?max_nodes ?jobs problems =
+let check ?max_nodes problems =
   Telemetry.span "sequence.check" @@ fun () ->
   let rec go index = function
     | p :: (q :: _ as rest) ->
         Telemetry.incr c_checks;
         let verified =
           Telemetry.span "sequence.check_step" (fun () ->
-              Relaxation.exists ?max_nodes (Re_step.re ?jobs p) q)
+              Relaxation.exists ?max_nodes (Re_step.re p) q)
         in
         { index; verified } :: go (index + 1) rest
     | [ _ ] | [] -> []
@@ -55,10 +55,10 @@ let verdict steps =
   else if List.exists (fun s -> s.verified = None) steps then None
   else Some true
 
-let is_lower_bound_sequence ?max_nodes ?jobs problems =
-  verdict (check ?max_nodes ?jobs problems)
+let is_lower_bound_sequence ?max_nodes problems =
+  verdict (check ?max_nodes problems)
 
-let iterate_re ?jobs p ~steps =
+let iterate_re p ~steps =
   Telemetry.span "sequence.iterate_re" @@ fun () ->
   emit_provenance ~index:0 ~wall_ns:0 ~cache_hits:0 ~cache_misses:0 p;
   Progress.start ~total:steps "sequence.iterate_re";
@@ -72,7 +72,7 @@ let iterate_re ?jobs p ~steps =
       let h0 = Telemetry.value c_re_hits
       and m0 = Telemetry.value c_re_misses in
       let t0 = Telemetry.now_ns () in
-      let q = Telemetry.span "sequence.step" (fun () -> Re_step.re ?jobs p) in
+      let q = Telemetry.span "sequence.step" (fun () -> Re_step.re p) in
       let wall_ns = Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0) in
       emit_provenance
         ~index:(steps - i + 1)

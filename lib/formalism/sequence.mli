@@ -31,25 +31,20 @@ type step = {
           [None]: search budget exhausted. *)
 }
 
-val check : ?max_nodes:int -> ?jobs:int -> Problem.t list -> step list
+val check : ?max_nodes:int -> Problem.t list -> step list
 (** Verify every consecutive step of a candidate sequence.  An empty or
-    singleton list yields no steps.  [jobs] is passed to the RE step
-    of each check ({!Re_step.re}); the verdicts are identical for
-    every width. *)
+    singleton list yields no steps. *)
 
 val verdict : step list -> bool option
 (** [Some true] iff every step verifies; [Some false] if some step is
     refuted; [None] if undecided within budget. *)
 
-val is_lower_bound_sequence :
-  ?max_nodes:int -> ?jobs:int -> Problem.t list -> bool option
+val is_lower_bound_sequence : ?max_nodes:int -> Problem.t list -> bool option
 (** [verdict (check problems)]. *)
 
-val iterate_re : ?jobs:int -> Problem.t -> steps:int -> Problem.t list
+val iterate_re : Problem.t -> steps:int -> Problem.t list
 (** [Π, RE(Π), RE²(Π), …] — always a lower-bound sequence (each problem
-    trivially relaxes itself, and is exactly [RE] of its predecessor).
-    [jobs > 1] parallelizes each RE step's lattice descents
-    ({!Re_step.re}); the sequence is byte-identical for every width. *)
+    trivially relaxes itself, and is exactly [RE] of its predecessor). *)
 
 val constant : Problem.t -> k:int -> Problem.t list
 (** The fixed-point sequence [Π, Π, …, Π] of length [k+1]: a

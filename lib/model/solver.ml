@@ -1,9 +1,7 @@
 open Slocal_graph
 open Slocal_formalism
 module Multiset = Slocal_util.Multiset
-module Prng = Slocal_util.Prng
 module Telemetry = Slocal_obs.Telemetry
-module Pool = Slocal_obs.Pool
 
 type outcome =
   | Solution of int array
@@ -20,7 +18,6 @@ type stats = {
 
 exception Budget
 exception Found
-exception Aborted
 
 let c_solves = Telemetry.counter "solver.solves"
 let c_nodes = Telemetry.counter "solver.nodes"
@@ -28,7 +25,6 @@ let c_backtracks = Telemetry.counter "solver.backtracks"
 let c_prunes = Telemetry.counter "solver.fc_prunes"
 let c_budget = Telemetry.counter "solver.budget_exhausted"
 let c_solutions = Telemetry.counter "solver.solutions"
-let c_portfolio_starts = Telemetry.counter "solver.portfolio_starts"
 
 (* Edge ordering: BFS over the graph so that consecutive variables
    share nodes and pruning bites early. *)
@@ -61,20 +57,15 @@ let edge_order g =
   done;
   Array.of_list (List.rev !order)
 
-let no_abort () = false
-
 (* The raw search.  Effort is accumulated into the caller's local
    refs (not the global telemetry counters) so the innermost loop
    costs exactly what it did before instrumentation; callers flush the
-   totals into the global counters once per solve.  [order] is the
-   variable (edge) ordering — {!edge_order} for the plain entry
-   points, a seeded permutation per portfolio start.  [should_abort]
-   is polled every 256 nodes (one masked test, same pattern as the
-   heartbeat); the portfolio uses it to cancel losing starts. *)
-let search_raw ~max_nodes ~forward_checking ~order ~should_abort ~nodes
+   totals into the global counters once per solve. *)
+let search_raw ~max_nodes ~forward_checking ~nodes
     ~backtracks ~prunes ~on_solution bip (p : Problem.t) =
   let g = Bipartite.graph bip in
   let m = Graph.m g in
+  let order = edge_order g in
   let sigma = Alphabet.size p.Problem.alphabet in
   let dw = Problem.d_white p and db = Problem.d_black p in
   let constr_of v =
@@ -89,7 +80,6 @@ let search_raw ~max_nodes ~forward_checking ~order ~should_abort ~nodes
   let rec assign i =
     incr nodes;
     if !nodes > max_nodes then raise Budget;
-    if !nodes land 0xFF = 0 && should_abort () then raise Aborted;
     (* Live heartbeat for interactive long solves: one cheap masked
        test per node, everything else behind [Progress]'s own
        activity/throttle checks. *)
@@ -128,15 +118,11 @@ let search_raw ~max_nodes ~forward_checking ~order ~should_abort ~nodes
   in
   assign 0
 
-(* Run [search_raw] with fresh effort accounting, translate the four
+(* Run [search_raw] with fresh effort accounting, translate the three
    exit paths through [on_exit], and flush the totals into the global
    telemetry counters exactly once. *)
-let instrumented ~max_nodes ~forward_checking ?order
-    ?(should_abort = no_abort) ~on_solution ~on_exit bip p =
+let instrumented ~max_nodes ~forward_checking ~on_solution ~on_exit bip p =
   Telemetry.incr c_solves;
-  let order =
-    match order with Some o -> o | None -> edge_order (Bipartite.graph bip)
-  in
   let nodes = ref 0 and backtracks = ref 0 and prunes = ref 0 in
   let finish outcome =
     Telemetry.add c_nodes !nodes;
@@ -153,15 +139,13 @@ let instrumented ~max_nodes ~forward_checking ?order
   in
   let exit_kind, st =
     match
-      search_raw ~max_nodes ~forward_checking ~order ~should_abort ~nodes
-        ~backtracks ~prunes ~on_solution bip p
+      search_raw ~max_nodes ~forward_checking ~nodes ~backtracks ~prunes ~on_solution bip p
     with
     | () -> finish `Exhausted
     | exception Found -> finish `Found
     | exception Budget ->
         Telemetry.incr c_budget;
         finish `Budget
-    | exception Aborted -> finish `Aborted
   in
   (on_exit exit_kind, st)
 
@@ -176,8 +160,7 @@ let solve_stats ?(max_nodes = 20_000_000) ?(forward_checking = true) bip p =
     ~on_exit:(fun exit_kind ->
       match exit_kind with
       | `Found | `Exhausted -> !result
-      | `Budget -> Budget_exceeded
-      | `Aborted -> assert false (* no abort hook on this path *))
+      | `Budget -> Budget_exceeded)
     bip p
 
 let solve ?max_nodes ?forward_checking bip p =
@@ -201,99 +184,8 @@ let count_solutions ?(max_nodes = 20_000_000) ?(limit = max_int) bip p =
        ~on_exit:(fun exit_kind ->
          match exit_kind with
          | `Found | `Exhausted -> Some !count
-         | `Budget -> None
-         | `Aborted -> assert false (* no abort hook on this path *))
+         | `Budget -> None)
        bip p)
 
 let solve_non_bipartite ?max_nodes h p =
   solve ?max_nodes (Hypergraph.incidence h) p
-
-(* ------------------------------------------------------------------ *)
-(* Multi-start portfolio (DESIGN.md §9).  [starts] searches of the
-   same instance differ only in their edge ordering: start 0 uses the
-   default BFS {!edge_order}, start [i > 0] a Fisher–Yates permutation
-   of it seeded by [i] alone — fully deterministic per start.  The
-   starts race over a pool; cancellation and reporting keep the
-   {e reported} result a pure function of the instance:
-
-   - a start that {e exhausts} its space (No_solution) proves the
-     instance unsolvable for every start, so it raises a global stop
-     flag — unclaimed starts are skipped and running ones abort at
-     the next poll.  The verdict needs no certificate, so it does not
-     matter which start got there first.
-   - a start that {e finds} a solution CAS-mins its index into
-     [decided], cancelling only {e higher} starts.  Lower starts run
-     to natural completion, so the winning index is the lowest start
-     whose uncancelled run is decisive — independent of the schedule
-     — and its solution (a deterministic function of its fixed
-     ordering) is the one reported.
-   - starts that exceed [max_nodes] report Budget_exceeded; if no
-     start decides, so does the portfolio.
-
-   Per-start effort still flushes into the [solver.*] counters, whose
-   totals under cancellation are schedule-dependent — the documented
-   carve-out; the reported outcome is not. *)
-
-let start_order g i =
-  let order = edge_order g in
-  if i = 0 then order
-  else begin
-    let rng = Prng.create (0x90f0110 + i) in
-    Prng.shuffle rng order;
-    order
-  end
-
-let solve_portfolio ?(max_nodes = 20_000_000) ?jobs ?stall ~starts bip p =
-  if starts < 1 then invalid_arg "Solver.solve_portfolio: starts < 1";
-  Telemetry.span "solver.portfolio" @@ fun () ->
-  Telemetry.add c_portfolio_starts starts;
-  let jobs = match jobs with Some j -> j | None -> starts in
-  let g = Bipartite.graph bip in
-  let decided = Atomic.make max_int in
-  let stop = Atomic.make false in
-  let run_start i =
-    (match stall with Some f -> f i | None -> ());
-    let should_abort () = Atomic.get stop || Atomic.get decided < i in
-    let result = ref No_solution in
-    let outcome_opt, _st =
-      instrumented ~max_nodes ~forward_checking:true ~order:(start_order g i)
-        ~should_abort
-        ~on_solution:(fun labeling ->
-          result := Solution (Array.copy labeling);
-          Telemetry.incr c_solutions;
-          raise Found)
-        ~on_exit:(fun exit_kind ->
-          match exit_kind with
-          | `Found ->
-              let rec cas_min () =
-                let d = Atomic.get decided in
-                if i < d && not (Atomic.compare_and_set decided d i) then
-                  cas_min ()
-              in
-              cas_min ();
-              Some !result
-          | `Exhausted ->
-              (* Unsolvable for every ordering: stop the whole pool. *)
-              Atomic.set stop true;
-              Some No_solution
-          | `Budget -> Some Budget_exceeded
-          | `Aborted -> None)
-        bip p
-    in
-    outcome_opt
-  in
-  let results = Pool.run_stoppable ~jobs ~stop starts run_start in
-  (* Deterministic report: scan in start-index order.  Starts below
-     the winner are never cancelled, so their slots deterministically
-     hold Budget_exceeded; aborted or skipped slots only exist when a
-     decisive verdict already stands. *)
-  let rec scan i =
-    if i >= starts then
-      if Atomic.get stop then (No_solution, None) else (Budget_exceeded, None)
-    else
-      match results.(i) with
-      | Some (Some (Solution _ as s)) -> (s, Some i)
-      | Some (Some No_solution) -> (No_solution, None)
-      | Some (Some Budget_exceeded) | Some None | None -> scan (i + 1)
-  in
-  scan 0

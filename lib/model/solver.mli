@@ -60,31 +60,3 @@ val solve_non_bipartite :
 (** Non-bipartite solving on a hypergraph, via its incidence graph.
     The returned labeling indexes the incidence-graph edges in the
     order produced by {!Slocal_graph.Hypergraph.incidence}. *)
-
-val solve_portfolio :
-  ?max_nodes:int ->
-  ?jobs:int ->
-  ?stall:(int -> unit) ->
-  starts:int ->
-  Bipartite.t ->
-  Problem.t ->
-  outcome * int option
-(** Multi-start portfolio search: [starts] copies of the search race
-    over an {!Slocal_obs.Pool}, differing only in their edge ordering
-    (start [0] is the default BFS order, start [i > 0] a permutation
-    seeded by [i] alone).  [jobs] is the pool width (default:
-    [starts]); every width, including [1], reports the same result.
-
-    The second component is the index of the winning start when the
-    outcome is a {!Solution}, and [None] otherwise.
-
-    {b Determinism contract} (DESIGN.md §9): the reported outcome is
-    the verdict of the {e lowest-indexed decisive start} — a pure
-    function of the instance, not of the schedule.  A solution found
-    by start [i] cancels only starts [> i] (lower starts run to
-    completion and may displace it); an exhausted search proves
-    [No_solution] for every ordering and stops all starts at once.
-    The [solver.*] effort counters under cancellation are
-    schedule-dependent (the documented carve-out); each start's abort
-    flag is polled every 256 nodes.  [stall] is a test hook, called
-    with the start index before that start begins searching. *)

@@ -358,7 +358,6 @@ type request_record = {
   rr_op : string;
   rr_problems : (string * int) list;
   rr_kernel : string option;
-  rr_jobs : int;
   rr_wall_ns : int;
   rr_alloc_b : int;
   rr_cache_hits : int;
@@ -377,7 +376,6 @@ let request_to_json r : Json.t =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.rr_problems) );
       ( "kernel",
         match r.rr_kernel with None -> Json.Null | Some k -> Json.String k );
-      ("jobs", Json.Int r.rr_jobs);
       ("wall_ns", Json.Int r.rr_wall_ns);
       ("alloc_b", Json.Int r.rr_alloc_b);
       ("cache_hits", Json.Int r.rr_cache_hits);
@@ -410,7 +408,6 @@ let request_of_json j : (request_record, string) result =
         rr_op;
         rr_problems;
         rr_kernel;
-        rr_jobs = opt_int "jobs";
         rr_wall_ns = opt_int "wall_ns";
         rr_alloc_b = opt_int "alloc_b";
         rr_cache_hits = opt_int "cache_hits";

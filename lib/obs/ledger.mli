@@ -106,10 +106,12 @@ val gc : path:string -> keep:int -> (int * int, string) result
 (** {1 Per-request records (schema [slocal.request/1])}
 
     [slocal serve --record FILE] appends one record per work request:
-    id, op, the problems it touched (canonical hashes), kernel and job
-    width, wall/allocation cost, the RE-cache hit/miss delta and the
-    request body — the durable, replayable per-request companion of
-    the per-run manifest above. *)
+    id, op, the problems it touched (canonical hashes), kernel,
+    wall/allocation cost, the RE-cache hit/miss delta and the request
+    body — the durable, replayable per-request companion of the
+    per-run manifest above.  The reader ignores unknown fields, so
+    older records that still carry a [jobs] worker width load as
+    well. *)
 
 type request_record = {
   rr_id : string;  (** Request id (unique within a daemon run). *)
@@ -118,7 +120,6 @@ type request_record = {
       (** [(name, canonical hash)] of every problem the request
           parsed. *)
   rr_kernel : string option;  (** Kernel mode the request ran under. *)
-  rr_jobs : int;  (** Worker width ([0] when the op never parallelizes). *)
   rr_wall_ns : int;
   rr_alloc_b : int;
       (** Coordinating-domain allocation over the request window. *)

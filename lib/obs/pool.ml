@@ -11,7 +11,6 @@ let c_submitted = Telemetry.counter "par.tasks_submitted"
 let c_completed = Telemetry.counter "par.tasks_completed"
 let c_stolen = Telemetry.counter "par.tasks_stolen"
 let c_merges = Telemetry.counter "par.merges"
-let c_cancelled = Telemetry.counter "par.tasks_cancelled"
 let c_nested = Telemetry.counter "par.nested_runs"
 let g_jobs = Telemetry.gauge "par.jobs"
 
@@ -24,10 +23,10 @@ let regions : int Atomic.t = Atomic.make 0 (* staticcheck: domain-safe parallel-
 let parallel_active () = Atomic.get regions > 0
 
 (* Set while the current domain is executing a pool task.  A nested
-   [run]/[run_stoppable] with [jobs > 1] from inside a task degrades
-   to the inline sequential path (counted in [par.nested_runs]):
-   spawning domains from a worker would nest joins inside the outer
-   run's merge point and oversubscribe the machine. *)
+   [run] with [jobs > 1] from inside a task degrades to the inline
+   sequential path (counted in [par.nested_runs]): spawning domains
+   from a worker would nest joins inside the outer run's merge point
+   and oversubscribe the machine. *)
 (* staticcheck: domain-safe per-domain nesting flag; DLS, never shared *)
 let in_task_key : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref false)
@@ -47,27 +46,18 @@ let effective_jobs jobs =
   end
   else jobs
 
-(* The shared core: evaluate tasks [0 .. n-1] into index-addressed
-   option slots, skipping tasks not yet claimed once [stop] reads
-   [true].  [stop = None] (the plain [run] entry) never skips. *)
-let run_opt ~jobs ?stop n f =
+let run ~jobs n f =
   if n < 0 then invalid_arg "Pool.run: negative task count";
   let jobs = effective_jobs jobs in
-  let stopped () = match stop with None -> false | Some s -> Atomic.get s in
   if n = 0 then [||]
   else if jobs <= 1 || n = 1 then begin
-    (* Today's sequential path: no spawn, no atomics on the task
-       index, results in order by construction. *)
+    (* The sequential path: no spawn, no atomics on the task index,
+       results in order by construction. *)
     Telemetry.add c_submitted n;
-    let results = Array.make n None in
-    let i = ref 0 in
-    while !i < n && not (stopped ()) do
-      results.(!i) <- Some (run_task f !i);
-      Telemetry.incr c_completed;
-      incr i
-    done;
-    Telemetry.add c_cancelled (n - !i);
-    results
+    Array.init n (fun i ->
+        let r = run_task f i in
+        Telemetry.incr c_completed;
+        r)
   end
   else begin
     let jobs = min jobs n in
@@ -81,28 +71,25 @@ let run_opt ~jobs ?stop n f =
       Telemetry.span "par.worker" @@ fun () ->
       let continue = ref true in
       while !continue do
-        if stopped () then continue := false
-        else begin
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else
-            match run_task f i with
-            | r ->
-                (* Distinct slots: no two workers ever write the same
-                   cell, and the joins below publish every write. *)
-                results.(i) <- Some r;
-                Telemetry.incr c_completed;
-                if not primary then Telemetry.incr c_stolen
-            | exception e ->
-                (* Remember the first failure; later tasks still run so
-                   the counters and the trace stay complete. *)
-                ignore (Atomic.compare_and_set failed None (Some e))
-        end
+        let i = Atomic.fetch_and_add next 1 in
+        if i >= n then continue := false
+        else
+          match run_task f i with
+          | r ->
+              (* Distinct slots: no two workers ever write the same
+                 cell, and the joins below publish every write. *)
+              results.(i) <- Some r;
+              Telemetry.incr c_completed;
+              if not primary then Telemetry.incr c_stolen
+          | exception e ->
+              (* Remember the first failure; later tasks still run so
+                 the counters and the trace stay complete. *)
+              ignore (Atomic.compare_and_set failed None (Some e))
       done
     in
     let finish () =
-      (* Each joined worker's shard is now merged into every snapshot
-         read; count the merges at the join point. *)
+      (* Each joined worker's shard is now read by every snapshot;
+         count the merges at the join point. *)
       Telemetry.add c_merges (jobs - 1);
       Atomic.decr regions
     in
@@ -124,19 +111,12 @@ let run_opt ~jobs ?stop n f =
     List.iter Domain.join spawned;
     finish ();
     (match Atomic.get failed with Some e -> raise e | None -> ());
-    let claimed = Array.fold_left (fun acc r -> if r = None then acc else acc + 1) 0 results in
-    Telemetry.add c_cancelled (n - claimed);
-    results
+    Array.map
+      (function
+        | Some r -> r
+        | None -> invalid_arg "Pool.run: task failed without a result")
+      results
   end
-
-let run ~jobs n f =
-  Array.map
-    (function
-      | Some r -> r
-      | None -> invalid_arg "Pool.run: task failed without a result")
-    (run_opt ~jobs n f)
-
-let run_stoppable ~jobs ~stop n f = run_opt ~jobs ~stop n f
 
 let map ~jobs f l =
   let arr = Array.of_list l in

@@ -1,12 +1,12 @@
 (** A Domainslib-style work pool on the OCaml 5 stdlib ([Domain],
-    [Atomic]) for embarrassingly parallel fan-outs — the pilot
-    consumer is the per-instance zero-round search batch
-    ({!Slocal_core.Zero_round}).
+    [Atomic]) for embarrassingly parallel fan-outs.  Its one consumer
+    is the per-problem zero-round decision batch
+    ({!Slocal_core.Zero_round.decide_batch}, [slocal sweep --jobs]).
 
     Tasks are claimed from a shared atomic index and results written
     into index-addressed slots, so {!run} and {!map} return results
     {e byte-identical} to a sequential run whatever the schedule.
-    [jobs <= 1] (the default CLI path) runs inline in the calling
+    [jobs <= 1] (the default) runs inline in the calling
     domain with no spawns.
 
     Accounting, exported through OpenMetrics and the run ledger
@@ -15,9 +15,8 @@
       finished by the pool;
     - [par.tasks_stolen] — tasks executed by a spawned (non-primary)
       domain;
-    - [par.merges] — worker shards merged at join points;
-    - [par.tasks_cancelled] — tasks skipped because a
-      {!run_stoppable} stop flag was raised before they were claimed;
+    - [par.merges] — worker joins, after which each worker's shard
+      is read by every snapshot;
     - [par.nested_runs] — parallel runs requested from inside a pool
       task, degraded to the inline sequential path;
     - [par.jobs] — gauge: width of the last parallel run.
@@ -43,18 +42,6 @@ val run : jobs:int -> int -> (int -> 'a) -> 'a array
     [par.nested_runs], so accidental nesting cannot deadlock the
     merge points or oversubscribe the machine.
     @raise Invalid_argument on a negative [n]. *)
-
-val run_stoppable :
-  jobs:int -> stop:bool Atomic.t -> int -> (int -> 'a) -> 'a option array
-(** {!run}, except that once [stop] reads [true] no {e further} tasks
-    are claimed: already-running tasks complete normally (cooperative
-    cancellation — pass the same flag into the task body if it should
-    abort mid-flight), unclaimed tasks are skipped, their slots come
-    back [None], and the skips count into [par.tasks_cancelled].
-    {e Which} tasks completed before the flag rose is schedule
-    dependent; callers wanting a deterministic report must derive it
-    from the index order, not from the completion set (see the
-    portfolio solver, DESIGN.md §9). *)
 
 val parallel_active : unit -> bool
 (** [true] while at least one multi-domain {!run} is open anywhere in

@@ -434,8 +434,8 @@ let remove_gc_alarm () =
    counter deltas — computed from registry snapshots, so the global
    totals and the live OpenMetrics registry stay exact.  Requests are
    process-global and non-overlapping by design: the daemon handles
-   one request at a time (pool parallelism happens *inside* a
-   request), which is exactly what makes the per-request deltas
+   one request at a time (a pool run opened inside a window joins
+   before it closes), which is exactly what makes the per-request deltas
    disjoint and their sum equal to the global delta. *)
 
 (* staticcheck: domain-safe current request id; atomic swap at request boundaries, read-only on the emit path *)

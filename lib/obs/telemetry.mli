@@ -199,8 +199,8 @@ val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
     [slocal.trace/4] [req] field; the body runs under a [request]
     span and bumps the [request.count] counter {e inside} the window.
     Windows are process-global and must not overlap (the serve daemon
-    handles one request at a time; pool parallelism happens inside a
-    request) — that non-overlap is what makes per-request counter
+    handles one request at a time, and a pool run opened inside a
+    window joins before it closes) — that non-overlap is what makes per-request counter
     deltas disjoint and their sum equal to the global delta.  The id
     is cleared on exceptions too; the exception still propagates. *)
 

@@ -90,10 +90,10 @@ type re_result = { problems : Problem.t list; fixed_point : bool option }
 
 let last r = List.nth r.problems (List.length r.problems - 1)
 
-let re ?jobs ?kernel ?(fixed_point = true) ~steps p =
+let re ?kernel ?(fixed_point = true) ~steps p =
   with_kernel kernel @@ fun () ->
   let rec go q i =
-    if i >= steps then [ q ] else q :: go (Re_step.re ?jobs q) (i + 1)
+    if i >= steps then [ q ] else q :: go (Re_step.re q) (i + 1)
   in
   let r = { problems = go p 0; fixed_point = None } in
   if not fixed_point then r
@@ -105,35 +105,25 @@ type sequence_result = {
   lower_bound : bool option;
 }
 
-let sequence ?jobs ?kernel ?max_nodes ~steps p =
+let sequence ?kernel ?max_nodes ~steps p =
   with_kernel kernel @@ fun () ->
-  let sequence = Sequence.iterate_re ?jobs p ~steps in
-  let checks = Sequence.check ?max_nodes ?jobs sequence in
+  let sequence = Sequence.iterate_re p ~steps in
+  let checks = Sequence.check ?max_nodes sequence in
   { sequence; checks; lower_bound = Sequence.verdict checks }
 
-type solve_result = {
-  outcome : Solver.outcome;
-  stats : Solver.stats option;
-  start : int option;
-}
+type solve_result = { outcome : Solver.outcome; stats : Solver.stats }
 
-let solve ?jobs ?(starts = 1) ?max_nodes g p =
-  if starts > 1 then
-    let outcome, start = Solver.solve_portfolio ?max_nodes ?jobs ~starts g p in
-    { outcome; stats = None; start }
-  else
-    let outcome, s = Solver.solve_stats ?max_nodes g p in
-    { outcome; stats = Some s; start = None }
+let solve ?max_nodes g p =
+  let outcome, stats = Solver.solve_stats ?max_nodes g p in
+  { outcome; stats }
 
 type audit_result = {
   analysis : Supported_local.Framework.result;
   diagnostics : Slocal_analysis.Diagnostic.t list;
 }
 
-let audit ?jobs ?max_nodes ?recheck_budget ~k g p =
-  let analysis =
-    Supported_local.Framework.analyze ?max_nodes ?jobs g ~last_problem:p ~k
-  in
+let audit ?max_nodes ?recheck_budget ~k g p =
+  let analysis = Supported_local.Framework.analyze ?max_nodes g ~last_problem:p ~k in
   let diagnostics =
     Slocal_analysis.Check.audit ~support:g ~last_problem:p ~k ?recheck_budget
       analysis

@@ -6,9 +6,8 @@
     typed result, so the same request gets the same answer everywhere.
 
     [?kernel] selects the RE kernel for the call and restores the
-    previous one afterwards.  [?jobs] is the worker width; results are
-    identical for every width (DESIGN.md §9).  Omitted budgets are the
-    library defaults. *)
+    previous one afterwards.  Every operation runs in the calling
+    domain.  Omitted budgets are the library defaults. *)
 
 open Slocal_formalism
 
@@ -42,9 +41,7 @@ type re_result = {
   fixed_point : bool option;  (** Of the last problem, when asked. *)
 }
 
-val re :
-  ?jobs:int -> ?kernel:Re_step.kernel -> ?fixed_point:bool -> steps:int ->
-  Problem.t -> re_result
+val re : ?kernel:Re_step.kernel -> ?fixed_point:bool -> steps:int -> Problem.t -> re_result
 (** [fixed_point] (default [true]) runs the fixed-point test, one more
     RE, on the last problem. *)
 
@@ -57,20 +54,15 @@ type sequence_result = {
 }
 
 val sequence :
-  ?jobs:int -> ?kernel:Re_step.kernel -> ?max_nodes:int -> steps:int ->
-  Problem.t -> sequence_result
+  ?kernel:Re_step.kernel -> ?max_nodes:int -> steps:int -> Problem.t -> sequence_result
 
 type solve_result = {
   outcome : Slocal_model.Solver.outcome;
-  stats : Slocal_model.Solver.stats option;  (** [None] for a portfolio. *)
-  start : int option;  (** The winning portfolio start. *)
+  stats : Slocal_model.Solver.stats;  (** The effort the search spent. *)
 }
 
-val solve :
-  ?jobs:int -> ?starts:int -> ?max_nodes:int -> Slocal_graph.Bipartite.t ->
-  Problem.t -> solve_result
-(** [starts > 1] races that many search starts over the [jobs] pool;
-    otherwise (default [1]) one sequential search with its effort. *)
+val solve : ?max_nodes:int -> Slocal_graph.Bipartite.t -> Problem.t -> solve_result
+(** One exact search ({!Slocal_model.Solver.solve_stats}). *)
 
 type audit_result = {
   analysis : Supported_local.Framework.result;
@@ -78,7 +70,7 @@ type audit_result = {
 }
 
 val audit :
-  ?jobs:int -> ?max_nodes:int -> ?recheck_budget:int -> k:int ->
+  ?max_nodes:int -> ?recheck_budget:int -> k:int ->
   Slocal_graph.Bipartite.t -> Problem.t -> audit_result
 (** {!Supported_local.Framework.analyze} for a length-[k] sequence
     ending in the problem, then {!Slocal_analysis.Check.audit} of its

@@ -37,7 +37,6 @@ let parse_graph_spec = Ops.parse_graph
 (* Daemon state. *)
 
 type config = {
-  jobs : int;
   record : string option;
   heartbeat : out_channel option;
   heartbeat_interval_ns : int64;
@@ -45,7 +44,6 @@ type config = {
 
 let default_config =
   {
-    jobs = 1;
     record = None;
     heartbeat = None;
     heartbeat_interval_ns = 500_000_000L;
@@ -104,9 +102,6 @@ let require_string req k =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "missing field %S" k)
 
-let jobs_of st req =
-  max 1 (Option.value ~default:st.cfg.jobs (member_int req "jobs"))
-
 let opt_int_json = function Some v -> Json.Int v | None -> Json.Null
 
 (* ------------------------------------------------------------------ *)
@@ -127,8 +122,8 @@ let is_work_op = function
   | "re" | "sequence" | "solve" | "audit" -> true
   | _ -> false
 
-let work_op st ~problems ~kernel_used req op =
-  let jobs = jobs_of st req and max_nodes = member_int req "budget" in
+let work_op ~problems ~kernel_used req op =
+  let max_nodes = member_int req "budget" in
   let int_field k ~default ~min =
     max min (Option.value ~default (member_int req k))
   in
@@ -148,7 +143,7 @@ let work_op st ~problems ~kernel_used req op =
   | "re" ->
       let kernel = kernel () in
       let steps = int_field "steps" ~default:1 ~min:1 in
-      let r = Ops.re ~jobs ?kernel ~steps (problem ()) in
+      let r = Ops.re ?kernel ~steps (problem ()) in
       let q = Ops.last r in
       let text =
         match Option.bind (Json.member "text" req) Json.as_bool with
@@ -168,7 +163,7 @@ let work_op st ~problems ~kernel_used req op =
   | "sequence" ->
       let kernel = kernel () in
       let steps = int_field "steps" ~default:1 ~min:0 in
-      let r = Ops.sequence ~jobs ?kernel ?max_nodes ~steps (problem ()) in
+      let r = Ops.sequence ?kernel ?max_nodes ~steps (problem ()) in
       Json.Obj
         [
           ("length", Json.Int (List.length r.Ops.sequence));
@@ -182,24 +177,21 @@ let work_op st ~problems ~kernel_used req op =
             | Some b -> Json.Bool b
             | None -> Json.Null );
         ]
-  | "solve" -> (
+  | "solve" ->
       let p = problem () in
-      let r = Ops.solve ~jobs ~starts:jobs ?max_nodes (graph ()) p in
-      let outcome = ("outcome", Json.String (outcome_name r.Ops.outcome)) in
-      match r.Ops.stats with
-      | Some s ->
-          Json.Obj
-            [
-              outcome;
-              ("nodes", Json.Int s.Solver.nodes);
-              ("backtracks", Json.Int s.Solver.backtracks);
-              ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
-            ]
-      | None -> Json.Obj [ outcome; ("start", opt_int_json r.Ops.start) ])
+      let r = Ops.solve ?max_nodes (graph ()) p in
+      let s = r.Ops.stats in
+      Json.Obj
+        [
+          ("outcome", Json.String (outcome_name r.Ops.outcome));
+          ("nodes", Json.Int s.Solver.nodes);
+          ("backtracks", Json.Int s.Solver.backtracks);
+          ("budget_exhausted", Json.Bool s.Solver.budget_exhausted);
+        ]
   | "audit" ->
       let p = problem () in
       let k = int_field "k" ~default:1 ~min:1 in
-      let r = Ops.audit ~jobs ?max_nodes ~k (graph ()) p in
+      let r = Ops.audit ?max_nodes ~k (graph ()) p in
       let a = r.Ops.analysis in
       Json.Obj
         [
@@ -306,7 +298,7 @@ let handle_request st req =
     let body, summary =
       Telemetry.with_request ~id (fun () ->
           Telemetry.incr c_requests;
-          match work_op st ~problems ~kernel_used req op with
+          match work_op ~problems ~kernel_used req op with
           | j -> Ok j
           | exception e ->
               Telemetry.incr c_errors;
@@ -323,7 +315,6 @@ let handle_request st req =
         rr_op = op;
         rr_problems = List.rev !problems;
         rr_kernel = !kernel_used;
-        rr_jobs = jobs_of st req;
         rr_wall_ns = Int64.to_int summary.Telemetry.rq_wall_ns;
         rr_alloc_b = summary.Telemetry.rq_alloc_b;
         rr_cache_hits = cdelta "re.cache_hits";

@@ -23,10 +23,11 @@
     request fields and the result of each op are specified in
     DESIGN.md §10.
 
-    The daemon is single-threaded by design: parallelism happens
-    {e inside} a request (the [jobs] field fans kernel work out over
-    the shared {!Slocal_obs.Pool}), which is what keeps request
-    windows non-overlapping and their counter deltas disjoint. *)
+    The daemon is single-threaded by design, and so is every work op:
+    requests never overlap, which keeps their windows and counter
+    deltas disjoint.  A [jobs] field, which records written before the
+    daemon lost its worker width still carry, is ignored like any
+    other unknown field. *)
 
 open Slocal_formalism
 module Json = Slocal_obs.Json
@@ -42,7 +43,6 @@ val parse_graph_spec : string -> Slocal_graph.Bipartite.t
 (** {1 Daemon state} *)
 
 type config = {
-  jobs : int;  (** Default worker width for requests without [jobs]. *)
   record : string option;
       (** Append one [slocal.request/1] record per work request, with
           its [body], to this file (for [slocal client --replay]). *)
@@ -53,8 +53,7 @@ type config = {
 }
 
 val default_config : config
-(** [jobs = 1], no record file, no heartbeat, 500ms heartbeat
-    interval. *)
+(** No record file, no heartbeat, 500ms heartbeat interval. *)
 
 type state
 (** One daemon's mutable state: served/error tallies and the summed

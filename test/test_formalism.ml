@@ -402,10 +402,11 @@ let golden_tests =
         [ (Re_step.Fast, "fast"); (Re_step.Reference, "reference") ])
     golden_cases
 
-(* The same golden counts through the wave-parallel lattice descent:
-   [Re_step.re ~jobs] must reproduce every shape (and, since shapes
-   pin the canonically sorted output, every problem) of the sequential
-   fast kernel at each pool width — DESIGN.md §9. *)
+(* The same golden counts with the REs run concurrently: [2 * jobs]
+   pool tasks share one instance of the problem (its constraint memo
+   tables) and the RE result cache, which {!Constr} and {!Re_step}
+   lock while a pool region is open.  Every task must reproduce the
+   sequential fast kernel's shapes. *)
 let golden_parallel_tests =
   List.concat_map
     (fun (spec, after_r, after_re) ->
@@ -418,84 +419,13 @@ let golden_parallel_tests =
               Re_step.set_kernel Re_step.Fast;
               Re_step.clear_cache ();
               let p = golden_problem spec in
-              check shape_t "after R" after_r
-                (shape (Re_step.r_black ~jobs p).Re_step.problem);
-              check shape_t "after RE" after_re (shape (Re_step.re ~jobs p))))
+              Slocal_obs.Pool.run ~jobs (2 * jobs) (fun _ ->
+                  (shape (Re_step.r_black p).Re_step.problem, shape (Re_step.re p)))
+              |> Array.iter (fun (r, re) ->
+                     check shape_t "after R" after_r r;
+                     check shape_t "after RE" after_re re)))
         [ 1; 2; 4 ])
     golden_cases
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio solver determinism: the reported certificate must not
-   depend on which start finishes first in wall-clock time.  The
-   [stall] harness forces adverse schedules — delaying start 0 lets a
-   higher start find a solution first — and the report must still be
-   the lowest-indexed decisive start's, i.e. start 0's on an instance
-   every ordering solves, which equals the plain sequential solve. *)
-
-module Solver = Slocal_model.Solver
-
-let bipartite_cycle k =
-  let g = Slocal_graph.Graph_gen.cycle (2 * k) in
-  Slocal_graph.Bipartite.make g
-    (Array.init (2 * k) (fun v ->
-         if v mod 2 = 0 then Slocal_graph.Bipartite.White
-         else Slocal_graph.Bipartite.Black))
-
-let test_portfolio_determinism () =
-  let support = bipartite_cycle 4 in
-  let solvable =
-    Problem.parse ~name:"free2" ~labels:[ "A"; "B" ] ~white:"[A B]^2"
-      ~black:"[A B]^2"
-  in
-  let expected =
-    match Solver.solve support solvable with
-    | Solver.Solution s -> s
-    | _ -> Alcotest.fail "sanity: the free problem must be solvable"
-  in
-  let stall_only i d j = if j = i then Unix.sleepf d in
-  List.iter
-    (fun (jobs, stall) ->
-      let outcome, winner =
-        Solver.solve_portfolio ~jobs ?stall ~starts:4 support solvable
-      in
-      (match outcome with
-      | Solver.Solution s ->
-          check bool_t "certificate = sequential solve" true (s = expected)
-      | Solver.No_solution | Solver.Budget_exceeded ->
-          Alcotest.fail "portfolio failed on a solvable instance");
-      check
-        (Alcotest.option int_t)
-        "winner is the lowest decisive start" (Some 0) winner)
-    [
-      (1, None);
-      (2, None);
-      (4, None);
-      (* Start 0 last to the finish line: the report must not change. *)
-      (2, Some (stall_only 0 0.05));
-      (4, Some (stall_only 0 0.05));
-      (* Start 1 delayed instead: still start 0's certificate. *)
-      (2, Some (stall_only 1 0.05));
-    ]
-
-let test_portfolio_unsat () =
-  (* White forces AA on every node, black forbids it: unsolvable, so
-     every start exhausts and the verdict carries no winner index. *)
-  let support = bipartite_cycle 3 in
-  let unsat =
-    Problem.parse ~name:"unsat2" ~labels:[ "A"; "B" ] ~white:"A A" ~black:"A B"
-  in
-  List.iter
-    (fun (jobs, stall) ->
-      let outcome, winner =
-        Solver.solve_portfolio ~jobs ?stall ~starts:3 support unsat
-      in
-      check bool_t "no solution" true (outcome = Solver.No_solution);
-      check (Alcotest.option int_t) "no winner index" None winner)
-    [
-      (1, None);
-      (3, None);
-      (3, Some (fun i -> if i = 0 then Unix.sleepf 0.03));
-    ]
 
 let test_kernels_agree_structurally () =
   (* Beyond the counts: both kernels emit the very same problem. *)
@@ -694,13 +624,6 @@ let () =
         ] );
       ("golden RE", golden_tests);
       ("golden RE parallel", golden_parallel_tests);
-      ( "portfolio",
-        [
-          Alcotest.test_case "deterministic under stalling starts" `Quick
-            test_portfolio_determinism;
-          Alcotest.test_case "unsat: stop-all, no winner" `Quick
-            test_portfolio_unsat;
-        ] );
       ( "kernel",
         [
           Alcotest.test_case "fast = reference structurally" `Quick

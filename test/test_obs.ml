@@ -953,47 +953,6 @@ let test_pool_last_task_exception () =
       ignore (Pool.run ~jobs:4 8 (fun i -> if i = 7 then raise Exit)));
   check bool_t "region closed after exception" false (Pool.parallel_active ())
 
-let test_pool_cancellation () =
-  with_clean_telemetry @@ fun () ->
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  (* Sequential path: exact semantics — tasks after the stop are
-     skipped, their slots stay None, and par.tasks_cancelled counts
-     them. *)
-  let stop = Atomic.make false in
-  let r =
-    Pool.run_stoppable ~jobs:1 ~stop 10 (fun i ->
-        if i = 2 then Atomic.set stop true;
-        i)
-  in
-  check bool_t "prefix ran" true
-    (r.(0) = Some 0 && r.(1) = Some 1 && r.(2) = Some 2);
-  check bool_t "suffix skipped" true
-    (Array.for_all (( = ) None) (Array.sub r 3 7));
-  check int_t "cancelled = skipped tasks" 7 (v "par.tasks_cancelled");
-  (* Parallel path: the exact split is schedule-dependent, but the
-     books must balance — every submitted task is either completed
-     (with a Some slot) or cancelled (with a None slot). *)
-  Telemetry.reset_metrics ();
-  let stop = Atomic.make false in
-  let r =
-    Pool.run_stoppable ~jobs:3 ~stop 20 (fun i ->
-        if i = 2 then Atomic.set stop true;
-        i)
-  in
-  let some = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 r in
-  check int_t "completed = Some slots" some (v "par.tasks_completed");
-  check int_t "completed + cancelled = submitted" 20
-    (some + v "par.tasks_cancelled");
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Some x -> check int_t "slot holds its own index" i x
-      | None -> ())
-    r;
-  check bool_t "stop observed" true (Atomic.get stop)
-
 let test_pool_nested_run () =
   with_clean_telemetry @@ fun () ->
   (* A task that calls Pool.run again must not deadlock or oversubscribe:
@@ -1272,8 +1231,6 @@ let () =
           Alcotest.test_case "zero tasks" `Quick test_pool_zero_tasks;
           Alcotest.test_case "exception in the last task" `Quick
             test_pool_last_task_exception;
-          Alcotest.test_case "cancellation mid-batch" `Quick
-            test_pool_cancellation;
           Alcotest.test_case "nested run degrades" `Quick test_pool_nested_run;
           Alcotest.test_case "multi-domain jsonl trace" `Quick
             test_jsonl_multi_domain;

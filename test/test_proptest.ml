@@ -331,99 +331,6 @@ let parallel_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel RE kernel vs sequential: byte-identical output AND exact
-   counter totals.
-
-   [Re_step.re ~jobs] promises (DESIGN.md §9) that the wave-parallel
-   lattice descent is indistinguishable from the sequential one in
-   everything but wall time: same problems (byte for byte) and the
-   same merged totals for the deterministic kernel counters.  Run RE
-   over 200 seeded random problems per width and compare both against
-   jobs=1.  Each width regenerates the problems from the same seed
-   (fresh constraint memo tables) and runs with the cross-invocation
-   result cache off, so the counter deltas are the descent's own.
-
-   Widths default to 2, 3, 4 and can be pinned from the environment:
-   PROPTEST_JOBS=2 dune runtest exercises exactly width 2. *)
-
-let parallel_widths =
-  match Sys.getenv_opt "PROPTEST_JOBS" with
-  | Some s ->
-      (match int_of_string_opt (String.trim s) with
-      | Some j when j >= 2 -> [ j ]
-      | _ ->
-          Printf.eprintf "proptest: ignoring bad PROPTEST_JOBS=%S\n%!" s;
-          [ 2; 3; 4 ])
-  | None -> [ 2; 3; 4 ]
-
-(* The counters whose totals must merge exactly; gauges (re.labels_out
-   etc.) are excluded — they merge by max and are compared through the
-   byte-identical output instead — and par.* are excluded because the
-   schedule owns them. *)
-let kernel_counters =
-  [ "re.steps"; "re.enum_nodes"; "constr.memo_hits"; "constr.memo_misses" ]
-
-let parallel_re_tests =
-  [
-    Alcotest.test_case "re parallel = sequential (output + counters)" `Slow
-      (fun () ->
-        let problems () =
-          let g = Slocal_util.Prng.create seed in
-          List.init 200 (fun _ -> Proptest.problem ~d_white:2 ~d_black:2 g)
-        in
-        let sweep jobs =
-          let before = Slocal_obs.Telemetry.snapshot () in
-          let outputs =
-            List.map
-              (fun p ->
-                match Re_step.re ~cache:false ~jobs p with
-                | q -> Some (Problem.to_string q)
-                | exception Invalid_argument _ -> None)
-              (problems ())
-          in
-          let counters =
-            let d =
-              Slocal_obs.Telemetry.delta ~before
-                ~after:(Slocal_obs.Telemetry.snapshot ())
-            in
-            List.map
-              (fun name -> (name, Option.value ~default:0 (List.assoc_opt name d)))
-              kernel_counters
-          in
-          (outputs, counters)
-        in
-        Re_step.set_kernel Re_step.Fast;
-        let seq_out, seq_counters = sweep 1 in
-        Alcotest.(check int)
-          "sanity: one RE output per problem" 200 (List.length seq_out);
-        List.iter
-          (fun jobs ->
-            let out, counters = sweep jobs in
-            List.iteri
-              (fun i (a, b) ->
-                if a <> b then
-                  Alcotest.fail
-                    (Printf.sprintf
-                       "RE output at jobs=%d differs from sequential on \
-                        problem %d of the sweep; reproduce with \
-                        PROPTEST_SEED=%d PROPTEST_JOBS=%d"
-                       jobs i seed jobs))
-              (List.combine seq_out out);
-            List.iter2
-              (fun (name, s) (name', p) ->
-                assert (name = name');
-                if s <> p then
-                  Alcotest.fail
-                    (Printf.sprintf
-                       "counter %s at jobs=%d: %d, sequential: %d (must merge \
-                        exactly); reproduce with PROPTEST_SEED=%d \
-                        PROPTEST_JOBS=%d"
-                       name jobs p s seed jobs))
-              seq_counters counters)
-          parallel_widths);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Allocation determinism: the sequential kernel allocates the same
    number of bytes on every run over the same seeded problems — the
    property underpinning the bench harness's 1.02x allocation gate
@@ -523,7 +430,6 @@ let () =
       ("constr-differential", constr_tests);
       ("relaxation-oracle", relaxation_tests);
       ("parallel-differential", parallel_tests);
-      ("parallel-kernel", parallel_re_tests);
       ("alloc-determinism", alloc_determinism_tests);
       ("bench-reader", bench_reader_tests);
     ]

@@ -157,8 +157,11 @@ let test_result_goldens () =
       ( {|{"op":"solve","problem":"col:2:2","graph":"cycle:3"}|},
         {|{"outcome":"no_solution","nodes":11,"backtracks":10,"budget_exhausted":false}|}
       );
-      ( {|{"op":"solve","problem":"mm:2","graph":"cycle:4","jobs":2}|},
-        {|{"outcome":"solution","start":0}|} );
+      (* Captures recorded while the daemon had a worker width carry
+         "jobs"; the field is ignored, so the reply is the one above. *)
+      ( {|{"op":"solve","problem":"col:2:2","graph":"cycle:3","jobs":2}|},
+        {|{"outcome":"no_solution","nodes":11,"backtracks":10,"budget_exhausted":false}|}
+      );
       ( {|{"op":"audit","problem":"col:2:2","graph":"cycle:3"}|},
         {|{"support_nodes":6,"girth":6,"certificate":"unsolvable-by-search","det_rounds":1,"diagnostics":0,"exit_code":0}|}
       );
@@ -227,7 +230,7 @@ let test_request_isolation () =
   let before = Telemetry.snapshot () in
   let st = Serve.create () in
   (* Three windows on one warm daemon: cold, warm, cold-again on a
-     different problem — and one parallel request. *)
+     different problem — and one request with a stale "jobs" field. *)
   let r1 = ask st {|{"op":"re","problem":"mm:2"}|} in
   let r2 = ask st {|{"op":"re","problem":"mm:2"}|} in
   let r3 = ask st {|{"op":"re","problem":"arb:3:2"}|} in
@@ -241,10 +244,6 @@ let test_request_isolation () =
   check bool_t "r3 misses only" true
     (assoc0 "re.cache_misses" (List.nth deltas 2) > 0
     && assoc0 "re.cache_hits" (List.nth deltas 2) = 0);
-  (* The parallel request attributes its pool traffic to its own
-     window. *)
-  check bool_t "r4 charged its pool tasks" true
-    (assoc0 "par.tasks_submitted" (List.nth deltas 3) > 0);
   (* The per-request deltas sum exactly to the global registry delta:
      nothing ran outside a window, so the merged response counters
      equal the registry's movement, counter by counter. *)
@@ -373,7 +372,6 @@ let test_mixed_schema_ledger () =
       rr_op = "re";
       rr_problems = [ ("mm3", 42) ];
       rr_kernel = Some "fast";
-      rr_jobs = 1;
       rr_wall_ns = 5_000;
       rr_alloc_b = 1_024;
       rr_cache_hits = 3;
@@ -408,7 +406,18 @@ let test_mixed_schema_ledger () =
     (Alcotest.list string_t)
     "both request records read" [ "r1"; "r2" ]
     (List.map (fun x -> x.Ledger.rr_id) rrs);
-  check int_t "run record and damage both skipped here" 2 skipped
+  check int_t "run record and damage both skipped here" 2 skipped;
+  (* A record written while requests had a worker width still loads;
+     its "jobs" field is ignored. *)
+  match
+    Json.of_string
+      {|{"schema":"slocal.request/1","id":"r0","op":"re","problems":{"mm3":42},"kernel":"fast","jobs":2,"wall_ns":5000,"alloc_b":1024,"cache_hits":3,"cache_misses":0,"outcome":"ok"}|}
+  with
+  | Error e -> Alcotest.failf "fixture: %s" e
+  | Ok j -> (
+      match Ledger.request_of_json j with
+      | Ok old -> check bool_t "pre-change record reads" true (old = rr "r0")
+      | Error m -> Alcotest.failf "pre-change record rejected: %s" m)
 
 (* ------------------------------------------------------------------ *)
 (* The socket loop, end to end *)
