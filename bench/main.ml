@@ -1052,8 +1052,9 @@ let () =
           !json_file
       in
       (* A bench run is a kernel-facing invocation like any other: one
-         slocal.run/1 ledger record per harness execution. *)
-      Slocal_obs.Ledger.begin_run ~argv:(Array.to_list Sys.argv);
+         slocal.request/1 ledger record (op "bench") per harness
+         execution. *)
+      Slocal_obs.Ledger.begin_run ~op:"bench" ~argv:(Array.to_list Sys.argv);
       Format.printf "Supported LOCAL lower bounds — experiment harness@.";
       let selected =
         if !only <> [] then

@@ -1,11 +1,11 @@
 (* slocal — a command-line interface to the Supported LOCAL framework.
 
-   The work subcommands (re, sequence, solve, audit and the stats
-   workload) map their flags onto one Slocal_serve.Ops call each and
+   The work subcommands (re, sequence, solve, audit) map their flags
+   onto one Slocal_serve.Ops call each and
    render the typed result as text: the same operations the serve
    daemon answers over its socket.  The kernel-facing subcommands share
    [with_telemetry] below (--trace, --metrics, --openmetrics,
-   --progress, one slocal.run/1 record per run in the run ledger;
+   --progress, one slocal.request/1 record per run in the ledger;
    SLOCAL_LEDGER=off disables it).  [slocal --help] and
    [slocal CMD --help] document every subcommand and flag; the problem
    and graph specs are documented at Slocal_serve.Ops.parse_problem and
@@ -84,7 +84,7 @@ let progress_flag =
            stderr is not a TTY (on a TTY the heartbeat is on by default).")
 
 (* Observability wrapper around every kernel-facing subcommand: opens
-   the run-ledger context (one slocal.run/1 record per invocation,
+   the ledger context (one slocal.request/1 record per invocation,
    regardless of flags), installs the requested trace sink, arms the
    progress heartbeat and, on the way out, emits the final telemetry
    snapshots, the OpenMetrics exposition and the ledger record.  The
@@ -96,7 +96,7 @@ let progress_flag =
    "slocal CMD: MESSAGE" on stderr with exit code 2. *)
 let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
     openmetrics f =
-  Ledger.begin_run ~argv:(Array.to_list Sys.argv);
+  Ledger.begin_run ~op:cmd ~argv:(Array.to_list Sys.argv);
   Option.iter (fun k -> Ledger.note_kernel (Ops.kernel_name k)) kernel;
   Option.iter (fun p -> Ledger.note_artifact ~kind:"trace" p) trace;
   Progress.set_mode progress_mode;
@@ -213,8 +213,7 @@ let re_cmd =
         if i > 0 then Format.printf "@.--- after RE step %d ---@." i;
         print_string (Problem.to_string p))
       r.Ops.problems;
-    Format.printf "@.fixed point (up to renaming): %b@."
-      (r.Ops.fixed_point = Some true)
+    Format.printf "@.fixed point (up to renaming): %b@." r.Ops.fixed_point
   in
   Cmd.v
     (Cmd.info "re" ~doc:"Apply round elimination steps")
@@ -365,191 +364,6 @@ let sequence_cmd =
        ~doc:"Iterate RE and machine-check the lower-bound sequence")
     Term.(const run $ problem_arg $ steps $ kernel_opt $ obs_term)
 
-let stats_cmd =
-  let graph_opt =
-    let doc =
-      "Optional graph spec (same syntax as solve); when given, the lift of \
-       the problem onto it is built and solved so the solver and lift \
-       counters fire too."
-    in
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"GRAPH" ~doc)
-  in
-  let re_steps =
-    Arg.(
-      value & opt int 1
-      & info [ "re-steps" ] ~doc:"Number of RE steps in the workload.")
-  in
-  let budget =
-    Arg.(
-      value & opt int 20_000_000 & info [ "budget" ] ~doc:"Search node budget.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print a machine-readable snapshot (schema slocal.stats/1) to \
-             stdout instead of the human summary.")
-  in
-  let run spec gspec re_steps budget kernel trace metrics openmetrics json =
-    if json && openmetrics = Some "-" then begin
-      prerr_endline
-        "stats: --json and --openmetrics - both claim stdout; give \
-         --openmetrics a FILE";
-      exit 2
-    end;
-    (* Progress is stderr-only, but keep --json runs fully quiet. *)
-    with_telemetry ~cmd:"stats" ~kernel
-      ~progress_mode:(if json then Progress.Off else Progress.Auto)
-      trace metrics openmetrics
-    @@ fun () ->
-    let p = parse_problem spec in
-    let q = Ops.last (Ops.re ~kernel ~fixed_point:false ~steps:re_steps p) in
-    if not json then
-      Format.printf
-        "after %d RE step(s): %d labels, %d white / %d black configurations@."
-        re_steps
-        (Alphabet.size q.Problem.alphabet)
-        (Constr.size q.Problem.white)
-        (Constr.size q.Problem.black);
-    let lift_result =
-      match gspec with
-      | None -> None
-      | Some gs ->
-          let g = parse_graph gs in
-          let l = Core.Zero_round.lift_of_support g p in
-          let r = Ops.solve ~max_nodes:budget g l.Core.Lift.problem in
-          let nodes = r.Ops.stats.Solver.nodes in
-          let verdict =
-            yes_no
-              (match r.Ops.outcome with
-              | Solver.Solution _ -> Some true
-              | Solver.No_solution -> Some false
-              | Solver.Budget_exceeded -> None)
-          in
-          if not json then
-            Format.printf "lift solvable on support: %s (%d nodes explored)@."
-              (if verdict = "undecided" then "undecided (budget)" else verdict)
-              nodes;
-          Some (verdict, nodes)
-    in
-    let cache_pair hits misses =
-      ( Telemetry.value (Telemetry.counter hits),
-        Telemetry.value (Telemetry.counter misses) )
-    in
-    let re_cache = cache_pair "re.cache_hits" "re.cache_misses" in
-    let constr_cache = cache_pair "constr.memo_hits" "constr.memo_misses" in
-    Telemetry.sample_gc ();
-    if json then begin
-      let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
-      let cache (h, m) = ints [ ("hits", h); ("misses", m) ] in
-      let counters, gauges =
-        List.fold_left
-          (fun (cs, gs) (nm, kd, v) ->
-            if v = 0 then (cs, gs)
-            else
-              match kd with
-              | Telemetry.Counter -> ((nm, v) :: cs, gs)
-              | Telemetry.Gauge -> (cs, (nm, v) :: gs))
-          ([], []) (Telemetry.kinds_snapshot ())
-      in
-      let histograms =
-        List.map
-          (fun (nm, h) ->
-            ( nm,
-              ints
-                [
-                  ("count", Telemetry.Histogram.count h);
-                  ("sum", Telemetry.Histogram.sum h);
-                  ("min", Telemetry.Histogram.min_value h);
-                  ("max", Telemetry.Histogram.max_value h);
-                  ("p50", Telemetry.Histogram.quantile h 0.5);
-                  ("p90", Telemetry.Histogram.quantile h 0.9);
-                  ("p99", Telemetry.Histogram.quantile h 0.99);
-                ] ))
-          (Telemetry.histogram_snapshot ())
-      in
-      let doc =
-        Json.Obj
-          ([
-             ("schema", Json.String "slocal.stats/1");
-             ("kernel", Json.String (Ops.kernel_name kernel));
-             ( "workload",
-               Json.Obj
-                 ([
-                    ("problem", Json.String p.Problem.name);
-                    ("re_steps", Json.Int re_steps);
-                    ("labels", Json.Int (Alphabet.size q.Problem.alphabet));
-                    ( "white_configs",
-                      Json.Int (Constr.size q.Problem.white) );
-                    ( "black_configs",
-                      Json.Int (Constr.size q.Problem.black) );
-                  ]
-                 @
-                 match lift_result with
-                 | None -> []
-                 | Some (verdict, nodes) ->
-                     [
-                       ("lift_solvable", Json.String verdict);
-                       ("solver_nodes", Json.Int nodes);
-                     ]) );
-             ( "cache",
-               Json.Obj
-                 [ ("re", cache re_cache); ("constr", cache constr_cache) ] );
-             ("counters", ints (List.rev counters));
-             ("gauges", ints (List.rev gauges));
-             ("histograms", Json.Obj histograms);
-           ])
-      in
-      print_string (Json.to_string doc);
-      print_newline ()
-    end
-    else begin
-      (* Cache effectiveness of the fast kernel's two memo layers, with
-         hit rates (the raw counters also appear in the summary below),
-         then the GC gauges sampled at this moment. *)
-      let rate_line what (h, m) =
-        let rate =
-          if h + m = 0 then "-"
-          else
-            Printf.sprintf "%.1f%%"
-              (100. *. float_of_int h /. float_of_int (h + m))
-        in
-        Format.printf "  %-12s %9d hits %9d misses  (hit rate %s)@." what h m
-          rate
-      in
-      Format.printf "cache effectiveness:@.";
-      rate_line "RE result" re_cache;
-      rate_line "constr memo" constr_cache;
-      Format.printf "gc:@.";
-      List.iter
-        (fun g ->
-          Format.printf "  %-24s %12d@." g
-            (Telemetry.value (Telemetry.gauge g)))
-        [
-          "gc.allocated_bytes";
-          "gc.minor_collections";
-          "gc.major_collections";
-          "gc.heap_words";
-          "gc.top_heap_words";
-          "gc.minor_words";
-          "gc.promoted_words";
-          "gc.major_words";
-        ];
-      Format.printf "%a@?" Telemetry.pp_summary ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a representative workload (RE steps, and optionally \
-          lift-and-solve on a graph) and print the telemetry counter summary \
-          (--json for slocal.stats/1, --openmetrics for the Prometheus text \
-          exposition)")
-    Term.(
-      const run $ problem_arg $ graph_opt $ re_steps $ budget $ kernel_opt
-      $ trace_opt $ metrics_flag $ openmetrics_opt $ json_flag)
-
 (* ------------------------------------------------------------------ *)
 (* Trace analysis: the read side of --trace. *)
 
@@ -675,8 +489,8 @@ let trace_cmd =
     | Some _ -> ()
     | None ->
         Format.eprintf
-          "trace report: warning: no trace_start line (truncated or foreign \
-           file?)@.");
+          "trace report: warning: no trace_start line (truncated file, or \
+           not a trace?)@.");
     if profile.Profile.skipped_lines > 0 then
       Format.eprintf "trace report: warning: skipped %d unparsable line(s)@."
         profile.Profile.skipped_lines;
@@ -1016,8 +830,9 @@ let gen_cmd =
     Term.(const run $ n $ d $ seed $ trace_opt $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)
-(* Run-ledger maintenance: the read side of the slocal.run/1 records
-   that every kernel-facing invocation appends. *)
+(* Ledger maintenance: the read side of the slocal.request/1 records
+   that every kernel-facing invocation, bench run and recorded daemon
+   request appends. *)
 
 let runs_cmd =
   let ledger_opt =
@@ -1044,7 +859,7 @@ let runs_cmd =
   let load ledger =
     let path = resolve ledger in
     if not (Sys.file_exists path) then
-      (path, { Ledger.records = []; skipped = 0; foreign = 0 })
+      (path, { Ledger.records = []; skipped = 0 })
     else
       match Ledger.read_file path with
       | r -> (path, r)
@@ -1055,12 +870,7 @@ let runs_cmd =
   let warn_skipped path (r : Ledger.read_result) =
     if r.Ledger.skipped > 0 then
       Format.eprintf "runs: %s: skipped %d damaged line(s)@." path
-        r.Ledger.skipped;
-    if r.Ledger.foreign > 0 then
-      Format.eprintf
-        "runs: %s: ignored %d record(s) of other schemas (e.g. \
-         slocal.request/1)@."
-        path r.Ledger.foreign
+        r.Ledger.skipped
   in
   let iso t =
     let tm = Unix.gmtime t in
@@ -1068,7 +878,20 @@ let runs_cmd =
       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
       tm.Unix.tm_sec
   in
-  let argv_line (r : Ledger.record) = String.concat " " r.Ledger.argv in
+  (* A daemon request record has no argv, no start time and a
+     sub-second wall: it shows its body (or op) and its wall in ms. *)
+  let is_request (r : Ledger.record) = r.Ledger.argv = [] in
+  let argv_line (r : Ledger.record) =
+    if not (is_request r) then String.concat " " r.Ledger.argv
+    else
+      match r.Ledger.body with
+      | Some b -> Json.to_string b
+      | None -> r.Ledger.op
+  in
+  let wall (r : Ledger.record) =
+    if is_request r then Printf.sprintf "%.2fms" (float_of_int r.Ledger.wall_ns /. 1e6)
+    else Printf.sprintf "%.2fs" (Ledger.wall_seconds r)
+  in
   let truncate n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "…" in
   let find_or_exit read key =
     match Ledger.find read key with
@@ -1088,9 +911,10 @@ let runs_cmd =
             "wall" "outcome" "exit" "argv";
           List.iteri
             (fun i (r : Ledger.record) ->
-              Format.printf "%-4d %-13s %-20s %8.2fs %8s %-5d %s@." (i + 1)
-                r.Ledger.id (iso r.Ledger.started_at) (Ledger.wall_seconds r)
-                r.Ledger.outcome r.Ledger.exit_code
+              Format.printf "%-4d %-13s %-20s %9s %8s %-5d %s@." (i + 1)
+                r.Ledger.id
+                (if is_request r then "-" else iso r.Ledger.started_at)
+                (wall r) r.Ledger.outcome r.Ledger.exit_code
                 (truncate 48 (argv_line r)))
             records
     in
@@ -1110,15 +934,25 @@ let runs_cmd =
       warn_skipped path read;
       let r = find_or_exit read key in
       Format.printf "run %s@." r.Ledger.id;
-      Format.printf "  argv:     %s@." (argv_line r);
-      Format.printf "  started:  %s@." (iso r.Ledger.started_at);
-      Format.printf "  finished: %s (wall %.2fs)@." (iso r.Ledger.finished_at)
-        (Ledger.wall_seconds r);
+      if is_request r then begin
+        Format.printf "  request:  %s@." (argv_line r);
+        Format.printf "  wall:     %s@." (wall r)
+      end
+      else begin
+        Format.printf "  argv:     %s@." (argv_line r);
+        Format.printf "  started:  %s@." (iso r.Ledger.started_at);
+        Format.printf "  finished: %s (wall %s)@."
+          (iso (r.Ledger.started_at +. Ledger.wall_seconds r))
+          (wall r)
+      end;
       Format.printf "  outcome:  %s (exit %d)@." r.Ledger.outcome
         r.Ledger.exit_code;
       Option.iter (Format.printf "  kernel:   %s@.") r.Ledger.kernel;
       Option.iter (Format.printf "  seed:     %d@.") r.Ledger.seed;
-      if r.Ledger.alloc_b > 0 || r.Ledger.majors > 0 then
+      if is_request r then
+        Format.printf "  cost:     %dB allocated, RE cache %d hit(s) / %d miss(es)@."
+          r.Ledger.alloc_b r.Ledger.cache_hits r.Ledger.cache_misses
+      else if r.Ledger.alloc_b > 0 || r.Ledger.majors > 0 then
         Format.printf "  gc:       %dB allocated, %d major cycle(s), peak heap %d words@."
           r.Ledger.alloc_b r.Ledger.majors r.Ledger.top_heap_words;
       if r.Ledger.problems <> [] then begin
@@ -1180,8 +1014,7 @@ let runs_cmd =
       let a = find_or_exit read key_a and b = find_or_exit read key_b in
       Format.printf "A: %s  %s@." a.Ledger.id (truncate 60 (argv_line a));
       Format.printf "B: %s  %s@." b.Ledger.id (truncate 60 (argv_line b));
-      Format.printf "wall: %.2fs -> %.2fs@." (Ledger.wall_seconds a)
-        (Ledger.wall_seconds b);
+      Format.printf "wall: %s -> %s@." (wall a) (wall b);
       (* Allocation delta between the runs (0 on pre-alloc records:
          skip rather than print a misleading -100%). *)
       if a.Ledger.alloc_b > 0 || b.Ledger.alloc_b > 0 then begin
@@ -1229,9 +1062,14 @@ let runs_cmd =
     let keep =
       Arg.(
         value & opt int 200
-        & info [ "keep" ] ~docv:"N" ~doc:"Newest records to keep.")
+        & info [ "keep" ] ~docv:"N"
+            ~doc:"Newest records to keep (below 0 is a usage error).")
     in
     let run ledger keep =
+      if keep < 0 then begin
+        Printf.eprintf "runs gc: --keep must be at least 0, got %d\n" keep;
+        exit 2
+      end;
       let path = resolve ledger in
       if not (Sys.file_exists path) then
         Format.printf "no ledger at %s; nothing to do@." path
@@ -1247,14 +1085,14 @@ let runs_cmd =
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Compact the ledger: keep the newest N records, drop damaged \
-               lines (atomic rewrite)")
+         ~doc:"Compact the ledger: keep the newest N records of every kind, \
+               drop damaged lines (atomic rewrite)")
       Term.(const run $ ledger_opt $ keep)
   in
   Cmd.group
     (Cmd.info "runs"
-       ~doc:"Inspect the slocal.run/1 ledger appended by kernel-facing \
-             subcommands")
+       ~doc:"Inspect the slocal.request/1 ledger: one record per \
+             kernel-facing run, bench run and recorded daemon request")
     [ list_cmd; show_cmd; diff_cmd; gc_cmd ]
 
 (* ------------------------------------------------------------------ *)
@@ -1329,8 +1167,9 @@ let client_cmd =
       & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Re-send the request bodies of a slocal.request/1 file recorded \
-             with $(b,slocal serve --record) and print each request's \
+            "Re-send the request bodies of a slocal.request/1 ledger recorded \
+             with $(b,slocal serve --record) (records without a body, such \
+             as CLI runs, are skipped) and print each request's \
              wall/alloc numbers next to the recorded ones.")
   in
   let wait_opt =
@@ -1382,21 +1221,21 @@ let client_cmd =
         (fun resp ->
           if not (is_true "ok" resp) then incr failures;
           match
-            ( (recorded : Ledger.request_record option),
+            ( (recorded : Ledger.record option),
               Option.bind (Json.member "request" resp) (fun j ->
-                  Result.to_option (Ledger.request_of_json j)) )
+                  Result.to_option (Ledger.of_json j)) )
           with
           | Some prev, Some now ->
               Format.eprintf
                 "replay %-8s %-8s wall %a -> %a  alloc %dB -> %dB  cache \
                  %d/%d -> %d/%d@."
-                now.Ledger.rr_id now.Ledger.rr_op Telemetry.pp_duration
-                (Int64.of_int prev.Ledger.rr_wall_ns)
+                now.Ledger.id now.Ledger.op Telemetry.pp_duration
+                (Int64.of_int prev.Ledger.wall_ns)
                 Telemetry.pp_duration
-                (Int64.of_int now.Ledger.rr_wall_ns)
-                prev.Ledger.rr_alloc_b now.Ledger.rr_alloc_b
-                prev.Ledger.rr_cache_hits prev.Ledger.rr_cache_misses
-                now.Ledger.rr_cache_hits now.Ledger.rr_cache_misses
+                (Int64.of_int now.Ledger.wall_ns)
+                prev.Ledger.alloc_b now.Ledger.alloc_b
+                prev.Ledger.cache_hits prev.Ledger.cache_misses
+                now.Ledger.cache_hits now.Ledger.cache_misses
           | _ -> ())
         (send "" req)
     in
@@ -1411,9 +1250,9 @@ let client_cmd =
     (match replay with
     | None -> ()
     | Some path ->
-        let records, skipped = Ledger.read_requests_file path in
+        let { Ledger.records; skipped } = Ledger.read_file path in
         let replayable =
-          List.filter (fun rr -> rr.Ledger.rr_body <> None) records
+          List.filter (fun (r : Ledger.record) -> r.Ledger.body <> None) records
         in
         let skipped = skipped + List.length records - List.length replayable in
         if skipped > 0 then
@@ -1421,7 +1260,7 @@ let client_cmd =
             "client: %s: skipped %d damaged or body-less line(s)\n" path
             skipped;
         List.iter
-          (fun rr -> Option.iter (send_request ~recorded:rr) rr.Ledger.rr_body)
+          (fun r -> Option.iter (send_request ~recorded:r) r.Ledger.body)
           replayable);
     let op name = Json.Obj [ ("op", Json.String name) ] in
     if check_sum then
@@ -1464,7 +1303,6 @@ let () =
             bounds_cmd;
             gen_cmd;
             sequence_cmd;
-            stats_cmd;
             sweep_cmd;
             runs_cmd;
             trace_cmd;

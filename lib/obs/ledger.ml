@@ -1,17 +1,23 @@
-(* Cross-invocation run ledger (schema slocal.run/1).
+(* The ledger (schema slocal.request/1).
 
-   Every kernel-facing CLI subcommand and every bench run appends one
-   manifest record — argv, wall-clock interval, outcome, kernel mode,
-   seed, problem canonical hashes, the final counter/gauge snapshot,
-   key histogram quantiles and artifact paths — to an append-only
-   JSONL file, so a multi-session lower-bound campaign has a durable
-   history that `slocal runs` can list, render and diff.
+   One record type for every writer.  Each kernel-facing CLI
+   invocation and each bench run appends one record — op, argv,
+   start time and wall time, outcome, kernel mode, seed, problem
+   canonical hashes, the final counter/gauge snapshot, key histogram
+   quantiles and artifact paths — and [slocal serve --record] appends
+   one per work request with its cost summary and body.  A
+   multi-session lower-bound campaign so has one durable history that
+   `slocal runs` can list, render, diff and compact, and that
+   `slocal client --replay` re-sends.
 
    Crash tolerance mirrors Trace: each record is a single flushed
    line, the reader skips (and counts) damaged lines, so a run killed
    mid-append costs exactly one record, never the file. *)
 
-let schema_version = "slocal.run/1"
+let schema_version = "slocal.request/1"
+
+(* Run records written before the merge; read, never written. *)
+let legacy_schema_version = "slocal.run/1"
 
 type hist_summary = {
   hs_count : int;
@@ -24,26 +30,52 @@ type hist_summary = {
 
 type record = {
   id : string;
+  op : string;
+  problems : (string * int) list;
+  kernel : string option;
+  wall_ns : int;
+  alloc_b : int;
+  cache_hits : int;
+  cache_misses : int;
+  outcome : string;
   argv : string list;
   started_at : float;
-  finished_at : float;
-  outcome : string;
   exit_code : int;
-  kernel : string option;
   seed : int option;
-  problems : (string * int) list;
   counters : (string * int) list;
   gauges : (string * int) list;
   histograms : (string * hist_summary) list;
   artifacts : (string * string) list;
-  alloc_b : int;
-      (* bytes allocated on the recording domain over the run;
-         additive slocal.run/1 field, 0 on records from older writers *)
-  majors : int;  (* major collections over the run; additive, 0 *)
-  top_heap_words : int;  (* peak heap at finish; additive, 0 *)
+  majors : int;
+  top_heap_words : int;
+  body : Json.t option;
 }
 
-let wall_seconds r = Float.max 0. (r.finished_at -. r.started_at)
+let empty =
+  {
+    id = "";
+    op = "";
+    problems = [];
+    kernel = None;
+    wall_ns = 0;
+    alloc_b = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    outcome = "";
+    argv = [];
+    started_at = 0.;
+    exit_code = 0;
+    seed = None;
+    counters = [];
+    gauges = [];
+    histograms = [];
+    artifacts = [];
+    majors = 0;
+    top_heap_words = 0;
+    body = None;
+  }
+
+let wall_seconds r = float_of_int r.wall_ns /. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Ledger location.  SLOCAL_LEDGER overrides the default
@@ -57,7 +89,10 @@ let default_path () =
   | None -> Some (Filename.concat ".slocal" "runs.jsonl")
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec *)
+(* JSON codec.  The request fields come first, in the order daemon
+   replies have always carried them; the run-only fields and the body
+   follow and are written only when they differ from [empty], so a
+   daemon record serializes exactly as it did before the merge. *)
 
 let hist_summary_to_json hs : Json.t =
   Json.Obj
@@ -72,48 +107,72 @@ let hist_summary_to_json hs : Json.t =
 
 let to_json r : Json.t =
   let ints kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs) in
+  let unless_default k is_default v =
+    if is_default then [] else [ (k, v ()) ]
+  in
   Json.Obj
-    [
-      ("schema", Json.String schema_version);
-      ("id", Json.String r.id);
-      ("argv", Json.List (List.map (fun a -> Json.String a) r.argv));
-      ("started_at", Json.Float r.started_at);
-      ("finished_at", Json.Float r.finished_at);
-      ("outcome", Json.String r.outcome);
-      ("exit_code", Json.Int r.exit_code);
-      ( "kernel",
-        match r.kernel with None -> Json.Null | Some k -> Json.String k );
-      ("seed", match r.seed with None -> Json.Null | Some s -> Json.Int s);
-      ("problems", ints r.problems);
-      ("counters", ints r.counters);
-      ("gauges", ints r.gauges);
-      ( "histograms",
-        Json.Obj
-          (List.map (fun (k, hs) -> (k, hist_summary_to_json hs)) r.histograms)
-      );
-      ( "artifacts",
-        Json.Obj (List.map (fun (k, p) -> (k, Json.String p)) r.artifacts) );
-      ("alloc_b", Json.Int r.alloc_b);
-      ("majors", Json.Int r.majors);
-      ("top_heap_words", Json.Int r.top_heap_words);
-    ]
+    ([
+       ("schema", Json.String schema_version);
+       ("id", Json.String r.id);
+       ("op", Json.String r.op);
+       ("problems", ints r.problems);
+       ( "kernel",
+         match r.kernel with None -> Json.Null | Some k -> Json.String k );
+       ("wall_ns", Json.Int r.wall_ns);
+       ("alloc_b", Json.Int r.alloc_b);
+       ("cache_hits", Json.Int r.cache_hits);
+       ("cache_misses", Json.Int r.cache_misses);
+       ("outcome", Json.String r.outcome);
+     ]
+    @ List.concat
+        [
+          unless_default "argv" (r.argv = []) (fun () ->
+              Json.List (List.map (fun a -> Json.String a) r.argv));
+          unless_default "started_at" (r.started_at = 0.) (fun () ->
+              Json.Float r.started_at);
+          unless_default "exit_code" (r.exit_code = 0) (fun () ->
+              Json.Int r.exit_code);
+          unless_default "seed" (r.seed = None) (fun () ->
+              Json.Int (Option.get r.seed));
+          unless_default "counters" (r.counters = []) (fun () ->
+              ints r.counters);
+          unless_default "gauges" (r.gauges = []) (fun () -> ints r.gauges);
+          unless_default "histograms" (r.histograms = []) (fun () ->
+              Json.Obj
+                (List.map
+                   (fun (k, hs) -> (k, hist_summary_to_json hs))
+                   r.histograms));
+          unless_default "artifacts" (r.artifacts = []) (fun () ->
+              Json.Obj
+                (List.map (fun (k, p) -> (k, Json.String p)) r.artifacts));
+          unless_default "majors" (r.majors = 0) (fun () -> Json.Int r.majors);
+          unless_default "top_heap_words" (r.top_heap_words = 0) (fun () ->
+              Json.Int r.top_heap_words);
+          unless_default "body" (r.body = None) (fun () -> Option.get r.body);
+        ])
 
 let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v
 
-let int_entries j k =
+(* The entries of object field [k] (absent = none), each converted by
+   [f] or the whole field rejected. *)
+let entries j k f =
   match Option.bind (Json.member k j) Json.as_obj with
   | None -> Ok []
   | Some kvs ->
       List.fold_left
         (fun acc (nm, v) ->
           let* acc = acc in
-          match Json.as_int v with
-          | Some v -> Ok ((nm, v) :: acc)
-          | None -> Error (Printf.sprintf "non-integer value for %S" nm))
+          let* v = f nm v in
+          Ok ((nm, v) :: acc))
         (Ok []) kvs
       |> Result.map List.rev
 
-let hist_summary_of_json j =
+let int_entry nm v =
+  match Json.as_int v with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "non-integer value for %S" nm)
+
+let hist_summary_of_json _ j =
   let field k =
     match Option.bind (Json.member k j) Json.as_int with
     | Some v -> Ok v
@@ -127,96 +186,78 @@ let hist_summary_of_json j =
   let* hs_max = field "max" in
   Ok { hs_count; hs_sum; hs_p50; hs_p90; hs_p99; hs_max }
 
+(* One reader for both schemas: a slocal.run/1 line has no op and
+   carries [finished_at] where slocal.request/1 carries [wall_ns]. *)
 let of_json j : (record, string) result =
   let str k =
     match Option.bind (Json.member k j) Json.as_string with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "missing string field %S" k)
   in
-  let num k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing numeric field %S" k)
-  in
   let* schema = str "schema" in
-  if schema <> schema_version then
+  let legacy = schema = legacy_schema_version in
+  if schema <> schema_version && not legacy then
     Error (Printf.sprintf "unsupported schema %S" schema)
   else
-    let* id = str "id" in
-    let* argv =
-      match Option.bind (Json.member "argv" j) Json.as_list with
-      | None -> Error "missing list field \"argv\""
-      | Some l ->
-          List.fold_left
-            (fun acc a ->
-              let* acc = acc in
-              match Json.as_string a with
-              | Some s -> Ok (s :: acc)
-              | None -> Error "non-string argv entry")
-            (Ok []) l
-          |> Result.map List.rev
+    let num k =
+      match Json.member k j with
+      | Some (Json.Float f) -> Ok f
+      | Some (Json.Int i) -> Ok (float_of_int i)
+      | None when not legacy -> Ok 0.
+      | _ -> Error (Printf.sprintf "missing numeric field %S" k)
     in
-    let* started_at = num "started_at" in
-    let* finished_at = num "finished_at" in
-    let* outcome = str "outcome" in
-    let* exit_code =
-      match Option.bind (Json.member "exit_code" j) Json.as_int with
-      | Some v -> Ok v
-      | None -> Error "missing integer field \"exit_code\""
-    in
-    let kernel = Option.bind (Json.member "kernel" j) Json.as_string in
-    let seed = Option.bind (Json.member "seed" j) Json.as_int in
-    let* problems = int_entries j "problems" in
-    let* counters = int_entries j "counters" in
-    let* gauges = int_entries j "gauges" in
-    let* histograms =
-      match Option.bind (Json.member "histograms" j) Json.as_obj with
-      | None -> Ok []
-      | Some kvs ->
-          List.fold_left
-            (fun acc (nm, hj) ->
-              let* acc = acc in
-              let* hs = hist_summary_of_json hj in
-              Ok ((nm, hs) :: acc))
-            (Ok []) kvs
-          |> Result.map List.rev
-    in
-    let* artifacts =
-      match Option.bind (Json.member "artifacts" j) Json.as_obj with
-      | None -> Ok []
-      | Some kvs ->
-          List.fold_left
-            (fun acc (nm, v) ->
-              let* acc = acc in
-              match Json.as_string v with
-              | Some p -> Ok ((nm, p) :: acc)
-              | None -> Error "non-string artifact path")
-            (Ok []) kvs
-          |> Result.map List.rev
-    in
-    (* Additive fields: older records simply lack them. *)
     let opt_int k =
       Option.value ~default:0 (Option.bind (Json.member k j) Json.as_int)
+    in
+    let* id = str "id" in
+    let* op = if legacy then Ok "" else str "op" in
+    let* outcome = str "outcome" in
+    let* started_at = num "started_at" in
+    let* wall_ns =
+      if legacy then
+        let* finished_at = num "finished_at" in
+        let wall_s = Float.max 0. (finished_at -. started_at) in
+        Ok (Float.to_int (Float.round (wall_s *. 1e9)))
+      else Ok (opt_int "wall_ns")
+    in
+    let* argv =
+      match Json.member "argv" j with
+      | None -> Ok []
+      | Some (Json.List l)
+        when List.for_all (fun a -> Json.as_string a <> None) l ->
+          Ok (List.filter_map Json.as_string l)
+      | Some _ -> Error "argv is not a list of strings"
+    in
+    let* problems = entries j "problems" int_entry in
+    let* counters = entries j "counters" int_entry in
+    let* gauges = entries j "gauges" int_entry in
+    let* histograms = entries j "histograms" hist_summary_of_json in
+    let* artifacts =
+      entries j "artifacts" (fun _ v ->
+          Option.to_result ~none:"non-string artifact path" (Json.as_string v))
     in
     Ok
       {
         id;
+        op;
+        problems;
+        kernel = Option.bind (Json.member "kernel" j) Json.as_string;
+        wall_ns;
+        alloc_b = opt_int "alloc_b";
+        cache_hits = opt_int "cache_hits";
+        cache_misses = opt_int "cache_misses";
+        outcome;
         argv;
         started_at;
-        finished_at;
-        outcome;
-        exit_code;
-        kernel;
-        seed;
-        problems;
+        exit_code = opt_int "exit_code";
+        seed = Option.bind (Json.member "seed" j) Json.as_int;
         counters;
         gauges;
         histograms;
         artifacts;
-        alloc_b = opt_int "alloc_b";
         majors = opt_int "majors";
         top_heap_words = opt_int "top_heap_words";
+        body = Json.member "body" j;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -228,9 +269,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* One record as a single flushed JSONL line, for run and request
-   records alike. *)
-let append_json ~path j =
+let append ~path r =
   try
     mkdir_p (Filename.dirname path);
     let oc =
@@ -239,7 +278,7 @@ let append_json ~path j =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Json.to_string j);
+        output_string oc (Json.to_string (to_json r));
         output_char oc '\n';
         flush oc);
     Ok ()
@@ -247,43 +286,21 @@ let append_json ~path j =
   | Sys_error msg -> Error msg
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-let append ~path r = append_json ~path (to_json r)
-
-(* Every non-blank line of a JSONL file, parsed, in file order. *)
-let json_lines path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rec go acc =
-    match input_line ic with
-    | line when String.trim line = "" -> go acc
-    | line -> go (Json.of_string line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
-
-type read_result = { records : record list; skipped : int; foreign : int }
+type read_result = { records : record list; skipped : int }
 
 let read_file path =
-  let r =
-    List.fold_left
-      (fun acc -> function
-        | Error _ -> { acc with skipped = acc.skipped + 1 }
-        | Ok j -> (
-            (* A well-formed record of some *other* schema (a
-               slocal.request/1 line in a shared ledger, a future
-               slocal.run/2) is foreign, not damaged: newer writers
-               must not make older readers report corruption. *)
-            match Option.bind (Json.member "schema" j) Json.as_string with
-            | Some s when s <> schema_version ->
-                { acc with foreign = acc.foreign + 1 }
-            | _ -> (
-                match of_json j with
-                | Ok r -> { acc with records = r :: acc.records }
-                | Error _ -> { acc with skipped = acc.skipped + 1 })))
-      { records = []; skipped = 0; foreign = 0 }
-      (json_lines path)
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let rec go records skipped =
+    match input_line ic with
+    | line when String.trim line = "" -> go records skipped
+    | line -> (
+        match Result.bind (Json.of_string line) of_json with
+        | Ok r -> go (r :: records) skipped
+        | Error _ -> go records (skipped + 1))
+    | exception End_of_file -> { records = List.rev records; skipped }
   in
-  { r with records = List.rev r.records }
+  go [] 0
 
 (* ------------------------------------------------------------------ *)
 (* Record selection and comparison *)
@@ -294,9 +311,13 @@ let is_digits s =
 let find { records; _ } key =
   if is_digits key then begin
     let n = List.length records in
-    let i = int_of_string key in
-    if i >= 1 && i <= n then Ok (List.nth records (i - 1))
-    else Error (Printf.sprintf "run index %d out of range (1..%d)" i n)
+    match int_of_string_opt key with
+    | Some i when i >= 1 && i <= n -> Ok (List.nth records (i - 1))
+    | i ->
+        Error
+          (Printf.sprintf "run index %s out of range (1..%d)"
+             (Option.fold ~none:key ~some:string_of_int i)
+             n)
   end
   else
     match
@@ -320,110 +341,29 @@ let diff a b =
     names
 
 let gc ~path ~keep =
-  try
-    let { records; skipped; foreign } = read_file path in
-    let n = List.length records in
-    let dropped_records = max 0 (n - keep) in
-    let kept =
-      if dropped_records = 0 then records
-      else List.filteri (fun i _ -> i >= dropped_records) records
-    in
-    let dir = Filename.dirname path in
-    let tmp = Filename.temp_file ~temp_dir:dir "ledger" ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun r ->
-            output_string oc (Json.to_string (to_json r));
-            output_char oc '\n')
-          kept);
-    Sys.rename tmp path;
-    Ok (List.length kept, dropped_records + skipped + foreign)
-  with
-  | Sys_error msg -> Error msg
-  | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* ------------------------------------------------------------------ *)
-(* Per-request ledger records (schema slocal.request/1).  One line per
-   daemon request, appended to the same kind of JSONL file as run
-   records — possibly the *same* file, which is why the run reader
-   above counts unknown schemas as foreign instead of damaged. *)
-
-let request_schema_version = "slocal.request/1"
-
-type request_record = {
-  rr_id : string;
-  rr_op : string;
-  rr_problems : (string * int) list;
-  rr_kernel : string option;
-  rr_wall_ns : int;
-  rr_alloc_b : int;
-  rr_cache_hits : int;
-  rr_cache_misses : int;
-  rr_outcome : string;
-  rr_body : Json.t option;
-}
-
-let request_to_json r : Json.t =
-  Json.Obj
-    ([
-      ("schema", Json.String request_schema_version);
-      ("id", Json.String r.rr_id);
-      ("op", Json.String r.rr_op);
-      ( "problems",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.rr_problems) );
-      ( "kernel",
-        match r.rr_kernel with None -> Json.Null | Some k -> Json.String k );
-      ("wall_ns", Json.Int r.rr_wall_ns);
-      ("alloc_b", Json.Int r.rr_alloc_b);
-      ("cache_hits", Json.Int r.rr_cache_hits);
-      ("cache_misses", Json.Int r.rr_cache_misses);
-      ("outcome", Json.String r.rr_outcome);
-    ]
-    @ match r.rr_body with Some b -> [ ("body", b) ] | None -> [])
-
-let request_of_json j : (request_record, string) result =
-  let str k =
-    match Option.bind (Json.member k j) Json.as_string with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let* schema = str "schema" in
-  if schema <> request_schema_version then
-    Error (Printf.sprintf "unsupported schema %S" schema)
+  if keep < 0 then Error (Printf.sprintf "keep must be at least 0, got %d" keep)
   else
-    let* rr_id = str "id" in
-    let* rr_op = str "op" in
-    let* rr_outcome = str "outcome" in
-    let* rr_problems = int_entries j "problems" in
-    let rr_kernel = Option.bind (Json.member "kernel" j) Json.as_string in
-    let opt_int k =
-      Option.value ~default:0 (Option.bind (Json.member k j) Json.as_int)
-    in
-    Ok
-      {
-        rr_id;
-        rr_op;
-        rr_problems;
-        rr_kernel;
-        rr_wall_ns = opt_int "wall_ns";
-        rr_alloc_b = opt_int "alloc_b";
-        rr_cache_hits = opt_int "cache_hits";
-        rr_cache_misses = opt_int "cache_misses";
-        rr_outcome;
-        rr_body = Json.member "body" j;
-      }
-
-let append_request ~path r = append_json ~path (request_to_json r)
-
-let read_requests_file path =
-  let parsed =
-    List.map (fun l -> Result.bind l request_of_json) (json_lines path)
-  in
-  ( List.filter_map Result.to_option parsed,
-    List.length (List.filter Result.is_error parsed) )
+    try
+      let { records; skipped } = read_file path in
+      let n = List.length records in
+      let dropped_records = max 0 (n - keep) in
+      let kept = List.filteri (fun i _ -> i >= dropped_records) records in
+      let dir = Filename.dirname path in
+      let tmp = Filename.temp_file ~temp_dir:dir "ledger" ".tmp" in
+      let oc = open_out tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          List.iter
+            (fun r ->
+              output_string oc (Json.to_string (to_json r));
+              output_char oc '\n')
+            kept);
+      Sys.rename tmp path;
+      Ok (List.length kept, dropped_records + skipped)
+    with
+    | Sys_error msg -> Error msg
+    | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 (* ------------------------------------------------------------------ *)
 (* The in-process run context.  [begin_run] opens it; the [note_*]
@@ -436,6 +376,7 @@ let read_requests_file path =
 (* staticcheck: per-call one ledger record per CLI invocation; owned by the coordinating domain *)
 type ctx = {
   c_id : string;
+  c_op : string;
   c_argv : string list;
   c_started : float;
   c_alloc0 : float;  (* Gc.allocated_bytes at begin_run *)
@@ -456,11 +397,12 @@ let fresh_id () =
     (int_of_float (t *. 1000.) land 0xffffffff)
     (Unix.getpid () land 0xffff)
 
-let begin_run ~argv =
+let begin_run ~op ~argv =
   active :=
     Some
       {
         c_id = fresh_id ();
+        c_op = op;
         c_argv = argv;
         c_started = Unix.gettimeofday ();
         c_alloc0 = Gc.allocated_bytes ();
@@ -515,23 +457,28 @@ let snapshot_record c ~outcome =
       (Telemetry.histogram_snapshot ())
   in
   let q = Gc.quick_stat () in
+  let counter nm = Option.value ~default:0 (List.assoc_opt nm counters) in
   {
     id = c.c_id;
+    op = c.c_op;
+    problems = c.c_problems;
+    kernel = c.c_kernel;
+    wall_ns = Float.to_int ((Unix.gettimeofday () -. c.c_started) *. 1e9);
+    alloc_b = Float.to_int (Gc.allocated_bytes () -. c.c_alloc0);
+    cache_hits = counter "re.cache_hits";
+    cache_misses = counter "re.cache_misses";
+    outcome;
     argv = c.c_argv;
     started_at = c.c_started;
-    finished_at = Unix.gettimeofday ();
-    outcome;
     exit_code = c.c_exit;
-    kernel = c.c_kernel;
     seed = c.c_seed;
-    problems = c.c_problems;
     counters = List.rev counters;
     gauges = List.rev gauges;
     histograms;
     artifacts = c.c_artifacts;
-    alloc_b = int_of_float (Gc.allocated_bytes () -. c.c_alloc0);
     majors = q.Gc.major_collections - c.c_majors0;
     top_heap_words = q.Gc.top_heap_words;
+    body = None;
   }
 
 let finish_run ~outcome =

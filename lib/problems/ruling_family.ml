@@ -112,7 +112,7 @@ let classify (prob : Problem.t) l =
              (fun i -> Char.code name.[i + 1] - Char.code '0'))
     | 'P' -> `P (int_of_string (String.sub name 1 (String.length name - 1)))
     | 'U' -> `U (int_of_string (String.sub name 1 (String.length name - 1)))
-    | _ -> invalid_arg "Ruling_family.classify: foreign label"
+    | _ -> invalid_arg "Ruling_family.classify: label outside the family"
 
 let pi_solution_of_ruling_set g ~alpha ~c ~beta ~in_set ~colors ~orientation =
   let delta = Graph.max_degree g in

@@ -86,18 +86,18 @@ let with_kernel kernel f =
       Re_step.set_kernel k;
       Fun.protect ~finally:(fun () -> Re_step.set_kernel prev) f
 
-type re_result = { problems : Problem.t list; fixed_point : bool option }
+type re_result = { problems : Problem.t list; fixed_point : bool }
 
 let last r = List.nth r.problems (List.length r.problems - 1)
 
-let re ?kernel ?(fixed_point = true) ~steps p =
+let re ?kernel ~steps p =
   with_kernel kernel @@ fun () ->
   let rec go q i =
     if i >= steps then [ q ] else q :: go (Re_step.re q) (i + 1)
   in
-  let r = { problems = go p 0; fixed_point = None } in
-  if not fixed_point then r
-  else { r with fixed_point = Some (Re_step.is_fixed_point (last r)) }
+  let problems = go p 0 in
+  let q = List.nth problems (List.length problems - 1) in
+  { problems; fixed_point = Re_step.is_fixed_point q }
 
 type sequence_result = {
   sequence : Problem.t list;

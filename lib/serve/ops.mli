@@ -1,7 +1,7 @@
 (** The framework's work operations — RE steps, lower-bound sequences,
     exact solving, the Theorem 3.4 audit — and the spec parsers that
-    feed them, implemented once.  The CLI subcommands, the CLI [stats]
-    workload and {!Serve.handle_request} all call these; a front end
+    feed them, implemented once.  The CLI subcommands and
+    {!Serve.handle_request} both call these; a front end
     only maps its flags or JSON fields onto a call and renders the
     typed result, so the same request gets the same answer everywhere.
 
@@ -38,12 +38,11 @@ val error_message : exn -> string option
 
 type re_result = {
   problems : Problem.t list;  (** [Π, RE(Π), …, RE^steps(Π)]. *)
-  fixed_point : bool option;  (** Of the last problem, when asked. *)
+  fixed_point : bool;
+      (** The fixed-point test (one more RE) on the last problem. *)
 }
 
-val re : ?kernel:Re_step.kernel -> ?fixed_point:bool -> steps:int -> Problem.t -> re_result
-(** [fixed_point] (default [true]) runs the fixed-point test, one more
-    RE, on the last problem. *)
+val re : ?kernel:Re_step.kernel -> steps:int -> Problem.t -> re_result
 
 val last : re_result -> Problem.t
 

@@ -157,7 +157,7 @@ let work_op ~problems ~kernel_used req op =
            ("white_configs", Json.Int (Constr.size q.Problem.white));
            ("black_configs", Json.Int (Constr.size q.Problem.black));
            ("hash", Json.Int (Problem.canonical_hash q));
-           ("fixed_point", Json.Bool (r.Ops.fixed_point = Some true));
+           ("fixed_point", Json.Bool r.Ops.fixed_point);
          ]
         @ text)
   | "sequence" ->
@@ -311,16 +311,16 @@ let handle_request st req =
     in
     let rr =
       {
-        Ledger.rr_id = id;
-        rr_op = op;
-        rr_problems = List.rev !problems;
-        rr_kernel = !kernel_used;
-        rr_wall_ns = Int64.to_int summary.Telemetry.rq_wall_ns;
-        rr_alloc_b = summary.Telemetry.rq_alloc_b;
-        rr_cache_hits = cdelta "re.cache_hits";
-        rr_cache_misses = cdelta "re.cache_misses";
-        rr_outcome = (match body with Ok _ -> "ok" | Error _ -> "error");
-        rr_body = None;
+        Ledger.empty with
+        id;
+        op;
+        problems = List.rev !problems;
+        kernel = !kernel_used;
+        wall_ns = Int64.to_int summary.Telemetry.rq_wall_ns;
+        alloc_b = summary.Telemetry.rq_alloc_b;
+        cache_hits = cdelta "re.cache_hits";
+        cache_misses = cdelta "re.cache_misses";
+        outcome = (match body with Ok _ -> "ok" | Error _ -> "error");
       }
     in
     st.totals <- merge_counters st.totals summary.Telemetry.rq_counters;
@@ -329,15 +329,13 @@ let handle_request st req =
       (Int64.to_int summary.Telemetry.rq_wall_ns);
     (match st.cfg.record with
     | Some path -> (
-        match
-          Ledger.append_request ~path { rr with Ledger.rr_body = Some req }
-        with
+        match Ledger.append ~path { rr with Ledger.body = Some req } with
         | Ok () -> ()
         | Error msg -> Printf.eprintf "serve: record: %s\n%!" msg)
     | None -> ());
     reply ~id ~op body
       [
-        ("request", Ledger.request_to_json rr);
+        ("request", Ledger.to_json rr);
         ( "counters",
           Json.Obj
             (List.map

@@ -9,8 +9,9 @@
     {!Slocal_obs.Telemetry.with_request} window: trace events carry the
     request id, the response reports the window's own counter deltas,
     wall time and allocation, and — with [record] set — one
-    [slocal.request/1] record ({!Slocal_obs.Ledger.request_record},
-    request body included) is appended per request.  The operations
+    [slocal.request/1] ledger record ({!Slocal_obs.Ledger.record}, the
+    same record the CLI appends per run, request body included) is
+    appended per request.  The operations
     themselves are {!Ops}, shared with the one-shot CLI.
     {e Control} requests ([stats], [metrics], [shutdown]) run outside
     any window, so [stats] reads the registry at a quiescent point and

@@ -235,3 +235,72 @@ let corrupt docs g =
       Bytes.to_string b
   | 2 -> String.sub doc 0 i ^ String.sub doc j (n - j)
   | _ -> String.sub doc 0 j ^ String.sub doc i (n - i)
+
+(* ------------------------------------------------------------------ *)
+(* slocal.request/1 ledger records *)
+
+module Ledger = Slocal_obs.Ledger
+
+(* A daemon-shaped record (request fields and a body) or a CLI-shaped
+   one (argv, start time, registry snapshot), over escape-heavy
+   strings.  The body holds no floats: a whole float reads back as an
+   integer. *)
+let ledger_record g : Ledger.record =
+  let kvs f = List.init (Prng.int g 4) (fun _ -> (text g, f g)) in
+  let opt f = if Prng.bool g then Some (f g) else None in
+  let request =
+    {
+      Ledger.empty with
+      id = text g;
+      op = text g;
+      problems = kvs signed_int;
+      kernel = opt text;
+      wall_ns = signed_int g;
+      alloc_b = signed_int g;
+      cache_hits = signed_int g;
+      cache_misses = signed_int g;
+      outcome = text g;
+      body =
+        opt (fun _ ->
+            Slocal_obs.Json.Obj
+              (kvs (fun g ->
+                   if Prng.bool g then Slocal_obs.Json.String (text g)
+                   else Slocal_obs.Json.Int (signed_int g))));
+    }
+  in
+  if Prng.bool g then request
+  else
+    let hist g =
+      {
+        Ledger.hs_count = signed_int g;
+        hs_sum = signed_int g;
+        hs_p50 = signed_int g;
+        hs_p90 = signed_int g;
+        hs_p99 = signed_int g;
+        hs_max = signed_int g;
+      }
+    in
+    {
+      request with
+      argv = List.init (1 + Prng.int g 4) (fun _ -> text g);
+      started_at = Prng.float g 2e9;
+      exit_code = signed_int g;
+      seed = opt signed_int;
+      counters = kvs signed_int;
+      gauges = kvs signed_int;
+      histograms = kvs hist;
+      artifacts = kvs text;
+      majors = signed_int g;
+      top_heap_words = signed_int g;
+      body = None;
+    }
+
+(* A corrupted copy of a ledger: one line duplicated, or a [corrupt]
+   copy (truncated, bytes overwritten, a span deleted or duplicated). *)
+let corrupt_ledger doc g =
+  if Prng.int g 4 = 0 then
+    let lines = String.split_on_char '\n' doc in
+    let i = Prng.int g (List.length lines) in
+    String.concat "\n"
+      (List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines))
+  else corrupt [ doc ] g

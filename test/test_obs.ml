@@ -597,15 +597,18 @@ module Ledger = Slocal_obs.Ledger
 
 let sample_record ?(id = "cafe0001") ?(counters = [ ("c", 1) ]) () =
   {
-    Ledger.id;
+    Ledger.empty with
+    id;
+    op = "re";
     argv = [ "slocal"; "re"; "x.slp" ];
     started_at = 1000.25;
-    finished_at = 1003.75;
+    wall_ns = 3_500_000_000;
     outcome = "ok";
     exit_code = 0;
     kernel = Some "fast";
     seed = Some 42;
     problems = [ ("mm3", 123456789) ];
+    cache_hits = 1;
     counters;
     gauges = [ ("g", 2) ];
     histograms =
@@ -644,7 +647,7 @@ let test_ledger_roundtrip () =
   | Error e -> Alcotest.fail e);
   check (Alcotest.float 1e-9) "wall_seconds" 3.5 (Ledger.wall_seconds r);
   (match Ledger.of_json (Json.Obj [ ("schema", Json.String "wrong/9") ]) with
-  | Ok _ -> Alcotest.fail "foreign schema accepted"
+  | Ok _ -> Alcotest.fail "unknown schema accepted"
   | Error _ -> ())
 
 let test_ledger_append_read () =
@@ -677,7 +680,11 @@ let test_ledger_append_read () =
     (Result.is_error (Ledger.find r "ab"));
   check bool_t "unknown key rejected" true
     (Result.is_error (Ledger.find r "zz"));
-  check bool_t "index 0 rejected" true (Result.is_error (Ledger.find r "0"))
+  check bool_t "index 0 rejected" true (Result.is_error (Ledger.find r "0"));
+  check (Alcotest.result string_t string_t) "index beyond max_int rejected"
+    (Error "run index 99999999999999999999 out of range (1..3)")
+    (Result.map (fun (x : Ledger.record) -> x.Ledger.id)
+       (Ledger.find r "99999999999999999999"))
 
 let test_ledger_diff () =
   let a = sample_record ~counters:[ ("same", 3); ("x", 1); ("y", 5) ] () in
@@ -705,7 +712,11 @@ let test_ledger_gc () =
   let r = Ledger.read_file path in
   check (Alcotest.list string_t) "newest records survive" [ "id04"; "id05" ]
     (List.map (fun (x : Ledger.record) -> x.Ledger.id) r.Ledger.records);
-  check int_t "rewrite is clean" 0 r.Ledger.skipped
+  check int_t "rewrite is clean" 0 r.Ledger.skipped;
+  (* A negative keep is refused and leaves the file alone. *)
+  check bool_t "negative keep refused" true
+    (Result.is_error (Ledger.gc ~path ~keep:(-1)));
+  check int_t "file untouched" 2 (List.length (Ledger.read_file path).Ledger.records)
 
 let test_ledger_run_context () =
   with_clean_telemetry @@ fun () ->
@@ -718,7 +729,7 @@ let test_ledger_run_context () =
   Unix.putenv "SLOCAL_LEDGER" "none";
   check bool_t "\"none\" disables" true (Ledger.default_path () = None);
   Unix.putenv "SLOCAL_LEDGER" path;
-  Ledger.begin_run ~argv:[ "slocal"; "test" ];
+  Ledger.begin_run ~op:"test" ~argv:[ "slocal"; "test" ];
   Ledger.note_kernel "fast";
   Ledger.note_seed 7;
   Ledger.note_problem ~name:"mm3" ~hash:99;
@@ -733,6 +744,7 @@ let test_ledger_run_context () =
       check (Alcotest.list string_t) "argv" [ "slocal"; "test" ]
         rec_.Ledger.argv;
       check string_t "finish_run is idempotent" "ok" rec_.Ledger.outcome;
+      check string_t "op noted" "test" rec_.Ledger.op;
       check (Alcotest.option string_t) "kernel noted" (Some "fast")
         rec_.Ledger.kernel;
       check (Alcotest.option int_t) "seed noted" (Some 7) rec_.Ledger.seed;
@@ -743,8 +755,7 @@ let test_ledger_run_context () =
         (List.assoc_opt "trace" rec_.Ledger.artifacts);
       check (Alcotest.option int_t) "counters snapshotted" (Some 5)
         (List.assoc_opt "test.ledger.counter" rec_.Ledger.counters);
-      check bool_t "timestamps ordered" true
-        (rec_.Ledger.finished_at >= rec_.Ledger.started_at)
+      check bool_t "wall time non-negative" true (rec_.Ledger.wall_ns >= 0)
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length rs)))
 
 (* ------------------------------------------------------------------ *)

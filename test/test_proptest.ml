@@ -423,6 +423,49 @@ let bench_reader_tests =
                | Ok _ | Error _ -> true)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* slocal.request/1: the one ledger writer and its tolerant reader *)
+
+module Ledger = Slocal_obs.Ledger
+
+let ledger_reader_tests =
+  [
+    Alcotest.test_case "of_json (to_json r) = Ok r" `Quick (fun () ->
+        run
+          (Proptest.property ~name:"ledger round-trip" ~gen:Proptest.ledger_record
+             ~print:(fun r -> Json.to_string (Ledger.to_json r))
+             (fun r ->
+               Ledger.of_json (Ledger.to_json r) = Ok r
+               && Result.bind
+                    (Json.of_string (Json.to_string (Ledger.to_json r)))
+                    Ledger.of_json
+                  = Ok r)));
+    (* Damaged copies of the committed mixed ledger: every non-blank
+       line reads as a record or counts as skipped, and the reader
+       never raises. *)
+    Alcotest.test_case "corrupted ledgers: records + skipped" `Quick (fun () ->
+        let fixture = "test/fixtures/ledger_mixed.jsonl" in
+        let fixture =
+          if Sys.file_exists fixture then fixture else Filename.concat ".." fixture
+        in
+        let doc = In_channel.with_open_bin fixture In_channel.input_all in
+        let file = Filename.temp_file "slocal_ledger" ".jsonl" in
+        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+        run
+          (Proptest.property ~count:500 ~name:"ledger reader total"
+             ~gen:(Proptest.corrupt_ledger doc) ~print:String.escaped
+             (fun text ->
+               Out_channel.with_open_bin file (fun oc ->
+                   Out_channel.output_string oc text);
+               let { Ledger.records; skipped } = Ledger.read_file file in
+               let lines =
+                 List.filter
+                   (fun l -> String.trim l <> "")
+                   (String.split_on_char '\n' text)
+               in
+               List.length records + skipped = List.length lines)));
+  ]
+
 let () =
   Alcotest.run "proptest"
     [
@@ -432,4 +475,5 @@ let () =
       ("parallel-differential", parallel_tests);
       ("alloc-determinism", alloc_determinism_tests);
       ("bench-reader", bench_reader_tests);
+      ("ledger-reader", ledger_reader_tests);
     ]

@@ -1,7 +1,8 @@
 (* Tests for the slocal serve daemon core: the JSONL protocol, the
    per-request counter-delta isolation invariant (disjoint windows
    summing to the global registry delta), record/replay through
-   slocal.request/1 records, and the Unix-socket loop end to end. *)
+   slocal.request/1 ledger records, and the Unix-socket loop end to
+   end. *)
 
 module Json = Slocal_obs.Json
 module Telemetry = Slocal_obs.Telemetry
@@ -108,10 +109,10 @@ let test_work_op_error_record () =
   check bool_t "bad spec refused" false (is_ok r);
   (* A failed work op still ran inside a window and still yields its
      slocal.request/1 record, marked as an error. *)
-  (match Option.map Ledger.request_of_json (member "request" r) with
+  (match Option.map Ledger.of_json (member "request" r) with
   | Some (Ok rr) ->
-      check string_t "outcome is error" "error" rr.Ledger.rr_outcome;
-      check string_t "op recorded" "re" rr.Ledger.rr_op
+      check string_t "outcome is error" "error" rr.Ledger.outcome;
+      check string_t "op recorded" "re" rr.Ledger.op
   | _ -> Alcotest.fail "missing or unparsable request record");
   check int_t "errored" 1 (Serve.errored st);
   check bool_t "window still charged the attempt" true
@@ -133,7 +134,13 @@ let test_metrics_op () =
     (contains text "slocal_")
 
 (* The [result] object of one request per work op, pinned as a literal:
-   the protocol answer for a fixed request must not drift. *)
+   the protocol answer for a fixed request must not drift.  Nor may the
+   key list of the reply's [request] record: clients read its fields by
+   name, and the order is part of the byte-identical reply. *)
+let request_keys =
+  [ "schema"; "id"; "op"; "problems"; "kernel"; "wall_ns"; "alloc_b";
+    "cache_hits"; "cache_misses"; "outcome" ]
+
 let test_result_goldens () =
   with_clean_telemetry @@ fun () ->
   (* Leave the RE cache cold for the isolation tests that follow. *)
@@ -143,6 +150,10 @@ let test_result_goldens () =
     (fun (line, want) ->
       let r = ask st line in
       check bool_t (line ^ " ok") true (is_ok r);
+      check (Alcotest.list string_t) (line ^ " request keys") request_keys
+        (match member "request" r with
+        | Some (Json.Obj kvs) -> List.map fst kvs
+        | _ -> []);
       check string_t line want
         (match member "result" r with
         | Some j -> Json.to_string j
@@ -306,19 +317,23 @@ let test_capture_replay_20 () =
   check bool_t "stats check_sum holds after 20 requests" true (stats_check st);
   (* One slocal.request/1 record per work request, in order, each
      with its outcome and the verbatim request body. *)
-  let records, skipped = Ledger.read_requests_file record in
+  let { Ledger.records; skipped } = Ledger.read_file record in
   check int_t "no skipped record lines" 0 skipped;
+  check bool_t "every line is a slocal.request/1 record" true
+    (List.for_all
+       (String.starts_with ~prefix:{|{"schema":"slocal.request/1",|})
+       (In_channel.with_open_bin record In_channel.input_lines));
   check int_t "20 records" 20 (List.length records);
   check
     (Alcotest.list string_t)
     "record ids in request order"
     (List.init 20 (fun i -> Printf.sprintf "r%d" (i + 1)))
-    (List.map (fun rr -> rr.Ledger.rr_id) records);
+    (List.map (fun (rr : Ledger.record) -> rr.Ledger.id) records);
   let bodies =
     List.map
-      (fun rr ->
-        check string_t "recorded outcome" "ok" rr.Ledger.rr_outcome;
-        match rr.Ledger.rr_body with
+      (fun (rr : Ledger.record) ->
+        check string_t "recorded outcome" "ok" rr.Ledger.outcome;
+        match rr.Ledger.body with
         | Some body -> body
         | None -> Alcotest.fail "record lost its body")
       records
@@ -342,82 +357,105 @@ let test_capture_replay_20 () =
     (stats_check st2)
 
 (* ------------------------------------------------------------------ *)
-(* The mixed-schema ledger file (run records + request records) *)
+(* One ledger file for every writer *)
 
+let append_line file line =
+  let oc = open_out_gen [ Open_append ] 0o644 file in
+  output_string oc (line ^ "\n");
+  close_out oc
+
+(* CLI runs, daemon requests and the lines written before the two
+   record types merged all read through [Ledger.read_file]; only the
+   damaged line is skipped, and gc keeps the newest records whatever
+   wrote them. *)
 let test_mixed_schema_ledger () =
   with_tmp "slocal_mixed_ledger" @@ fun file ->
-  let run =
+  let cli =
     {
-      Ledger.id = "deadbeef";
+      Ledger.empty with
+      id = "deadbeef";
+      op = "re";
       argv = [ "slocal"; "re"; "mm:3" ];
       started_at = 1000.;
-      finished_at = 1001.;
+      wall_ns = 1_000_000_000;
       outcome = "ok";
-      exit_code = 0;
       kernel = Some "fast";
-      seed = None;
       problems = [ ("mm3", 42) ];
       counters = [ ("re.steps", 1) ];
-      gauges = [];
-      histograms = [];
-      artifacts = [];
-      alloc_b = 0;
-      majors = 0;
-      top_heap_words = 0;
     }
   in
   let rr id =
     {
-      Ledger.rr_id = id;
-      rr_op = "re";
-      rr_problems = [ ("mm3", 42) ];
-      rr_kernel = Some "fast";
-      rr_wall_ns = 5_000;
-      rr_alloc_b = 1_024;
-      rr_cache_hits = 3;
-      rr_cache_misses = 0;
-      rr_outcome = "ok";
-      rr_body = None;
+      Ledger.empty with
+      id;
+      op = "re";
+      problems = [ ("mm3", 42) ];
+      kernel = Some "fast";
+      wall_ns = 5_000;
+      alloc_b = 1_024;
+      cache_hits = 3;
+      outcome = "ok";
     }
   in
-  (match Ledger.append ~path:file run with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "append run: %s" m);
-  List.iter
-    (fun id ->
-      match Ledger.append_request ~path:file (rr id) with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "append request: %s" m)
-    [ "r1"; "r2" ];
-  let oc = open_out_gen [ Open_append ] 0o644 file in
-  output_string oc "{ damaged\n";
-  close_out oc;
-  (* The run reader keeps its own records, counts the request records
-     as foreign (not skipped: they are well-formed, just not runs) and
-     the damaged line as skipped. *)
+  let append r =
+    match Ledger.append ~path:file r with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "append: %s" m
+  in
+  append_line file
+    {|{"schema":"slocal.run/1","id":"cafe0002","argv":["slocal","sequence","mm:3"],"started_at":1000.25,"finished_at":1001.75,"outcome":"ok","exit_code":0,"kernel":"fast","seed":null,"problems":{"mm3":42},"counters":{"re.steps":2},"gauges":{},"histograms":{},"artifacts":{}}|};
+  append (rr "r1");
+  append cli;
+  append { (rr "r2") with Ledger.body = Some (Json.Obj [ ("op", Json.String "re") ]) };
+  (* A record written while requests had a worker width: its "jobs"
+     field is ignored. *)
+  append_line file
+    {|{"schema":"slocal.request/1","id":"r0","op":"re","problems":{"mm3":42},"kernel":"fast","jobs":2,"wall_ns":5000,"alloc_b":1024,"cache_hits":3,"cache_misses":0,"outcome":"ok"}|};
+  append_line file "{ damaged";
   let r = Ledger.read_file file in
-  check int_t "one run record" 1 (List.length r.Ledger.records);
-  check string_t "run id survives" "deadbeef" (List.hd r.Ledger.records).Ledger.id;
-  check int_t "request records are foreign, not damage" 2 r.Ledger.foreign;
+  check (Alcotest.list string_t) "every well-formed line is a record"
+    [ "cafe0002"; "r1"; "deadbeef"; "r2"; "r0" ]
+    (List.map (fun (x : Ledger.record) -> x.Ledger.id) r.Ledger.records);
   check int_t "damaged line skipped" 1 r.Ledger.skipped;
-  (* The request reader is the mirror image. *)
-  let rrs, skipped = Ledger.read_requests_file file in
-  check
-    (Alcotest.list string_t)
-    "both request records read" [ "r1"; "r2" ]
-    (List.map (fun x -> x.Ledger.rr_id) rrs);
-  check int_t "run record and damage both skipped here" 2 skipped;
-  (* A record written while requests had a worker width still loads;
-     its "jobs" field is ignored. *)
-  match
-    Json.of_string
-      {|{"schema":"slocal.request/1","id":"r0","op":"re","problems":{"mm3":42},"kernel":"fast","jobs":2,"wall_ns":5000,"alloc_b":1024,"cache_hits":3,"cache_misses":0,"outcome":"ok"}|}
-  with
-  | Error e -> Alcotest.failf "fixture: %s" e
-  | Ok j -> (
-      match Ledger.request_of_json j with
-      | Ok old -> check bool_t "pre-change record reads" true (old = rr "r0")
-      | Error m -> Alcotest.failf "pre-change record rejected: %s" m)
+  (match r.Ledger.records with
+  | [ legacy; r1; c; _; r0 ] ->
+      check string_t "legacy run has no op" "" legacy.Ledger.op;
+      check int_t "legacy wall from finished_at - started_at" 1_500_000_000
+        legacy.Ledger.wall_ns;
+      check (Alcotest.list string_t) "legacy argv" [ "slocal"; "sequence"; "mm:3" ]
+        legacy.Ledger.argv;
+      check bool_t "daemon record reads back" true (r1 = rr "r1");
+      check bool_t "CLI record reads back" true (c = cli);
+      check bool_t "pre-change request record reads" true (r0 = rr "r0")
+  | _ -> Alcotest.fail "expected five records");
+  (match Ledger.gc ~path:file ~keep:3 with
+  | Ok (kept, dropped) ->
+      check int_t "kept" 3 kept;
+      check int_t "dropped (2 oldest + damaged)" 3 dropped
+  | Error m -> Alcotest.failf "gc: %s" m);
+  let r = Ledger.read_file file in
+  check (Alcotest.list string_t) "gc keeps the newest, daemon records included"
+    [ "deadbeef"; "r2"; "r0" ]
+    (List.map (fun (x : Ledger.record) -> x.Ledger.id) r.Ledger.records);
+  check int_t "rewrite is clean" 0 r.Ledger.skipped
+
+(* The committed fixture holds run records and a serve --record capture
+   written by an earlier binary: every recorded body replays. *)
+let test_fixture_replay () =
+  with_clean_telemetry @@ fun () ->
+  let { Ledger.records; skipped } =
+    Ledger.read_file "fixtures/ledger_mixed.jsonl"
+  in
+  check int_t "four records" 4 (List.length records);
+  check int_t "one damaged line" 1 skipped;
+  let bodies = List.filter_map (fun (r : Ledger.record) -> r.Ledger.body) records in
+  check int_t "two replayable bodies" 2 (List.length bodies);
+  let st = Serve.create () in
+  List.iter
+    (fun body ->
+      check bool_t "replayed request ok" true
+        (is_ok (ask st (Json.to_string body))))
+    bodies
 
 (* ------------------------------------------------------------------ *)
 (* The socket loop, end to end *)
@@ -501,6 +539,8 @@ let () =
         [
           Alcotest.test_case "mixed run + request schemas" `Quick
             test_mixed_schema_ledger;
+          Alcotest.test_case "committed capture replays" `Quick
+            test_fixture_replay;
         ] );
       ( "socket",
         [
