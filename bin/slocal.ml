@@ -389,15 +389,6 @@ let trace_cmd =
              request window); the summary still lists every request \
              present in the file.")
   in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the profile as a slocal.profile/1 JSON document to $(docv) \
-             ($(b,-) for stdout).")
-  in
   let folded_out =
     Arg.(
       value
@@ -421,26 +412,7 @@ let trace_cmd =
   let top =
     Arg.(
       value & opt int 10
-      & info [ "top" ] ~docv:"K" ~doc:"Rows in the hotspot table.")
-  in
-  let timeline_flag =
-    Arg.(
-      value & flag
-      & info [ "timeline" ]
-          ~doc:
-            "Print the parallelism timeline instead of the profile: \
-             per-domain lanes, the concurrent-busy-domains histogram, \
-             utilization, serial fraction, and each lane's critical path.")
-  in
-  let alloc_flag =
-    Arg.(
-      value & flag
-      & info [ "alloc" ]
-          ~doc:
-            "Print the allocation profile instead of the time profile: \
-             self/cumulative allocation hotspots with per-name GC-work \
-             counts, the allocation-weighted critical path, and per-domain \
-             allocation-rate lanes.")
+      & info [ "top" ] ~docv:"K" ~doc:"Rows in each hotspot table.")
   in
   let write_output what file text =
     match file with
@@ -451,8 +423,7 @@ let trace_cmd =
         close_out oc;
         Format.eprintf "wrote %s %s@." what file
   in
-  let run trace_file request json_out folded_out folded_alloc_out top timeline
-      alloc =
+  let run trace_file request folded_out folded_alloc_out top =
     let profile = Profile.of_file ?request trace_file in
     (* An empty or fully-damaged trace means there is nothing to
        profile: a loud SL040 diagnostic and exit 1 instead of a
@@ -494,39 +465,30 @@ let trace_cmd =
     if profile.Profile.skipped_lines > 0 then
       Format.eprintf "trace report: warning: skipped %d unparsable line(s)@."
         profile.Profile.skipped_lines;
-    (match json_out with
-    | Some file ->
-        write_output "profile" file
-          (Json.to_string
-             (Profile.to_json ~source:(Filename.basename trace_file) profile)
-          ^ "\n")
-    | None -> ());
-    (match folded_out with
-    | Some file ->
-        write_output "folded stacks" file
-          (Profile.folded_to_string (Profile.folded profile))
-    | None -> ());
-    (match folded_alloc_out with
-    | Some file ->
-        write_output "folded alloc stacks" file
-          (Profile.folded_to_string (Profile.folded_alloc profile))
-    | None -> ());
-    if timeline then Format.printf "%a@?" Profile.pp_timeline profile
-    else if alloc then Format.printf "%a@?" (Profile.pp_alloc ~top) profile
-    else if json_out = None && folded_out = None && folded_alloc_out = None
-    then Format.printf "%a@?" (Profile.pp ~top) profile
+    List.iter
+      (fun (what, out, stacks) ->
+        Option.iter
+          (fun file ->
+            write_output what file (Profile.folded_to_string (stacks profile)))
+          out)
+      [
+        ("folded stacks", folded_out, Profile.folded);
+        ("folded alloc stacks", folded_alloc_out, Profile.folded_alloc);
+      ];
+    if folded_out = None && folded_alloc_out = None then
+      Format.printf "%a@?" (Profile.pp ~top) profile
   in
   let report =
     Cmd.v
       (Cmd.info "report"
          ~doc:
-           "Profile a recorded trace: span-tree self times, hotspots, \
-            critical path, counter attribution, provenance table; \
-            --alloc for the self/cumulative allocation report; --timeline \
-            for the multi-domain parallelism report")
+           "Profile a recorded trace: time and allocation hotspots, \
+            critical paths, the per-domain parallelism timeline, counter \
+            attribution, provenance table; --folded/--folded-alloc write \
+            flamegraph input instead")
       Term.(
-        const run $ file_arg $ request_opt $ json_out $ folded_out
-        $ folded_alloc_out $ top $ timeline_flag $ alloc_flag)
+        const run $ file_arg $ request_opt $ folded_out $ folded_alloc_out
+        $ top)
   in
   Cmd.group
     (Cmd.info "trace" ~doc:"Analyze recorded telemetry traces")
@@ -682,14 +644,6 @@ let lint_cmd =
                    finding to carry a staticcheck classification (pragma or \
                    STATICCHECK.md row); stale annotations are SL056.")
   in
-  let slp_flag =
-    Arg.(value & flag
-         & info [ "slp" ]
-             ~doc:"Treat the positional arguments as problem-document paths \
-                   and run only the fast source lint on them: unused labels \
-                   and within-line duplicate configurations (SL057), plus \
-                   SL000 on parse failure.")
-  in
   let report_opt =
     Arg.(value & opt (some string) None
          & info [ "report" ] ~docv:"FILE"
@@ -703,7 +657,7 @@ let lint_cmd =
                    finding with its classification) before the diagnostics.")
   in
   let run specs delta r machine codes re_steps telemetry design src_dirs
-      domains slp report inventory =
+      domains report inventory =
     if codes then Format.printf "%a@?" Chk.pp_code_table ()
     else
       with_telemetry ~cmd:"lint" None false None
@@ -712,7 +666,7 @@ let lint_cmd =
       (* Plain [slocal lint] with no arguments: the repository
          self-checks (domain-safety inventory + telemetry name table). *)
       let domains, telemetry =
-        if specs = [] && not (domains || telemetry || slp) then (true, true)
+        if specs = [] && not (domains || telemetry) then (true, true)
         else (domains, telemetry)
       in
       let domain_diags =
@@ -741,26 +695,24 @@ let lint_cmd =
         else []
       in
       let diags =
-        if slp then List.concat_map Source.lint_slp_file specs
-        else
-          List.concat_map
-            (fun spec ->
-              if Sys.file_exists spec && not (Sys.is_directory spec) then
-                Chk.lint_file ?delta ?r spec
-              else
-                match String.index_opt spec ':' with
-                | Some 4 when String.sub spec 0 4 = "file" ->
-                    Chk.lint_file ?delta ?r
-                      (String.sub spec 5 (String.length spec - 5))
-                | _ -> (
-                    match parse_problem spec with
-                    | p ->
-                        Chk.lint_problem ?delta ?r p
-                        @ Chk.lint_re_chain p ~steps:re_steps
-                    | exception Invalid_argument msg ->
-                        [ Diagnostic.error ~code:"SL000" ~subject:spec
-                            ("unparsable problem: " ^ msg) ]))
-            specs
+        List.concat_map
+          (fun spec ->
+            if Sys.file_exists spec && not (Sys.is_directory spec) then
+              Chk.lint_file ?delta ?r spec
+            else
+              match String.index_opt spec ':' with
+              | Some 4 when String.sub spec 0 4 = "file" ->
+                  Chk.lint_file ?delta ?r
+                    (String.sub spec 5 (String.length spec - 5))
+              | _ -> (
+                  match parse_problem spec with
+                  | p ->
+                      Chk.lint_problem ?delta ?r p
+                      @ Chk.lint_re_chain p ~steps:re_steps
+                  | exception Invalid_argument msg ->
+                      [ Diagnostic.error ~code:"SL000" ~subject:spec
+                          ("unparsable problem: " ^ msg) ]))
+          specs
       in
       report_and_exit ~machine (domain_diags @ telemetry_diags @ diags)
   in
@@ -771,7 +723,7 @@ let lint_cmd =
              the sources)")
     Term.(const run $ specs $ delta_opt $ r_opt $ machine_flag $ codes_flag
           $ re_steps $ telemetry_flag $ design_opt $ src_opt $ domains_flag
-          $ slp_flag $ report_opt $ inventory_flag)
+          $ report_opt $ inventory_flag)
 
 let audit_cmd =
   let k =

@@ -174,7 +174,7 @@ let alloc_gate_ratio = 1.02
 (* Experiments whose harness fans work out over domains: the
    coordinating domain's allocation depends on work-stealing order, so
    they are exempt from the alloc gate (reported, never gated). *)
-let alloc_exempt_ids = [ "E-PAR"; "E-SCALE" ]
+let alloc_exempt_ids = [ "E-SCALE" ]
 let history_window = 5
 let ratio_of cur base = float_of_int cur /. float_of_int (max 1 base)
 let breaches ~ratio ~base ~cur = float_of_int cur > float_of_int base *. ratio

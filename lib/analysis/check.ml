@@ -42,7 +42,6 @@ let code_table =
     { code = "SL054"; severity = D.Warning; title = "hash-order-dependent iteration not classified" };
     { code = "SL055"; severity = D.Warning; title = "exit or signal handler not classified" };
     { code = "SL056"; severity = D.Warning; title = "stale or malformed staticcheck annotation" };
-    { code = "SL057"; severity = D.Warning; title = "slp lint: unused label or within-line duplicate configuration" };
   ]
 
 let find_entry code = List.find_opt (fun e -> e.code = code) code_table

@@ -4,9 +4,6 @@
 
 module Telemetry = Slocal_obs.Telemetry
 module Trace = Slocal_obs.Trace
-module Json = Slocal_obs.Json
-
-let profile_schema_version = "slocal.profile/1"
 
 (* staticcheck: per-call trace replay builds a fresh span table per parsed trace; never shared *)
 type span = {
@@ -511,154 +508,6 @@ let parse_folded text =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* JSON (schema slocal.profile/1; "domains" and "timeline" are
-   additive fields introduced with slocal.trace/2 inputs) *)
-
-let rec span_to_json s : Json.t =
-  Json.Obj
-    [
-      ("name", Json.String s.name);
-      ("id", Json.Int s.id);
-      ("domain", Json.Int s.domain);
-      ("t0_ns", Json.Int (Int64.to_int s.t0));
-      ("dur_ns", Json.Int (dur_ns s));
-      ("self_ns", Json.Int (self_ns s));
-      ("alloc_b", Json.Int s.alloc_b);
-      ("self_alloc_b", Json.Int (self_alloc_b s));
-      ("minor_n", Json.Int s.minor_n);
-      ("major_n", Json.Int s.major_n);
-      ("truncated", Json.Bool (not s.closed));
-      ("children", Json.List (List.map span_to_json s.children));
-    ]
-
-let int_obj kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
-
-let timeline_to_json tl : Json.t =
-  Json.Obj
-    [
-      ("wall_ns", Json.Int tl.tl_wall_ns);
-      ( "lanes",
-        Json.List
-          (List.map
-             (fun l ->
-               Json.Obj
-                 [
-                   ("domain", Json.Int l.lane_domain);
-                   ("spans", Json.Int l.lane_spans);
-                   ("busy_ns", Json.Int l.lane_busy_ns);
-                   ("alloc_b", Json.Int l.lane_alloc_b);
-                 ])
-             tl.tl_lanes) );
-      ( "busy_hist",
-        Json.List
-          (List.map
-             (fun (k, ns) -> Json.List [ Json.Int k; Json.Int ns ])
-             tl.tl_busy_hist) );
-      ("max_concurrency", Json.Int tl.tl_max_concurrency);
-      (* Parts-per-million integers: the codec reparses integral
-         floats as ints, which would break document round-trips. *)
-      ( "utilization_ppm",
-        Json.Int (int_of_float ((1e6 *. tl.tl_utilization) +. 0.5)) );
-      ( "serial_fraction_ppm",
-        Json.Int (int_of_float ((1e6 *. tl.tl_serial_fraction) +. 0.5)) );
-    ]
-
-let to_json ~source t : Json.t =
-  Json.Obj
-    [
-      ("schema", Json.String profile_schema_version);
-      ("source", Json.String source);
-      ( "trace_schema",
-        match t.schema with None -> Json.Null | Some s -> Json.String s );
-      ("events", Json.Int t.event_count);
-      ("skipped_lines", Json.Int t.skipped_lines);
-      ("spans", Json.Int t.span_count);
-      ("unclosed_spans", Json.Int t.unclosed);
-      ("wall_ns", Json.Int (total_wall_ns t));
-      ("alloc_b", Json.Int (total_alloc_b t));
-      ("domains", Json.List (List.map (fun d -> Json.Int d) t.domains));
-      ("requests", int_obj t.requests);
-      ("timeline", timeline_to_json (timeline t));
-      ("tree", Json.List (List.map span_to_json t.roots));
-      ( "totals",
-        Json.List
-          (List.map
-             (fun a ->
-               Json.Obj
-                 [
-                   ("name", Json.String a.agg_name);
-                   ("calls", Json.Int a.calls);
-                   ("cum_ns", Json.Int a.cum_ns);
-                   ("self_ns", Json.Int a.self_total_ns);
-                   ("alloc_b", Json.Int a.alloc_total_b);
-                   ("self_alloc_b", Json.Int a.self_alloc_total_b);
-                   ("minor_n", Json.Int a.minor_total_n);
-                   ("major_n", Json.Int a.major_total_n);
-                   ("max_ns", Json.Int a.max_ns);
-                 ])
-             (totals t)) );
-      ( "critical_path",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("name", Json.String s.name);
-                   ("domain", Json.Int s.domain);
-                   ("dur_ns", Json.Int (dur_ns s));
-                   ("self_ns", Json.Int (self_ns s));
-                   ("alloc_b", Json.Int s.alloc_b);
-                 ])
-             (critical_path t)) );
-      ( "critical_path_alloc",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Obj
-                 [
-                   ("name", Json.String s.name);
-                   ("domain", Json.Int s.domain);
-                   ("alloc_b", Json.Int s.alloc_b);
-                   ("self_alloc_b", Json.Int (self_alloc_b s));
-                 ])
-             (critical_path_alloc t)) );
-      ("counters", int_obj t.final_counters);
-      ( "attribution",
-        Json.Obj
-          (List.map (fun (owner, kvs) -> (owner, int_obj kvs)) t.attribution)
-      );
-      ( "provenance",
-        Json.List
-          (List.map
-             (fun p ->
-               Json.Obj
-                 [
-                   ("step", Json.Int p.step);
-                   ("label", Json.String p.label);
-                   ("t_ns", Json.Int (Int64.to_int p.t_ns));
-                   ("values", int_obj p.values);
-                 ])
-             t.provenance) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (k, h) -> (k, Telemetry.histogram_to_json h))
-             t.histograms) );
-      ( "folded",
-        Json.List
-          (List.map
-             (fun (path, v) ->
-               Json.List [ Json.String path; Json.Int v ])
-             (folded t)) );
-      ( "folded_alloc",
-        Json.List
-          (List.map
-             (fun (path, v) ->
-               Json.List [ Json.String path; Json.Int v ])
-             (folded_alloc t)) );
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Human rendering *)
 
 let pp_ns fmt ns = Telemetry.pp_duration fmt (Int64.of_int ns)
@@ -710,20 +559,42 @@ let pp_provenance fmt steps =
       Format.fprintf fmt "@.")
     steps
 
-let pp_timeline fmt t =
+(* One line per span of a heaviest-child chain, indented by depth:
+   [cum] then [self] in the chain's unit. *)
+let pp_path ~indent pp_v ~cum ~self fmt path =
+  List.iteri
+    (fun depth s ->
+      Format.fprintf fmt "%s%s%s %s (self %s)@." indent
+        (String.make (2 * depth) ' ')
+        s.name
+        (cell pp_v (cum s))
+        (cell pp_v (self s)))
+    path
+
+let pct part whole =
+  if whole <= 0 then 0. else 100. *. float_of_int part /. float_of_int whole
+
+let pp_lanes fmt t =
   let tl = timeline t in
-  let pct part whole =
-    if whole <= 0 then 0. else 100. *. float_of_int part /. float_of_int whole
-  in
   Format.fprintf fmt
-    "parallelism timeline: wall %a, %d domain lane(s), max concurrency %d@."
+    "@.parallelism timeline: wall %a, %d domain lane(s), max concurrency %d@."
     pp_ns tl.tl_wall_ns (List.length tl.tl_lanes) tl.tl_max_concurrency;
   List.iter
     (fun l ->
-      Format.fprintf fmt "  lane domain %-4d %6d span(s)  busy %10s  (%.1f%% of wall)@."
+      let rate_b_s =
+        if l.lane_busy_ns <= 0 then 0
+        else
+          int_of_float
+            (float_of_int l.lane_alloc_b /. float_of_int l.lane_busy_ns *. 1e9)
+      in
+      Format.fprintf fmt
+        "  lane domain %-4d %6d span(s)  busy %10s  (%.1f%% of wall)  alloc \
+         %10s  rate %10s/s@."
         l.lane_domain l.lane_spans
         (cell pp_ns l.lane_busy_ns)
-        (pct l.lane_busy_ns tl.tl_wall_ns))
+        (pct l.lane_busy_ns tl.tl_wall_ns)
+        (cell pp_bytes l.lane_alloc_b)
+        (cell pp_bytes rate_b_s))
     tl.tl_lanes;
   Format.fprintf fmt "  concurrent busy domains (time at each level):@.";
   List.iter
@@ -731,8 +602,7 @@ let pp_timeline fmt t =
       Format.fprintf fmt "    %4d %10s  %5.1f%%@." k (cell pp_ns ns)
         (pct ns tl.tl_wall_ns))
     tl.tl_busy_hist;
-  Format.fprintf fmt
-    "  utilization %.1f%% of %d lane(s); serial fraction %.2f@."
+  Format.fprintf fmt "  utilization %.1f%% of %d lane(s); serial fraction %.2f@."
     (100. *. tl.tl_utilization)
     (List.length tl.tl_lanes) tl.tl_serial_fraction;
   List.iter
@@ -741,17 +611,12 @@ let pp_timeline fmt t =
       | [] -> ()
       | path ->
           Format.fprintf fmt "  critical path (domain %d):@." l.lane_domain;
-          List.iteri
-            (fun depth s ->
-              Format.fprintf fmt "    %s%s %s (self %s)@."
-                (String.make (2 * depth) ' ')
-                s.name (cell pp_ns (dur_ns s))
-                (cell pp_ns (self_ns s)))
-            path)
+          pp_path ~indent:"    " pp_ns ~cum:dur_ns ~self:self_ns fmt path)
     tl.tl_lanes
 
 let pp ?(top = 10) fmt t =
-  Format.fprintf fmt "profile: %d events (%d line(s) skipped), %d spans"
+  Format.fprintf fmt "profile: %s, %d events (%d line(s) skipped), %d spans"
+    (Option.value t.schema ~default:"no trace schema")
     t.event_count t.skipped_lines t.span_count;
   if t.unclosed > 0 then
     Format.fprintf fmt " (%d unclosed — truncated trace)" t.unclosed;
@@ -759,10 +624,15 @@ let pp ?(top = 10) fmt t =
   | [] | [ _ ] -> ()
   | ds -> Format.fprintf fmt ", %d domains" (List.length ds));
   Format.fprintf fmt ", wall %a@." pp_ns (total_wall_ns t);
-  (match t.messages with
-  | [] -> ()
-  | ms ->
-      List.iter (fun (_, text) -> Format.fprintf fmt "  | %s@." text) ms);
+  let alloc = total_alloc_b t and self_alloc = total_self_alloc_b t in
+  let roots_sum f = List.fold_left (fun a r -> a + f r) 0 t.roots in
+  Format.fprintf fmt "  allocated %a, %d minor / %d major collection(s)@."
+    pp_bytes alloc
+    (roots_sum (fun r -> r.minor_n))
+    (roots_sum (fun r -> r.major_n));
+  Format.fprintf fmt "  self-allocation total %a = root cumulative %a@."
+    pp_bytes self_alloc pp_bytes alloc;
+  List.iter (fun (_, text) -> Format.fprintf fmt "  | %s@." text) t.messages;
   (match t.requests with
   | [] -> ()
   | reqs ->
@@ -772,32 +642,47 @@ let pp ?(top = 10) fmt t =
               (fun (id, n) -> Printf.sprintf "%s (%d events)" id n)
               reqs)));
   let tot = totals t in
-  let wall = max 1 (total_wall_ns t) in
   Format.fprintf fmt "@.hotspots (by self time, top %d of %d):@." top
     (List.length tot);
-  Format.fprintf fmt "  %-32s %6s %10s %10s %10s %6s@." "span" "calls" "self"
-    "cum" "alloc" "self%";
+  Format.fprintf fmt "  %-32s %6s %10s %10s %10s %10s %6s@." "span" "calls"
+    "self" "cum" "max" "alloc" "self%";
   List.iteri
     (fun i a ->
       if i < top then
-        Format.fprintf fmt "  %-32s %6d %10s %10s %10s %5.1f%%@." a.agg_name
+        Format.fprintf fmt "  %-32s %6d %10s %10s %10s %10s %5.1f%%@." a.agg_name
           a.calls
           (cell pp_ns a.self_total_ns)
           (cell pp_ns a.cum_ns)
+          (cell pp_ns a.max_ns)
           (cell pp_bytes a.alloc_total_b)
-          (100. *. float_of_int a.self_total_ns /. float_of_int wall))
+          (pct a.self_total_ns (total_wall_ns t)))
     tot;
+  Format.fprintf fmt "@.allocation hotspots (by self bytes, top %d of %d):@."
+    top (List.length tot);
+  Format.fprintf fmt "  %-32s %6s %10s %10s %6s %6s %6s@." "span" "calls"
+    "self" "cum" "minor" "major" "self%";
+  List.iteri
+    (fun i a ->
+      if i < top then
+        Format.fprintf fmt "  %-32s %6d %10s %10s %6d %6d %5.1f%%@." a.agg_name
+          a.calls
+          (cell pp_bytes a.self_alloc_total_b)
+          (cell pp_bytes a.alloc_total_b)
+          a.minor_total_n a.major_total_n
+          (pct a.self_alloc_total_b self_alloc))
+    (List.sort
+       (fun a b -> compare b.self_alloc_total_b a.self_alloc_total_b)
+       tot);
   (match critical_path t with
   | [] -> ()
   | path ->
       Format.fprintf fmt "@.critical path (heaviest child chain):@.";
-      List.iteri
-        (fun depth s ->
-          Format.fprintf fmt "  %s%s %s (self %s)@."
-            (String.make (2 * depth) ' ')
-            s.name (cell pp_ns (dur_ns s))
-            (cell pp_ns (self_ns s)))
-        path);
+      pp_path ~indent:"  " pp_ns ~cum:dur_ns ~self:self_ns fmt path;
+      Format.fprintf fmt "@.allocation critical path (heaviest child chain):@.";
+      pp_path ~indent:"  " pp_bytes
+        ~cum:(fun s -> s.alloc_b)
+        ~self:self_alloc_b fmt (critical_path_alloc t));
+  pp_lanes fmt t;
   (match t.attribution with
   | [] -> ()
   | attr ->
@@ -836,65 +721,3 @@ let pp ?(top = 10) fmt t =
   | kvs ->
       Format.fprintf fmt "@.final counters:@.";
       List.iter (fun (k, v) -> Format.fprintf fmt "  %-36s %12d@." k v) kvs
-
-let pp_alloc ?(top = 10) fmt t =
-  let total = total_alloc_b t in
-  let root_minor = List.fold_left (fun a r -> a + r.minor_n) 0 t.roots in
-  let root_major = List.fold_left (fun a r -> a + r.major_n) 0 t.roots in
-  Format.fprintf fmt
-    "allocation profile: %a over %d spans, %d minor / %d major collection(s)@."
-    pp_bytes total t.span_count root_minor root_major;
-  Format.fprintf fmt "  self-allocation total %a = root cumulative %a@."
-    pp_bytes (total_self_alloc_b t) pp_bytes total;
-  let tot =
-    totals t
-    |> List.sort (fun a b -> compare b.self_alloc_total_b a.self_alloc_total_b)
-  in
-  let denom = max 1 total in
-  Format.fprintf fmt "@.allocation hotspots (by self bytes, top %d of %d):@."
-    top (List.length tot);
-  Format.fprintf fmt "  %-32s %6s %10s %10s %6s %6s %6s@." "span" "calls"
-    "self" "cum" "minor" "major" "self%";
-  List.iteri
-    (fun i a ->
-      if i < top then
-        Format.fprintf fmt "  %-32s %6d %10s %10s %6d %6d %5.1f%%@." a.agg_name
-          a.calls
-          (cell pp_bytes a.self_alloc_total_b)
-          (cell pp_bytes a.alloc_total_b)
-          a.minor_total_n a.major_total_n
-          (100. *. float_of_int a.self_alloc_total_b /. float_of_int denom))
-    tot;
-  (match critical_path_alloc t with
-  | [] -> ()
-  | path ->
-      Format.fprintf fmt "@.allocation critical path (heaviest child chain):@.";
-      List.iteri
-        (fun depth s ->
-          Format.fprintf fmt "  %s%s %s (self %s)@."
-            (String.make (2 * depth) ' ')
-            s.name
-            (cell pp_bytes s.alloc_b)
-            (cell pp_bytes (self_alloc_b s)))
-        path);
-  let tl = timeline t in
-  match tl.tl_lanes with
-  | [] -> ()
-  | lanes ->
-      Format.fprintf fmt "@.allocation lanes (per domain):@.";
-      List.iter
-        (fun l ->
-          let rate_b_s =
-            if l.lane_busy_ns <= 0 then 0
-            else
-              int_of_float
-                (float_of_int l.lane_alloc_b
-                /. float_of_int l.lane_busy_ns *. 1e9)
-          in
-          Format.fprintf fmt
-            "  lane domain %-4d alloc %10s  busy %10s  rate %10s/s@."
-            l.lane_domain
-            (cell pp_bytes l.lane_alloc_b)
-            (cell pp_ns l.lane_busy_ns)
-            (cell pp_bytes rate_b_s))
-        lanes

@@ -14,9 +14,9 @@
     serial fraction).
 
     This is the read side of the observability stack: the CLI exposes
-    it as [slocal trace report FILE] with human, [--alloc], [--json]
-    (schema [slocal.profile/1]), [--folded], [--folded-alloc], and
-    [--timeline] output.
+    it as [slocal trace report FILE], which prints the one human
+    report ({!pp}) or writes the [--folded] / [--folded-alloc]
+    exports.
 
     Damaged input degrades gracefully: unparsable lines are skipped
     and counted ({!Slocal_obs.Trace}), and spans whose close event is
@@ -24,15 +24,6 @@
     trace's last timestamp and flagged.  Legacy [/1] traces parse with
     every event on domain [0], so all the per-domain machinery
     degrades to a single lane. *)
-
-val profile_schema_version : string
-(** ["slocal.profile/1"].  The ["domains"] and ["timeline"] fields of
-    the JSON document are additive (introduced with [slocal.trace/2]
-    inputs), as are the allocation fields (["alloc_b"] on the
-    document, ["self_alloc_b"]/["minor_n"]/["major_n"] on tree and
-    totals rows, ["critical_path_alloc"], ["folded_alloc"], lane
-    ["alloc_b"] — introduced with [slocal.trace/3] inputs); consumers
-    of older documents ignore them. *)
 
 type span = {
   id : int;
@@ -195,11 +186,6 @@ type timeline = {
 
 val timeline : t -> timeline
 
-val pp_timeline : Format.formatter -> t -> unit
-(** The [--timeline] report: window summary, per-domain lanes,
-    concurrent-busy-domains histogram, utilization and serial
-    fraction, and each lane's critical path. *)
-
 (** {1 Folded stacks} *)
 
 val folded : t -> (string * int) list
@@ -221,20 +207,14 @@ val parse_folded : string -> (string * int) list
 
 (** {1 Rendering} *)
 
-val to_json : source:string -> t -> Slocal_obs.Json.t
-(** The [slocal.profile/1] document (see DESIGN.md §6), including the
-    additive ["domains"] and ["timeline"] fields (fractions as
-    parts-per-million integers, so the document stays exact under a
-    JSON round-trip). *)
-
 val pp : ?top:int -> Format.formatter -> t -> unit
-(** The human report: summary line, hotspot table (top [top] rows,
-    default 10), critical path, counter attribution, provenance table,
-    histograms, final counters. *)
-
-val pp_alloc : ?top:int -> Format.formatter -> t -> unit
-(** The [--alloc] report: total-allocation summary with the
-    Σself-alloc = root-cumulative check line, self/cumulative
-    allocation hotspot table (by self bytes, with per-name GC-work
-    counts), allocation-weighted critical path, and per-domain
-    allocation-rate lanes. *)
+(** The [trace report] output, each section once: the summary (with
+    the allocation total and the Σself-alloc = root-cumulative check
+    line), the time hotspot table and the allocation hotspot table (top
+    [top] rows each, default 10; the latter by self bytes with per-name
+    GC-work counts), the time and allocation critical paths, the
+    parallelism timeline (per-domain lanes with busy time, bytes and
+    allocation rate, the concurrent-busy-domains histogram, utilization
+    and serial fraction, each lane's critical path — one lane on a
+    sequential trace), then counter attribution, the provenance table,
+    histograms and final counters. *)

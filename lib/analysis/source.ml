@@ -84,29 +84,50 @@ let lint_source_sides ~subject (p : Problem.t) text =
   let add d = diags := d :: !diags in
   let white_lines, black_lines = side_lines text in
   let lint_side side lines =
-    (* SL004: a configuration generated by more than one line. *)
+    (* SL004: a configuration generated by more than one line, or more
+       than once by the same line.  Lines are read with multiplicities,
+       since [Problem.parse_configs] would collapse the latter. *)
     let seen : (Multiset.t, int) Hashtbl.t = Hashtbl.create 64 in
     List.iteri
       (fun idx line ->
         let lineno = idx + 1 in
-        (match Problem.parse_configs p.Problem.alphabet line with
-        | configs ->
-            List.iter
-              (fun c ->
-                match Hashtbl.find_opt seen c with
-                | Some first when first <> lineno ->
-                    add
-                      (D.warning ~code:"SL004" ~subject
-                         ~location:(D.Source_line (side, lineno))
-                         (Printf.sprintf
-                            "configuration `%s` was already generated by \
-                             line %d of this side (duplicate or subsumed \
-                             condensed configuration)"
-                            (Invariants.config_string p.Problem.alphabet c)
-                            first))
-                | Some _ -> ()
-                | None -> Hashtbl.add seen c lineno)
-              configs
+        let sl004 c fmt =
+          Printf.ksprintf
+            (fun msg ->
+              add
+                (D.warning ~code:"SL004" ~subject
+                   ~location:(D.Source_line (side, lineno))
+                   msg))
+            fmt
+            (Invariants.config_string p.Problem.alphabet c)
+        in
+        (* The configurations come sorted, so a configuration the line
+           generates more than once is a run of equal neighbours. *)
+        let rec scan = function
+          | [] -> ()
+          | c :: rest ->
+              (match Hashtbl.find_opt seen c with
+              | Some first ->
+                  sl004 c
+                    "configuration `%s` was already generated by line %d of \
+                     this side (duplicate or subsumed condensed \
+                     configuration)"
+                    first
+              | None -> Hashtbl.add seen c lineno);
+              let rec skip = function
+                | c' :: tl when Multiset.equal c c' -> skip tl
+                | tl -> tl
+              in
+              let after = skip rest in
+              if after != rest then
+                sl004 c
+                  "configuration `%s` is generated more than once by line %d \
+                   of this side (duplicate within a constraint)"
+                  lineno;
+              scan after
+        in
+        (match Problem.parse_configs_multi p.Problem.alphabet line with
+        | configs -> scan configs
         | exception Invalid_argument _ ->
             (* The whole-document parse already succeeded, so a
                per-line failure can only come from a line using [|]
@@ -141,81 +162,6 @@ let lint_file path =
   | text -> lint_string ~subject:path text
   | exception Sys_error msg ->
       (None, [ D.error ~code:"SL000" ~subject:path ("unreadable file: " ^ msg) ])
-
-(* ------------------------------------------------------------------ *)
-(* SL057: fast source-only slp lint.  Two defects the whole-document
-   invariant pass cannot see (configuration sets are deduplicated on
-   parse): a label declared in the alphabet but absent from every
-   condensed configuration line, and a configuration generated more
-   than once by the SAME condensed line — SL004 only reports cross-line
-   duplicates (its guard compares line numbers), so [[O P] [O P] M]
-   silently collapses. *)
-let slp_findings ~subject (p : Problem.t) text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let used = Array.make (Alphabet.size p.Problem.alphabet) false in
-  let white_lines, black_lines = side_lines text in
-  let lint_side side lines =
-    List.iteri
-      (fun idx line ->
-        let lineno = idx + 1 in
-        match Problem.parse_configs_multi p.Problem.alphabet line with
-        | configs ->
-            List.iter
-              (fun c ->
-                List.iter (fun l -> used.(l) <- true) (Multiset.support c))
-              configs;
-            let seen : (Multiset.t, unit) Hashtbl.t = Hashtbl.create 16
-            and reported : (Multiset.t, unit) Hashtbl.t = Hashtbl.create 4 in
-            List.iter
-              (fun c ->
-                if Hashtbl.mem seen c then begin
-                  if not (Hashtbl.mem reported c) then begin
-                    Hashtbl.add reported c ();
-                    add
-                      (D.warning ~code:"SL057" ~subject
-                         ~location:(D.Source_line (side, lineno))
-                         (Printf.sprintf
-                            "configuration `%s` is generated more than once \
-                             by this line (duplicate within a constraint)"
-                            (Invariants.config_string p.Problem.alphabet c)))
-                  end
-                end
-                else Hashtbl.add seen c ())
-              configs
-        | exception Invalid_argument _ -> ())
-      lines
-  in
-  lint_side D.White white_lines;
-  lint_side D.Black black_lines;
-  for l = 0 to Alphabet.size p.Problem.alphabet - 1 do
-    if not used.(l) then
-      add
-        (D.warning ~code:"SL057" ~subject
-           ~location:(D.Label (Alphabet.name p.Problem.alphabet l))
-           (Printf.sprintf
-              "label `%s` is declared in the alphabet but used in no \
-               configuration"
-              (Alphabet.name p.Problem.alphabet l)))
-  done;
-  List.rev !diags
-
-let lint_slp ~subject text =
-  match Problem.of_string text with
-  | p -> slp_findings ~subject p text
-  | exception Invalid_argument msg ->
-      [ D.error ~code:"SL000" ~subject ("unparsable problem: " ^ msg) ]
-
-let lint_slp_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> lint_slp ~subject:path text
-  | exception Sys_error msg ->
-      [ D.error ~code:"SL000" ~subject:path ("unreadable file: " ^ msg) ]
 
 (* ------------------------------------------------------------------ *)
 (* SL041: telemetry metric names registered in the source must appear

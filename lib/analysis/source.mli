@@ -6,7 +6,8 @@
     duplicate condensed lines and non-canonical syntax are invisible.
 
     Codes: SL000 (unparsable document), SL004 (a configuration
-    generated by more than one condensed line), SL005 (non-canonical
+    generated by more than one condensed line, or more than once by
+    the same line), SL005 (non-canonical
     condensed syntax: singleton or duplicated bracket alternatives,
     [^0] / [^1] exponents). *)
 
@@ -20,22 +21,6 @@ val lint_string : subject:string -> string -> Problem.t option * Diagnostic.t li
 val lint_file : string -> Problem.t option * Diagnostic.t list
 (** {!lint_string} on a file's contents, with the path as subject.
     Unreadable files also report SL000. *)
-
-(** {1 Fast problem-file lint (SL057)}
-
-    A source-only pass over [.slp] documents for defects invisible to
-    the parsed representation: labels declared in the alphabet but
-    used in no configuration, and configurations generated more than
-    once by the {e same} condensed line (SL004 only catches cross-line
-    duplicates). *)
-
-val lint_slp : subject:string -> string -> Diagnostic.t list
-(** One SL057 warning per unused label and per within-line duplicate
-    configuration; a single SL000 error if the document does not
-    parse. *)
-
-val lint_slp_file : string -> Diagnostic.t list
-(** {!lint_slp} on a file's contents, with the path as subject. *)
 
 (** {1 Telemetry name drift (SL041)}
 

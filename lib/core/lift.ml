@@ -97,8 +97,3 @@ let label_of_set t set =
     (fun i s -> if Bitset.equal s set && !found = None then found := Some i)
     t.meaning;
   !found
-
-let contains_base_label t ~lift_label ~base_label =
-  Bitset.mem base_label t.meaning.(lift_label)
-
-let label_sets t = Array.to_list t.meaning

@@ -34,8 +34,3 @@ val lift : delta:int -> r:int -> Problem.t -> t
 val label_of_set : t -> Slocal_util.Bitset.t -> int option
 (** The lift label denoting a given base label-set, if it is one of the
     (right-closed, non-empty) lift labels. *)
-
-val contains_base_label : t -> lift_label:int -> base_label:int -> bool
-
-val label_sets : t -> Slocal_util.Bitset.t list
-(** All lift labels, as base label-sets, in label order. *)

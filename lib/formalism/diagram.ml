@@ -62,7 +62,6 @@ let white p =
   of_constraint ~alphabet_size:(Alphabet.size p.Problem.alphabet) p.Problem.white
 
 let stronger d x y = Bitset.mem x d.reach.(y)
-let successors d y = d.reach.(y)
 
 let all_edges d =
   let acc = ref [] in

@@ -24,9 +24,6 @@ val stronger : t -> int -> int -> bool
 (** [stronger d x y]: is [x] at least as strong as [y]?  Reflexive and
     (by construction) transitive. *)
 
-val successors : t -> int -> Slocal_util.Bitset.t
-(** Labels at least as strong as the given one, including itself. *)
-
 val edges : t -> (int * int) list
 (** Pairs [(y, x)] with [x] strictly stronger-or-equal, [x <> y],
     omitting edges implied by transitivity through a third label

@@ -10,10 +10,6 @@ let prepare g =
 let bound _ b = b
 let to_option b = if b = max_int then None else Some b
 
-let shortest_cycle_through g v =
-  let t, sc = prepare g in
-  to_option (Adjacency.search t sc v ~stop_below:0 ~cap:max_int bound)
-
 let girth g =
   let t, sc = prepare g in
   let best = ref max_int in

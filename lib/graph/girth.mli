@@ -12,8 +12,5 @@ val girth_at_least : Graph.t -> int -> bool
 (** [girth_at_least g k] holds iff [g] has no cycle shorter than [k].
     Short-circuits as soon as a shorter cycle is found. *)
 
-val shortest_cycle_through : Graph.t -> int -> int option
-(** Length of a shortest cycle through the given vertex. *)
-
 val shortest_cycle : Graph.t -> int list option
 (** The vertices of some shortest cycle, in order, if any. *)

@@ -69,7 +69,3 @@ let check_non_bipartite h (p : Problem.t) labeling =
   !violations
 
 let is_non_bipartite_solution h p labeling = check_non_bipartite h p labeling = []
-
-let pp_violation fmt = function
-  | White_node v -> Format.fprintf fmt "white node %d violated" v
-  | Black_node v -> Format.fprintf fmt "black node %d violated" v

@@ -40,5 +40,3 @@ val check_non_bipartite :
 
 val is_non_bipartite_solution :
   Hypergraph.t -> Problem.t -> (int -> int -> int) -> bool
-
-val pp_violation : Format.formatter -> violation -> unit

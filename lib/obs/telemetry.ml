@@ -857,58 +857,6 @@ let pp_duration fmt ns =
   else if f >= 1e3 then Format.fprintf fmt "%.2fµs" (f /. 1e3)
   else Format.fprintf fmt "%Ldns" ns
 
-let stderr_sink () =
-  (* Human-facing live tree; a mutex keeps concurrent emits whole.
-     With several domains the indentation interleaves lanes — the
-     [domain] tag on the trace events is the faithful record. *)
-  let mu = Mutex.create () in
-  let depth = ref 0 in
-  let indent () = String.make (2 * !depth) ' ' in
-  let locked f =
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-  in
-  Emit
-    {
-      flush = (fun () -> Printf.eprintf "%!");
-      flush_local = ignore;
-      emit =
-        (fun ev ->
-          locked @@ fun () ->
-          match ev with
-          | Trace_start _ -> Printf.eprintf "[obs] trace start\n%!"
-          | Span_open { name; _ } ->
-              Printf.eprintf "[obs] %s> %s\n%!" (indent ()) name;
-              depth := !depth + 1
-          | Span_close { name; dur_ns; alloc_b; minor_n; major_n; _ } ->
-              depth := max 0 (!depth - 1);
-              Printf.eprintf "[obs] %s< %s %s (%dB, %d minor / %d major)\n%!"
-                (indent ()) name
-                (Format.asprintf "%a" pp_duration dur_ns)
-                alloc_b minor_n major_n
-          | Counters { values; _ } ->
-              Printf.eprintf "[obs] counters:\n";
-              List.iter
-                (fun (k, v) -> Printf.eprintf "[obs]   %-36s %12d\n" k v)
-                values;
-              Printf.eprintf "%!"
-          | Histograms { values; _ } ->
-              Printf.eprintf "[obs] histograms:\n";
-              List.iter
-                (fun (k, h) ->
-                  Printf.eprintf "[obs]   %-36s n=%d mean=%.0f p90=%d max=%d\n"
-                    k (Histogram.count h) (Histogram.mean h)
-                    (Histogram.quantile h 0.9)
-                    (Histogram.max_value h))
-                values;
-              Printf.eprintf "%!"
-          | Provenance { step; label; values; _ } ->
-              Printf.eprintf "[obs] step %d %s:%s\n%!" step label
-                (String.concat ""
-                   (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) values))
-          | Message { text; _ } -> Printf.eprintf "[obs] %s\n%!" text);
-    }
-
 let pp_summary fmt () =
   let values = nonzero_snapshot () in
   if values = [] then Format.fprintf fmt "no telemetry counters recorded@."

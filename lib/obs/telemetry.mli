@@ -28,7 +28,6 @@
 
     Sinks receive a stream of {!event} values:
 
-    - {!stderr_sink} renders an indented live span tree to stderr;
     - {!jsonl_sink} writes one JSON object per line (the
       [slocal.trace/4] schema, documented in DESIGN.md) through one
       mutex-guarded writer fed by per-domain buffers;
@@ -278,7 +277,6 @@ val event_domain : event -> int
 type sink
 
 val null_sink : sink
-val stderr_sink : unit -> sink
 
 val jsonl_sink : out_channel -> sink
 (** One JSON object per line.  Each domain renders into its own

@@ -113,11 +113,6 @@ let event_of_json j : (Telemetry.event, string) result =
       Ok (Telemetry.Message { t_ns; domain; text })
   | k -> Error (Printf.sprintf "unknown event kind %S" k)
 
-let parse_line line =
-  match Json.of_string line with
-  | Error msg -> Error ("invalid JSON: " ^ msg)
-  | Ok j -> event_of_json j
-
 let read_channel ?request ic =
   let events = ref [] and skipped = ref 0 and schema = ref None in
   (* Per-request event tally in first-seen order; the [req] field is

@@ -33,7 +33,6 @@ type read_result = {
 }
 
 val event_of_json : Json.t -> (Telemetry.event, string) result
-val parse_line : string -> (Telemetry.event, string) result
 
 val read_channel : ?request:string -> in_channel -> read_result
 (** Consume the channel to EOF.  Blank lines are ignored silently.

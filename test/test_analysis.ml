@@ -831,7 +831,7 @@ let test_staticcheck_repo_inventory () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* SL057: the fast slp source lint *)
+(* Unused labels (SL001) and within-line duplicates (SL004) *)
 
 let test_slp_lint_synthetic () =
   let doc =
@@ -842,29 +842,55 @@ let test_slp_lint_synthetic () =
      black:\n\
     \  M O P\n"
   in
-  let diags = Source.lint_slp ~subject:"doc" doc in
-  check int_t "two findings" 2 (List.length diags);
-  check (Alcotest.list Alcotest.string) "both are SL057" [ "SL057" ]
-    (codes diags);
-  check bool_t "unused label named" true
-    (List.exists (fun d -> d.D.location = D.Label "Z") diags);
+  let p, diags = Source.lint_string ~subject:"doc" doc in
+  check (Alcotest.list Alcotest.string) "the within-line duplicate is SL004"
+    [ "SL004" ] (codes diags);
   check bool_t "within-line duplicate located" true
     (List.exists (fun d -> d.D.location = D.Source_line (D.White, 1)) diags);
-  (* the same duplication across two lines is SL004's business, not ours *)
+  check bool_t "message names the line" true
+    (List.exists
+       (fun d ->
+         d.D.message
+         = "configuration `M O P` is generated more than once by line 1 of \
+            this side (duplicate within a constraint)")
+       diags);
+  let unused =
+    List.filter
+      (fun d -> d.D.code = "SL001")
+      (Check.lint_problem (Option.get p))
+  in
+  check bool_t "unused label named" true
+    (List.map (fun d -> d.D.location) unused = [ D.Label "Z" ]);
+  (* the same configuration on two lines is the cross-line SL004 *)
+  let _, cross =
+    Source.lint_string ~subject:"doc"
+      "problem p\nlabels: M O\nwhite:\n  M O\n  O M\nblack:\n  M M\n"
+  in
+  check bool_t "cross-line duplicate is SL004 on line 2" true
+    (List.map (fun d -> (d.D.code, d.D.location)) cross
+    = [ ("SL004", D.Source_line (D.White, 2)) ]);
   check
     (Alcotest.list Alcotest.string)
     "clean document is clean" []
     (List.map D.to_machine_string
-       (Source.lint_slp ~subject:"doc"
-          "problem p\nlabels: M O\nwhite:\n  M O\nblack:\n  M M\n"));
-  check bool_t "unparsable document is SL000" true
-    (has_code "SL000" (Source.lint_slp ~subject:"doc" "not a problem"))
+       (snd
+          (Source.lint_string ~subject:"doc"
+             "problem p\nlabels: M O\nwhite:\n  M O\nblack:\n  M M\n")))
 
 let test_slp_lint_fixture () =
-  let diags = Source.lint_slp_file (fixture "slp_lint.slp") in
-  check int_t "fixture has exactly the two planted defects" 2
-    (List.length diags);
-  check (Alcotest.list Alcotest.string) "SL057" [ "SL057" ] (codes diags)
+  let diags = Check.lint_file (fixture "slp_lint.slp") in
+  check (Alcotest.list Alcotest.string) "SL001 and SL004"
+    [ "SL001"; "SL004" ] (codes diags);
+  check bool_t "SL001 on label Z" true
+    (List.exists
+       (fun d -> d.D.code = "SL001" && d.D.location = D.Label "Z")
+       diags);
+  check bool_t "SL004 on white line 1" true
+    (List.exists
+       (fun d ->
+         d.D.code = "SL004" && d.D.location = D.Source_line (D.White, 1))
+       diags);
+  check int_t "exit 1 (warnings only)" 1 (D.exit_code diags)
 
 (* ------------------------------------------------------------------ *)
 (* SL041 over bench registrations (the bench harness registers
@@ -911,8 +937,8 @@ let bench_of_json json =
   match BR.of_json json with Ok r -> r | Error e -> Alcotest.fail e
 
 (* A minimal current-generation report: FIG1 and T15 carry the
-   allocation fields, E-PAR is a parallel experiment. *)
-let bench_report ~fig1_alloc ~t15_alloc ~epar_alloc =
+   allocation fields, E-SCALE is a parallel experiment. *)
+let bench_report ~fig1_alloc ~t15_alloc ~escale_alloc =
   bench_of_json
     (bench_doc
        (Printf.sprintf
@@ -920,19 +946,19 @@ let bench_report ~fig1_alloc ~t15_alloc ~epar_alloc =
              "experiments":[
                {"id":"FIG1","title":"f","wall_ns":100,"alloc_b":%d,
                 "minor_n":3,"major_n":1,"counters":{"re.enum_nodes":50}},
-               {"id":"E-PAR","title":"p","wall_ns":100,"alloc_b":%d,
+               {"id":"E-SCALE","title":"p","wall_ns":100,"alloc_b":%d,
                 "counters":{}},
                {"id":"T15","title":"t","wall_ns":100,"alloc_b":%d,
                 "counters":{}}],
              "benchmarks":[]}|}
-          fig1_alloc epar_alloc t15_alloc))
+          fig1_alloc escale_alloc t15_alloc))
 
 let alloc_row rows id = (List.find (fun r -> r.BR.id = id) rows).BR.alloc
 
 let test_bench_report_parse () =
-  let r = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000 in
+  let r = bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~escale_alloc:5000 in
   check (Alcotest.list Alcotest.string) "experiment ids in file order"
-    [ "FIG1"; "E-PAR"; "T15" ]
+    [ "FIG1"; "E-SCALE"; "T15" ]
     (List.map (fun (e : BR.experiment) -> e.BR.id) r.BR.experiments);
   let fig1 = List.hd r.BR.experiments in
   check (Alcotest.option int_t) "alloc_b parsed" (Some 1000) fig1.BR.alloc_b;
@@ -954,14 +980,14 @@ let test_bench_report_parse () =
 
 let test_bench_alloc_gate () =
   let baseline =
-    bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~epar_alloc:5000
+    bench_report ~fig1_alloc:1000 ~t15_alloc:2000 ~escale_alloc:5000
   in
-  (* Within tolerance everywhere; E-PAR triples but is exempt. *)
+  (* Within tolerance everywhere; E-SCALE triples but is exempt. *)
   let ok =
     BR.evaluate
       [
         baseline;
-        bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~epar_alloc:15000;
+        bench_report ~fig1_alloc:1015 ~t15_alloc:2000 ~escale_alloc:15000;
       ]
   in
   let checked, skipped =
@@ -977,16 +1003,16 @@ let test_bench_alloc_gate () =
          match r.BR.alloc with BR.Gated { breach; _ } -> not breach | _ -> true)
        ok);
   check bool_t "the parallel experiment is exempt, not gated" true
-    (match alloc_row ok "E-PAR" with
+    (match alloc_row ok "E-SCALE" with
     | BR.Gated { breach = false; latest = 15000; median = 5000 } ->
-        List.exists (fun r -> r.BR.id = "E-PAR" && r.BR.exempt) ok
+        List.exists (fun r -> r.BR.id = "E-SCALE" && r.BR.exempt) ok
     | _ -> false);
   (* A 3% regression on a gated experiment breaches. *)
   let bad =
     BR.evaluate
       [
         baseline;
-        bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~epar_alloc:5000;
+        bench_report ~fig1_alloc:1030 ~t15_alloc:2000 ~escale_alloc:5000;
       ]
   in
   check bool_t "3% regression breaches" true
@@ -1014,7 +1040,7 @@ let test_bench_forward_compat () =
        exps);
   let rows =
     BR.evaluate
-      [ old; bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~epar_alloc:1 ]
+      [ old; bench_report ~fig1_alloc:999999 ~t15_alloc:999999 ~escale_alloc:1 ]
   in
   check (Alcotest.list Alcotest.string) "older side: checked nothing" []
     (List.filter_map

@@ -1,6 +1,6 @@
 (* Tests for the trace-analysis pipeline: event capture → span tree →
    self/cumulative times, folded stacks, tolerant JSONL reading, the
-   sequence provenance events, and the slocal.profile/1 document.
+   sequence provenance events, and the rendered report.
    Includes the histogram-merge associativity property (Proptest). *)
 
 module Json = Slocal_obs.Json
@@ -236,37 +236,6 @@ let test_sequence_provenance () =
     prov
 
 (* ------------------------------------------------------------------ *)
-(* The profile document *)
-
-let test_profile_json () =
-  let t = Profile.of_events (collect_workload ()) in
-  let doc = Profile.to_json ~source:"test" t in
-  (* Well-formed JSON text. *)
-  (match Json.of_string (Json.to_string doc) with
-  | Ok reparsed ->
-      check bool_t "document round-trips" true (reparsed = doc)
-  | Error e -> Alcotest.fail e);
-  let str k =
-    Option.bind (Json.member k doc) Json.as_string
-  in
-  check (Alcotest.option string_t) "schema field"
-    (Some Profile.profile_schema_version) (str "schema");
-  check (Alcotest.option string_t) "source field" (Some "test") (str "source");
-  check (Alcotest.option int_t) "span count"
-    (Some 4)
-    (Option.bind (Json.member "spans" doc) Json.as_int);
-  check bool_t "tree present" true (Json.member "tree" doc <> None);
-  check bool_t "totals present" true (Json.member "totals" doc <> None);
-  check bool_t "folded present" true (Json.member "folded" doc <> None);
-  check bool_t "domains present" true (Json.member "domains" doc <> None);
-  (match Json.member "timeline" doc with
-  | Some tl ->
-      check bool_t "timeline has utilization_ppm" true
-        (Option.bind (Json.member "utilization_ppm" tl) Json.as_int <> None);
-      check bool_t "timeline has lanes" true (Json.member "lanes" tl <> None)
-  | None -> Alcotest.fail "timeline absent from the document")
-
-(* ------------------------------------------------------------------ *)
 (* Multi-domain traces: per-domain span trees and the timeline *)
 
 let contains s sub =
@@ -374,7 +343,7 @@ let test_timeline_single_domain () =
 
 let test_timeline_render () =
   let t = Profile.of_events (two_domain_events ()) in
-  let out = Format.asprintf "%a" Profile.pp_timeline t in
+  let out = Format.asprintf "%a" (Profile.pp ~top:10) t in
   check bool_t "prints a utilization figure" true (contains out "utilization");
   check bool_t "prints a lane per domain" true
     (contains out "lane domain 0" && contains out "lane domain 1");
@@ -520,9 +489,11 @@ let test_alloc_invariant_live () =
 
 let test_alloc_render () =
   let t = Profile.of_events (alloc_events ()) in
-  let out = Format.asprintf "%a" (Profile.pp_alloc ~top:10) t in
-  check bool_t "prints the allocation profile header" true
-    (contains out "allocation profile");
+  let out = Format.asprintf "%a" (Profile.pp ~top:10) t in
+  check bool_t "prints the allocation total" true
+    (contains out "allocated 1.50kB");
+  check bool_t "prints the allocation hotspots" true
+    (contains out "allocation hotspots");
   check bool_t "prints the partition check" true
     (contains out "self-allocation total");
   check bool_t "prints allocation lanes with rates" true
@@ -616,16 +587,12 @@ let test_request_filtered_profile () =
   check bool_t "r2 has no inner span" true
     (not (List.mem "inner" (names r2)))
 
-let test_request_profile_document () =
+let test_request_report () =
   let file = write_request_trace () in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let t = Profile.of_file file in
-  let doc = Profile.to_json ~source:file t in
-  match Json.member "requests" doc with
-  | Some (Json.Obj kvs) ->
-      check bool_t "document lists both request tallies" true
-        (List.mem_assoc "r1" kvs && List.mem_assoc "r2" kvs)
-  | _ -> Alcotest.fail "profile document missing the requests object"
+  let out = Format.asprintf "%a" (Profile.pp ~top:10) (Profile.of_file file) in
+  check bool_t "report lists both request tallies" true
+    (contains out "requests (2): r1 (" && contains out ", r2 (")
 
 let () =
   Alcotest.run "profile"
@@ -671,14 +638,12 @@ let () =
           Alcotest.test_case "live invariant" `Quick test_alloc_invariant_live;
           Alcotest.test_case "rendering" `Quick test_alloc_render;
         ] );
-      ( "document",
-        [ Alcotest.test_case "slocal.profile/1" `Quick test_profile_json ] );
       ( "requests",
         [
           Alcotest.test_case "per-request filtering" `Quick
             test_request_filtered_profile;
-          Alcotest.test_case "requests in the document" `Quick
-            test_request_profile_document;
+          Alcotest.test_case "requests in the report" `Quick
+            test_request_report;
         ] );
       ( "properties",
         [
