@@ -875,7 +875,9 @@ let test_slp_lint_synthetic () =
     (List.map D.to_machine_string
        (snd
           (Source.lint_string ~subject:"doc"
-             "problem p\nlabels: M O\nwhite:\n  M O\nblack:\n  M M\n")))
+             "problem p\nlabels: M O\nwhite:\n  M O\nblack:\n  M M\n")));
+  check bool_t "unparsable document is SL000" true
+    (has_code "SL000" (snd (Source.lint_string ~subject:"doc" "not a problem")))
 
 let test_slp_lint_fixture () =
   let diags = Check.lint_file (fixture "slp_lint.slp") in
