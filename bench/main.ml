@@ -852,15 +852,17 @@ let micro () =
 (* E-SCALE *)
 
 (* Threads-scaling of the one parallel kernel, the rows CI archives
-   as an artifact: the full E-LIFT agreement workload (both decision
-   routes per problem, [Zero_round.decide_batch]) at pool widths 1, 2
-   and 4.  Each row asserts the results byte-identical to the width-1
-   run; the experiment stays out of --quick and has no baseline
-   entry, so the honest single-core wall column (speedup materializes
-   only on multi-core machines) never trips the regression gate. *)
+   as an artifact: the two-label agreement workload of `slocal sweep
+   cycle:6` (both decision routes per problem, [Zero_round.decide_batch])
+   at pool widths 1, 2 and 4.  C_12 makes each task big enough for a
+   second domain to pay off.  Each row asserts the results
+   byte-identical to the width-1 run.  The experiment stays out of
+   --quick, which is all the regression gate reads, and is exempt from
+   the allocation gate, so the honest single-core wall column (speedup
+   materializes only on multi-core machines) never trips it. *)
 let e_scale () =
-  let support = bipartite_cycle 3 in
-  Format.printf "E-LIFT decide_batch (49 problems x 2 routes, C_6 support) by pool width:@.";
+  let support = bipartite_cycle 6 in
+  Format.printf "E-LIFT decide_batch (49 problems x 2 routes, C_12 support) by pool width:@.";
   Format.printf "  %4s %12s %8s@." "jobs" "wall" "speedup";
   let baseline = ref None and base_wall = ref 0L in
   List.iter

@@ -13,7 +13,14 @@
     This module decides existence of a correct table by exhaustive
     search.  It is exponential in everything — usable only on tiny
     supports — and exists to cross-validate Theorem 3.2 against the
-    lift-based decision procedure. *)
+    lift-based decision procedure.
+
+    The search enumerates every input graph, so it accepts supports of
+    at most 20 edges.  An input graph is its edge mask (bit [e] set iff
+    support edge [e] is an input edge), and input graphs are visited in
+    ascending mask order; together with the fixed order of the
+    (node, pattern) variables, this fixes the search order and with it
+    the [zrs.*] counters. *)
 
 open Slocal_graph
 open Slocal_formalism
@@ -29,9 +36,13 @@ val exists_algorithm :
   d_in_white:int ->
   d_in_black:int ->
   bool option
-(** [Some true]/[Some false] when decided within the budget of
-    complete tables examined (default 50_000_000 domain steps),
-    [None] otherwise. *)
+(** [Some true]/[Some false] when decided within the budget, [None]
+    otherwise.  The budget counts the steps of the search's descent:
+    one for the empty assignment and one for every consistent tuple it
+    extends a partial table with — the [zrs.assignments] counter, not
+    complete tables (default 50_000_000).
+    @raise Invalid_argument if the arities differ from the problem's or
+    the support has more than 20 edges. *)
 
 val find_algorithm :
   ?max_assignments:int ->

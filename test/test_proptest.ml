@@ -289,6 +289,137 @@ let relaxation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Exhaustive 0-round search vs its pre-compilation oracle *)
+
+(* [Zero_round_search.find_algorithm] against the list-and-Hashtbl
+   search kept in [zero_round_search_oracle.ml], on random problems
+   (2-3 labels, arities 2-3) over small supports: cycles C_4..C_12,
+   K_{2,2}, K_{3,3} and random (dw, db)-biregular graphs with at most
+   12 edges (the oracle pays ~µs per input graph, and there are 2^m of
+   them).  Both searches must agree on the verdict, the witness table
+   key for key, and the assignment, instance-check and table-lookup
+   counts, also when a small budget stops them.  The witness must pass
+   [table_correct] and, run through [Supported], the [Checker]. *)
+
+module Zrs = Slocal_model.Zero_round_search
+module Supported = Slocal_model.Supported
+module Telemetry = Slocal_obs.Telemetry
+
+let zrs_support g =
+  match Slocal_util.Prng.int g 4 with
+  | 0 | 1 -> Printf.sprintf "cycle:%d" (Proptest.int_range 2 6 g)
+  | 2 -> Slocal_util.Prng.pick g [ "kbb:2:2"; "kbb:3:3" ]
+  | _ ->
+      let shapes =
+        List.concat_map
+          (fun (dw, db) ->
+            List.filter_map
+              (fun m ->
+                let nw = m / dw and nb = m / db in
+                if m mod dw = 0 && m mod db = 0 && dw <= nb && db <= nw then
+                  Some (nw, nb, dw, db)
+                else None)
+              (List.init 12 (fun i -> i + 1)))
+          [ (2, 2); (2, 3); (3, 2); (3, 3) ]
+      in
+      let nw, nb, dw, db = Slocal_util.Prng.pick g shapes in
+      Printf.sprintf "biregular:%d:%d:%d:%d:%d" nw nb dw db
+        (Slocal_util.Prng.int g 1000)
+
+type zrs_case = { spec : string; problem : Problem.t; budget : int }
+
+let zrs_case g =
+  let spec = zrs_support g in
+  let labels = List.init (Proptest.int_range 2 3 g) (fun i -> i) in
+  let arity () = Proptest.int_range 2 3 g in
+  let d_white = arity () and d_black = arity () in
+  let problem =
+    Problem.make ~name:"random"
+      ~alphabet:(Proptest.alphabet ~size:(List.length labels))
+      ~white:(Proptest.constr ~arity:d_white ~labels g)
+      ~black:(Proptest.constr ~arity:d_black ~labels g)
+  in
+  let budget =
+    if Slocal_util.Prng.int g 4 = 0 then Proptest.int_range 1 40 g else 3_000
+  in
+  { spec; problem; budget }
+
+let print_zrs_case c =
+  Printf.sprintf "support %s, max_assignments %d\n%s" c.spec c.budget
+    (Proptest.print_problem c.problem)
+
+let same_table a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold (fun k v ok -> ok && Hashtbl.find_opt b k = Some v) a true
+
+let zrs_counters =
+  List.map Telemetry.counter
+    [ "zrs.assignments"; "zrs.instance_checks"; "zrs.table_hits"; "zrs.table_misses" ]
+
+let zrs_found = ref 0
+let zrs_refuted = ref 0
+let zrs_budget = ref 0
+
+let zrs_agrees c =
+  let support = Slocal_serve.Ops.parse_graph c.spec in
+  let p = c.problem in
+  let d_in_white = Problem.d_white p and d_in_black = Problem.d_black p in
+  let oracle, o =
+    Zero_round_search_oracle.find_algorithm ~max_assignments:c.budget support
+      p ~d_in_white ~d_in_black
+  in
+  let before = List.map Telemetry.value zrs_counters in
+  let result =
+    Zrs.find_algorithm ~max_assignments:c.budget support p ~d_in_white
+      ~d_in_black
+  in
+  let counts =
+    List.map2 (fun m b -> Telemetry.value m - b) zrs_counters before
+  in
+  counts
+  = Zero_round_search_oracle.
+      [ o.assignments; o.instance_checks; o.table_hits; o.table_misses ]
+  &&
+  match (oracle, result) with
+  | None, None ->
+      incr zrs_budget;
+      true
+  | Some None, Some None ->
+      incr zrs_refuted;
+      true
+  | Some (Some expected), Some (Some table) ->
+      incr zrs_found;
+      same_table expected table
+      && Zrs.table_correct support p ~d_in_white ~d_in_black table
+      && List.for_all
+           (fun inst -> Supported.solves (Zrs.algorithm_of_table table) inst p)
+           (Supported.all_instances support ~max_white:d_in_white
+              ~max_black:d_in_black)
+  | _ -> false
+
+let zrs_tests =
+  [
+    Alcotest.test_case "find_algorithm = oracle (random problems)" `Slow
+      (fun () ->
+        zrs_found := 0;
+        zrs_refuted := 0;
+        zrs_budget := 0;
+        run
+          (Proptest.property ~count:300 ~name:"zero-round search"
+             ~gen:zrs_case ~print:print_zrs_case
+             ~shrink:(fun c ->
+               List.map
+                 (fun problem -> { c with problem })
+                 (Proptest.shrink_problem c.problem))
+             zrs_agrees);
+        Alcotest.(check bool)
+          (Printf.sprintf "sanity: %d found, %d refuted, %d out of budget"
+             !zrs_found !zrs_refuted !zrs_budget)
+          true
+          (!zrs_found >= 50 && !zrs_refuted >= 15 && !zrs_budget >= 20));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Parallel batch vs sequential: the pool contract on real work *)
 
 (* [Zero_round.decide_batch ~jobs] promises results byte-identical
@@ -472,6 +603,7 @@ let () =
       ("re-differential", re_tests);
       ("constr-differential", constr_tests);
       ("relaxation-oracle", relaxation_tests);
+      ("zrs-oracle", zrs_tests);
       ("parallel-differential", parallel_tests);
       ("alloc-determinism", alloc_determinism_tests);
       ("bench-reader", bench_reader_tests);
