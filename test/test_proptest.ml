@@ -420,6 +420,154 @@ let zrs_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Exact solver vs its pre-compilation oracle *)
+
+(* [Solver] against the Multiset-and-[Constr] search kept in
+   [solver_oracle.ml], on random problems (2-4 labels, arities 2-3) and
+   on their lifts, over cycles C_4..C_12 and random (dw, db)-biregular
+   supports with at most 16 edges.  With forward checking on and off,
+   [solve_stats] must return the same outcome, the same labelling and
+   the same node, backtrack and prune counts as the oracle, and the
+   [solver.*] counters must move by exactly those counts;
+   [count_solutions] must agree on the count and the counters.  One
+   case in three runs under a small random node budget, so budget stops
+   are compared too. *)
+
+module Solver = Slocal_model.Solver
+
+type solver_case = {
+  s_spec : string;
+  s_problem : Problem.t;
+  s_lift : bool;
+  s_budget : int;
+  s_limit : int;
+}
+
+let solver_support g =
+  if Slocal_util.Prng.bool g then
+    (Printf.sprintf "cycle:%d" (Proptest.int_range 2 6 g), (2, 2))
+  else
+    let shapes =
+      List.concat_map
+        (fun (dw, db) ->
+          List.filter_map
+            (fun m ->
+              let nw = m / dw and nb = m / db in
+              if m mod dw = 0 && m mod db = 0 && dw <= nb && db <= nw then
+                Some (nw, nb, dw, db)
+              else None)
+            (List.init 16 (fun i -> i + 1)))
+        [ (2, 2); (2, 3); (3, 2); (3, 3) ]
+    in
+    let nw, nb, dw, db = Slocal_util.Prng.pick g shapes in
+    ( Printf.sprintf "biregular:%d:%d:%d:%d:%d" nw nb dw db
+        (Slocal_util.Prng.int g 1000),
+      (dw, db) )
+
+let solver_case g =
+  let s_spec, (dw, db) = solver_support g in
+  let s_lift = Slocal_util.Prng.bool g in
+  (* A lift needs arities at most the support's degrees; a plain
+     problem may miss them, leaving some nodes unconstrained. *)
+  let d_white, d_black =
+    if s_lift then (Proptest.int_range 2 dw g, Proptest.int_range 2 db g)
+    else (Proptest.int_range 2 3 g, Proptest.int_range 2 3 g)
+  in
+  let s_problem = Proptest.problem ~d_white ~d_black g in
+  let s_budget =
+    if Slocal_util.Prng.int g 3 = 0 then Proptest.int_range 1 60 g
+    else 20_000
+  in
+  let s_limit =
+    if Slocal_util.Prng.bool g then Proptest.int_range 1 5 g else max_int
+  in
+  { s_spec; s_problem; s_lift; s_budget; s_limit }
+
+let print_solver_case c =
+  Printf.sprintf "support %s%s, max_nodes %d, limit %d\n%s" c.s_spec
+    (if c.s_lift then " (lift)" else "")
+    c.s_budget c.s_limit
+    (Proptest.print_problem c.s_problem)
+
+let solver_counters =
+  List.map Telemetry.counter
+    [ "solver.nodes"; "solver.backtracks"; "solver.fc_prunes" ]
+
+(* Run [f] and return its result with the [solver.*] counter deltas. *)
+let with_solver_deltas f =
+  let before = List.map Telemetry.value solver_counters in
+  let r = f () in
+  (r, List.map2 (fun m b -> Telemetry.value m - b) solver_counters before)
+
+let solver_found = ref 0
+let solver_refuted = ref 0
+let solver_budget = ref 0
+
+let solver_agrees c =
+  let support = Slocal_serve.Ops.parse_graph c.s_spec in
+  let p =
+    if c.s_lift then
+      (Supported_local.Zero_round.lift_of_support support c.s_problem)
+        .Supported_local.Lift.problem
+    else c.s_problem
+  in
+  let same_counts (o : Solver_oracle.counters) counts =
+    counts = [ o.nodes; o.backtracks; o.fc_prunes ]
+  in
+  let solve_agrees forward_checking =
+    let expected, o =
+      Solver_oracle.solve ~max_nodes:c.s_budget ~forward_checking support p
+    in
+    let (outcome, st), counts =
+      with_solver_deltas (fun () ->
+          Solver.solve_stats ~max_nodes:c.s_budget ~forward_checking support p)
+    in
+    (match outcome with
+    | Solver.Solution _ -> incr solver_found
+    | Solver.No_solution -> incr solver_refuted
+    | Solver.Budget_exceeded -> incr solver_budget);
+    outcome = expected
+    && same_counts o counts
+    && same_counts o [ st.Solver.nodes; st.Solver.backtracks; st.Solver.fc_prunes ]
+    && st.Solver.budget_exhausted = (outcome = Solver.Budget_exceeded)
+  in
+  let count_agrees () =
+    let expected, o =
+      Solver_oracle.count_solutions ~max_nodes:c.s_budget ~limit:c.s_limit
+        support p
+    in
+    let count, counts =
+      with_solver_deltas (fun () ->
+          Solver.count_solutions ~max_nodes:c.s_budget ~limit:c.s_limit
+            support p)
+    in
+    count = expected && same_counts o counts
+  in
+  solve_agrees true && solve_agrees false && count_agrees ()
+
+let solver_tests =
+  [
+    Alcotest.test_case "solve, count_solutions = oracle (random problems)"
+      `Slow (fun () ->
+        solver_found := 0;
+        solver_refuted := 0;
+        solver_budget := 0;
+        run
+          (Proptest.property ~count:500 ~name:"exact solver" ~gen:solver_case
+             ~print:print_solver_case
+             ~shrink:(fun c ->
+               List.map
+                 (fun s_problem -> { c with s_problem })
+                 (Proptest.shrink_problem c.s_problem))
+             solver_agrees);
+        Alcotest.(check bool)
+          (Printf.sprintf "sanity: %d found, %d refuted, %d out of budget"
+             !solver_found !solver_refuted !solver_budget)
+          true
+          (!solver_found >= 200 && !solver_refuted >= 50 && !solver_budget >= 25));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Parallel batch vs sequential: the pool contract on real work *)
 
 (* [Zero_round.decide_batch ~jobs] promises results byte-identical
@@ -604,6 +752,7 @@ let () =
       ("constr-differential", constr_tests);
       ("relaxation-oracle", relaxation_tests);
       ("zrs-oracle", zrs_tests);
+      ("solver-oracle", solver_tests);
       ("parallel-differential", parallel_tests);
       ("alloc-determinism", alloc_determinism_tests);
       ("bench-reader", bench_reader_tests);
