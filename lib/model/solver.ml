@@ -57,7 +57,80 @@ let edge_order g =
   done;
   Array.of_list (List.rev !order)
 
-(* The raw search.  Effort is accumulated into the caller's local
+(* A constraint compiled to an automaton over partial multisets, filled
+   lazily during one search.  State 0 is the empty multiset; [ms.(s)]
+   is the multiset of state [s].  [step.(s * sigma + l)] is the state
+   of [ms.(s) + {l}]: -1 when that multiset fails the node test, -2
+   until first asked.  The test runs once per (state, label) pair, and
+   only states that pass it are ever created, so the automaton stays
+   within the downward closure of the constraint. *)
+(* staticcheck: per-call built and filled by one search_raw call, never shared across calls or domains *)
+type automaton = {
+  sigma : int;
+  test : Multiset.t -> bool;
+  index : (Multiset.t, int) Hashtbl.t;
+  mutable ms : Multiset.t array;
+  mutable step : int array;
+  mutable states : int;
+}
+
+let automaton ~sigma test =
+  let index = Hashtbl.create 64 in
+  Hashtbl.add index Multiset.empty 0;
+  {
+    sigma;
+    test;
+    index;
+    ms = Array.make 16 Multiset.empty;
+    step = Array.make (16 * sigma) (-2);
+    states = 1;
+  }
+
+(* Nodes whose degree is not the constraint's arity are unconstrained:
+   one state, every label loops back to it. *)
+let free ~sigma =
+  {
+    sigma;
+    test = (fun _ -> true);
+    index = Hashtbl.create 1;
+    ms = [| Multiset.empty |];
+    step = Array.make sigma 0;
+    states = 1;
+  }
+
+let fill a s l =
+  let part = Multiset.add l a.ms.(s) in
+  let t =
+    if not (a.test part) then -1
+    else
+      match Hashtbl.find_opt a.index part with
+      | Some t -> t
+      | None ->
+          let t = a.states in
+          if t = Array.length a.ms then begin
+            let ms = Array.make (2 * t) Multiset.empty in
+            Array.blit a.ms 0 ms 0 t;
+            a.ms <- ms;
+            let step = Array.make (2 * t * a.sigma) (-2) in
+            Array.blit a.step 0 step 0 (t * a.sigma);
+            a.step <- step
+          end;
+          a.ms.(t) <- part;
+          a.states <- t + 1;
+          Hashtbl.add a.index part t;
+          t
+  in
+  a.step.((s * a.sigma) + l) <- t;
+  t
+
+let[@inline] next a s l =
+  let t = a.step.((s * a.sigma) + l) in
+  if t = -2 then fill a s l else t
+
+(* The raw search, compiled once per call: the edges in BFS order with
+   their endpoints, one automaton per constraint and an int state per
+   node, so a search node allocates nothing and undoing an assignment
+   restores two ints.  Effort is accumulated into the caller's local
    refs (not the global telemetry counters) so the innermost loop
    costs exactly what it did before instrumentation; callers flush the
    totals into the global counters once per solve. *)
@@ -68,14 +141,26 @@ let search_raw ~max_nodes ~forward_checking ~nodes
   let order = edge_order g in
   let sigma = Alphabet.size p.Problem.alphabet in
   let dw = Problem.d_white p and db = Problem.d_black p in
-  let constr_of v =
-    match Bipartite.color bip v with
-    | Bipartite.White -> if Graph.degree g v = dw then Some p.Problem.white else None
-    | Bipartite.Black -> if Graph.degree g v = db then Some p.Problem.black else None
+  (* The node test: forward checking keeps a partial multiset only if
+     it extends to a configuration; without it, only a complete
+     multiset is tested, for membership. *)
+  let compile c =
+    automaton ~sigma
+      (if forward_checking then fun part -> Constr.extendable part c
+       else fun part -> Multiset.size part < Constr.arity c || Constr.mem part c)
   in
-  let node_constr = Array.init (Graph.n g) constr_of in
-  (* Partial multiset of already-assigned incident labels per node. *)
-  let partial = Array.make (Graph.n g) Multiset.empty in
+  let white = compile p.Problem.white and black = compile p.Problem.black in
+  let unconstrained = free ~sigma in
+  let node_automaton v =
+    match Bipartite.color bip v with
+    | Bipartite.White -> if Graph.degree g v = dw then white else unconstrained
+    | Bipartite.Black -> if Graph.degree g v = db then black else unconstrained
+  in
+  let auto = Array.init (Graph.n g) node_automaton in
+  let eu = Array.map (fun e -> fst (Graph.edge g e)) order in
+  let ev = Array.map (fun e -> snd (Graph.edge g e)) order in
+  (* The state of each node's partial multiset of assigned labels. *)
+  let state = Array.make (Graph.n g) 0 in
   let labeling = Array.make m (-1) in
   let rec assign i =
     incr nodes;
@@ -87,30 +172,24 @@ let search_raw ~max_nodes ~forward_checking ~nodes
       Slocal_obs.Progress.solver_tick ~nodes:!nodes;
     if i = m then on_solution labeling
     else begin
-      let e = order.(i) in
-      let u, v = Graph.edge g e in
+      let e = order.(i) and u = eu.(i) and v = ev.(i) in
+      let au = auto.(u) and av = auto.(v) in
+      let su = state.(u) and sv = state.(v) in
       for l = 0 to sigma - 1 do
-        let ok_at w =
-          match node_constr.(w) with
-          | None -> true
-          | Some c ->
-              let part = Multiset.add l partial.(w) in
-              if forward_checking then
-                Constr.extendable part c
-                || begin
-                     incr prunes;
-                     false
-                   end
-              else Multiset.size part < Constr.arity c || Constr.mem part c
-        in
-        if ok_at u && ok_at v then begin
+        (* A failure at [u] is counted without testing [v]. *)
+        let su' = next au su l in
+        let sv' = if su' < 0 then -1 else next av sv l in
+        if sv' < 0 then begin
+          if forward_checking then incr prunes
+        end
+        else begin
           labeling.(e) <- l;
-          partial.(u) <- Multiset.add l partial.(u);
-          partial.(v) <- Multiset.add l partial.(v);
+          state.(u) <- su';
+          state.(v) <- sv';
           assign (i + 1);
           incr backtracks;
-          partial.(u) <- Multiset.remove l partial.(u);
-          partial.(v) <- Multiset.remove l partial.(v);
+          state.(u) <- su;
+          state.(v) <- sv;
           labeling.(e) <- -1
         end
       done

@@ -818,6 +818,7 @@ let test_staticcheck_repo_inventory () =
         (("lib/core", "SL051"), 1);
         (("lib/formalism", "SL050"), 4);
         (("lib/formalism", "SL051"), 2);
+        (("lib/model", "SL051"), 1);
         (("lib/obs", "SL050"), 21);
         (("lib/obs", "SL051"), 4);
         (("lib/obs", "SL054"), 1);
