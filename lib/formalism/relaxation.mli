@@ -26,6 +26,9 @@ val exists : ?max_nodes:int -> Problem.t -> Problem.t -> bool option
     of [src], one search node per partial assignment (counted in
     [relaxation.nodes]); [None] if the search budget [max_nodes]
     (default 2_000_000 nodes) is exhausted.
+    @raise Invalid_argument when [dst] has more than
+    [Bitset.max_universe] labels (the images [r(ℓ)] are label sets
+    over [dst]), naming [dst] and its label count.
 
     Value order: when every label of a white configuration has a
     same-named label in [dst] and the resulting tuple is a candidate
