@@ -260,8 +260,9 @@ let set_name alphabet s =
     String.concat "" names
   else "\xe2\x9f\xa8" ^ String.concat "," names ^ "\xe2\x9f\xa9"
 
-(* Label sets are bitsets over the alphabet, so R, R̄ and RE are
-   defined only up to [Bitset.max_universe] labels. *)
+(* Label sets are bitsets over the alphabet, so R, R̄, RE and the
+   relaxation search are defined only up to [Bitset.max_universe]
+   labels. *)
 let check_universe ~op (p : Problem.t) =
   let n = Alphabet.size p.Problem.alphabet in
   if n > Bitset.max_universe then

@@ -90,6 +90,13 @@ val enumerate_set_configs :
     the weak (existential) side of the [R]/[R̄] operators and the lift
     construction. *)
 
+val check_universe : op:string -> Problem.t -> unit
+(** Label sets are bitsets over an alphabet, so operations that build
+    them are defined only up to [Bitset.max_universe] labels.
+    @raise Invalid_argument when [p] has more labels, with the message
+    "cannot apply [op] to [p]: it has N labels, label sets hold at most
+    62 (Bitset.max_universe)". *)
+
 val set_name : Alphabet.t -> Slocal_util.Bitset.t -> string
 (** Printable name of a label set (concatenation for single-character
     member names, ⟨a,b,…⟩ otherwise). *)

@@ -73,20 +73,10 @@ let candidate_images (src : Problem.t) (dst : Problem.t) c =
       named :: List.filter (fun t -> t <> named) cands
   | _ -> cands
 
-(* The images [r(ℓ)] are bitsets over the labels of [dst], so the
-   search is defined only up to [Bitset.max_universe] target labels. *)
-let check_target (dst : Problem.t) =
-  let n = Alphabet.size dst.Problem.alphabet in
-  if n > Bitset.max_universe then
-    invalid_arg
-      (Printf.sprintf
-         "cannot search for a relaxation into %s: it has %d labels, label \
-          sets hold at most %d (Bitset.max_universe)"
-         dst.Problem.name n Bitset.max_universe)
-
 let search ?(max_nodes = 2_000_000) (src : Problem.t) (dst : Problem.t) =
   Telemetry.span "relaxation.search" @@ fun () ->
-  check_target dst;
+  (* The images [r(ℓ)] are label sets over [dst]. *)
+  Re_step.check_universe ~op:"a relaxation search" dst;
   (* Mismatched arities make a relaxation impossible — a decided
      negative, not a budget failure. *)
   if Constr.arity src.Problem.white <> Constr.arity dst.Problem.white then
