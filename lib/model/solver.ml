@@ -75,14 +75,14 @@ type automaton = {
 }
 
 let automaton ~sigma test =
-  let index = Hashtbl.create 64 in
+  let index = Hashtbl.create 16 in
   Hashtbl.add index Multiset.empty 0;
   {
     sigma;
     test;
     index;
-    ms = Array.make 16 Multiset.empty;
-    step = Array.make (16 * sigma) (-2);
+    ms = Array.make 8 Multiset.empty;
+    step = Array.make (8 * sigma) (-2);
     states = 1;
   }
 
