@@ -305,26 +305,31 @@ module Zrs = Slocal_model.Zero_round_search
 module Supported = Slocal_model.Supported
 module Telemetry = Slocal_obs.Telemetry
 
+(* A random (dw, db)-biregular support spec with at most [max_edges]
+   edges, (dw, db) ∈ {2,3}², and its degrees. *)
+let random_biregular ~max_edges g =
+  let shapes =
+    List.concat_map
+      (fun (dw, db) ->
+        List.filter_map
+          (fun m ->
+            let nw = m / dw and nb = m / db in
+            if m mod dw = 0 && m mod db = 0 && dw <= nb && db <= nw then
+              Some (nw, nb, dw, db)
+            else None)
+          (List.init max_edges (fun i -> i + 1)))
+      [ (2, 2); (2, 3); (3, 2); (3, 3) ]
+  in
+  let nw, nb, dw, db = Slocal_util.Prng.pick g shapes in
+  ( Printf.sprintf "biregular:%d:%d:%d:%d:%d" nw nb dw db
+      (Slocal_util.Prng.int g 1000),
+    (dw, db) )
+
 let zrs_support g =
   match Slocal_util.Prng.int g 4 with
   | 0 | 1 -> Printf.sprintf "cycle:%d" (Proptest.int_range 2 6 g)
   | 2 -> Slocal_util.Prng.pick g [ "kbb:2:2"; "kbb:3:3" ]
-  | _ ->
-      let shapes =
-        List.concat_map
-          (fun (dw, db) ->
-            List.filter_map
-              (fun m ->
-                let nw = m / dw and nb = m / db in
-                if m mod dw = 0 && m mod db = 0 && dw <= nb && db <= nw then
-                  Some (nw, nb, dw, db)
-                else None)
-              (List.init 12 (fun i -> i + 1)))
-          [ (2, 2); (2, 3); (3, 2); (3, 3) ]
-      in
-      let nw, nb, dw, db = Slocal_util.Prng.pick g shapes in
-      Printf.sprintf "biregular:%d:%d:%d:%d:%d" nw nb dw db
-        (Slocal_util.Prng.int g 1000)
+  | _ -> fst (random_biregular ~max_edges:12 g)
 
 type zrs_case = { spec : string; problem : Problem.t; budget : int }
 
@@ -446,23 +451,7 @@ type solver_case = {
 let solver_support g =
   if Slocal_util.Prng.bool g then
     (Printf.sprintf "cycle:%d" (Proptest.int_range 2 6 g), (2, 2))
-  else
-    let shapes =
-      List.concat_map
-        (fun (dw, db) ->
-          List.filter_map
-            (fun m ->
-              let nw = m / dw and nb = m / db in
-              if m mod dw = 0 && m mod db = 0 && dw <= nb && db <= nw then
-                Some (nw, nb, dw, db)
-              else None)
-            (List.init 16 (fun i -> i + 1)))
-        [ (2, 2); (2, 3); (3, 2); (3, 3) ]
-    in
-    let nw, nb, dw, db = Slocal_util.Prng.pick g shapes in
-    ( Printf.sprintf "biregular:%d:%d:%d:%d:%d" nw nb dw db
-        (Slocal_util.Prng.int g 1000),
-      (dw, db) )
+  else random_biregular ~max_edges:16 g
 
 let solver_case g =
   let s_spec, (dw, db) = solver_support g in
