@@ -9,6 +9,18 @@
     configuration of the node's constraint (for nodes of exactly
     constrained degree).
 
+    Each call compiles the search before it starts.  The white and the
+    black constraint become lazily filled automata over partial
+    multisets, so a node's partial multiset is an [int] state, its
+    node test (forward checking's extendability, or membership of a
+    complete multiset without it) runs once per (state, label) pair
+    instead of once per search node, and a search node allocates
+    nothing.  The automata live for one call only.  The edge order
+    (BFS), the label order, the labelling returned, the budget and
+    every [solver.*] counter are those of the uncompiled search: a
+    label that fails at the edge's first endpoint counts one prune
+    without testing the second.
+
     Used to certify the unsolvability side of the lower bounds on small
     instances, and the solvability side on trees / low-girth graphs. *)
 
