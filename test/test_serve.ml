@@ -162,6 +162,11 @@ let test_result_goldens () =
       ( {|{"op":"re","problem":"mm:3"}|},
         {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
       );
+      (* A "kernel" field selects nothing the reply shows: the body is
+         the one above. *)
+      ( {|{"op":"re","problem":"mm:3","kernel":"reference"}|},
+        {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
+      );
       ( {|{"op":"sequence","problem":"matching:2:0:1","steps":2}|},
         {|{"length":3,"hashes":[433798271,292612649,637669361],"lower_bound":true}|}
       );
