@@ -101,6 +101,24 @@ let parse_items alphabet tokens =
   in
   items [] tokens
 
+let max_config_arity = 256
+
+(* Refuse a line whose exponents sum past [max_config_arity] before
+   [expand_items_multi] builds a list of that length.  Comparing each
+   exponent with the room left keeps the sum from overflowing. *)
+let check_arity items =
+  ignore
+    (List.fold_left
+       (fun arity (_, k) ->
+         if k > max_config_arity - arity then
+           invalid_arg
+             (Printf.sprintf
+                "Problem.parse: configuration arity exceeds %d \
+                 (max_config_arity)"
+                max_config_arity);
+         arity + k)
+       0 items)
+
 let expand_items_multi items =
   let positions =
     List.concat_map (fun (alts, k) -> List.init k (fun _ -> alts)) items
@@ -121,7 +139,12 @@ let parse_configs_multi alphabet s =
     |> List.rev_map List.rev
     |> List.filter (fun g -> g <> [])
   in
-  List.concat_map (fun g -> expand_items_multi (parse_items alphabet g)) groups
+  List.concat_map
+    (fun g ->
+      let items = parse_items alphabet g in
+      check_arity items;
+      expand_items_multi items)
+    groups
   |> List.sort Multiset.compare
 
 let parse_configs alphabet s =

@@ -36,9 +36,18 @@ val make : name:string -> alphabet:Alphabet.t -> white:Constr.t -> black:Constr.
 val d_white : t -> int
 val d_black : t -> int
 
+val max_config_arity : int
+(** The largest arity (the sum of a line's exponents, an item without
+    one counting 1) a condensed configuration line may have: 256.  The
+    parser refuses a longer line before expanding it, so a document
+    with a huge exponent fails at once instead of building a list of
+    that length. *)
+
 val parse : name:string -> labels:string list -> white:string -> black:string -> t
 (** Build a problem from the condensed textual syntax described above.
-    @raise Invalid_argument on syntax errors or unknown labels. *)
+    @raise Invalid_argument on syntax errors, unknown labels, or a
+    configuration line of arity above {!max_config_arity} (the
+    message names the limit). *)
 
 val parse_configs : Alphabet.t -> string -> Slocal_util.Multiset.t list
 (** Parse a constraint in the condensed syntax, expanding condensed
