@@ -854,8 +854,10 @@ let micro () =
 (* Threads-scaling of the one parallel kernel, the rows CI archives
    as an artifact: the two-label agreement workload of `slocal sweep
    cycle:6` (both decision routes per problem, [Zero_round.decide_batch])
-   at pool widths 1, 2 and 4.  C_12 makes each task big enough for a
-   second domain to pay off.  Each row asserts the results
+   at pool widths 1 and 2.  C_12 makes each task big enough for a
+   second domain to pay off.  A width-4 row measured only
+   oversubscription on a 2-core machine (1.48-1.79x against width 2's
+   1.70-1.92x over three runs), so it is not run.  Each row asserts the results
    byte-identical to the width-1 run.  The experiment stays out of
    --quick, which is all the regression gate reads, and is exempt from
    the allocation gate, so the honest single-core wall column (speedup
@@ -887,7 +889,7 @@ let e_scale () =
          else
            Printf.sprintf "%.2fx"
              (Int64.to_float !base_wall /. Int64.to_float (Int64.max 1L wall))))
-    [ 1; 2; 4 ];
+    [ 1; 2 ];
   Format.printf "  results identical across widths: true@."
 
 (* ------------------------------------------------------------------ *)
@@ -939,7 +941,7 @@ let all_experiments =
       "Lemma B.1, executable: one round elimination step on algorithms",
       e_b1 );
     ( "E-SCALE",
-      "Threads scaling of the parallel kernel: E-LIFT decide_batch at widths 1/2/4",
+      "Threads scaling of the parallel kernel: E-LIFT decide_batch at widths 1/2",
       e_scale );
   ]
 
