@@ -94,10 +94,9 @@ let progress_flag =
    idempotent.  A failed operation (bad spec, bad parameter,
    unreadable file: [Ops.error_message]) is reported as
    "slocal CMD: MESSAGE" on stderr with exit code 2. *)
-let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
+let with_telemetry ~cmd ?(progress_mode = Progress.Auto) trace metrics
     openmetrics f =
   Ledger.begin_run ~op:cmd ~argv:(Array.to_list Sys.argv);
-  Option.iter (fun k -> Ledger.note_kernel (Ops.kernel_name k)) kernel;
   Option.iter (fun p -> Ledger.note_artifact ~kind:"trace" p) trace;
   Progress.set_mode progress_mode;
   let oc = Option.map open_out trace in
@@ -128,6 +127,7 @@ let with_telemetry ~cmd ?kernel ?(progress_mode = Progress.Auto) trace metrics
       Option.iter close_out oc
     end
   in
+  (* staticcheck: per-call registered per CLI run to finish the ledger record on early exit; one process, one run *)
   at_exit (fun () -> finish "exit");
   match f () with
   | v ->
@@ -152,8 +152,8 @@ let obs_term =
     const (fun t m o p -> (t, m, o, p))
     $ trace_opt $ metrics_flag $ openmetrics_opt $ progress_flag)
 
-let with_obs ~cmd ?kernel (trace, metrics, openmetrics, progress) =
-  with_telemetry ~cmd ?kernel
+let with_obs ~cmd (trace, metrics, openmetrics, progress) =
+  with_telemetry ~cmd
     ~progress_mode:(if progress then Progress.Forced else Progress.Auto)
     trace metrics openmetrics
 
@@ -161,17 +161,6 @@ let yes_no = function
   | Some true -> "yes"
   | Some false -> "no"
   | None -> "undecided"
-
-let kernel_opt =
-  Arg.(
-    value
-    & opt (enum Ops.kernels) Re_step.Fast
-    & info [ "kernel" ] ~docv:"KERNEL"
-        ~doc:
-          "Round elimination kernel: $(b,fast) (packed configuration keys, \
-           memoized constraint queries, subset-lattice maximality prune, \
-           cross-invocation result cache — the default) or $(b,reference) \
-           (the original bottom-up enumerate-then-filter oracle).")
 
 let graph_arg pos_idx =
   let doc =
@@ -205,9 +194,9 @@ let re_cmd =
   let steps =
     Arg.(value & opt int 1 & info [ "steps"; "k" ] ~doc:"Number of RE steps.")
   in
-  let run spec steps kernel obs =
-    with_obs ~cmd:"re" ~kernel obs @@ fun () ->
-    let r = Ops.re ~kernel ~steps (parse_problem spec) in
+  let run spec steps obs =
+    with_obs ~cmd:"re" obs @@ fun () ->
+    let r = Ops.re ~steps (parse_problem spec) in
     List.iteri
       (fun i p ->
         if i > 0 then Format.printf "@.--- after RE step %d ---@." i;
@@ -217,7 +206,7 @@ let re_cmd =
   in
   Cmd.v
     (Cmd.info "re" ~doc:"Apply round elimination steps")
-    Term.(const run $ problem_arg $ steps $ kernel_opt $ obs_term)
+    Term.(const run $ problem_arg $ steps $ obs_term)
 
 let lift_cmd =
   let delta =
@@ -339,9 +328,9 @@ let sequence_cmd =
   let steps =
     Arg.(value & opt int 2 & info [ "steps"; "k" ] ~doc:"Number of RE iterations.")
   in
-  let run spec steps kernel obs =
-    with_obs ~cmd:"sequence" ~kernel obs @@ fun () ->
-    let r = Ops.sequence ~kernel ~max_nodes:5_000_000 ~steps (parse_problem spec) in
+  let run spec steps obs =
+    with_obs ~cmd:"sequence" obs @@ fun () ->
+    let r = Ops.sequence ~max_nodes:5_000_000 ~steps (parse_problem spec) in
     List.iteri
       (fun i q ->
         Format.printf "Π_%d: %d labels, %d white / %d black configurations@." i
@@ -362,7 +351,7 @@ let sequence_cmd =
   Cmd.v
     (Cmd.info "sequence"
        ~doc:"Iterate RE and machine-check the lower-bound sequence")
-    Term.(const run $ problem_arg $ steps $ kernel_opt $ obs_term)
+    Term.(const run $ problem_arg $ steps $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* Trace analysis: the read side of --trace. *)
@@ -641,8 +630,9 @@ let lint_cmd =
              ~doc:"Run the domain-safety static analysis over the OCaml \
                    sources: inventory module-scope mutable state and \
                    nondeterminism sources (SL050-SL055) and require every \
-                   finding to carry a staticcheck classification (pragma or \
-                   STATICCHECK.md row); stale annotations are SL056.")
+                   finding to carry a (* staticcheck: CLASS REASON *) pragma \
+                   on or up to three lines above it; malformed or stale \
+                   pragmas are SL056.")
   in
   let report_opt =
     Arg.(value & opt (some string) None
@@ -899,7 +889,6 @@ let runs_cmd =
       end;
       Format.printf "  outcome:  %s (exit %d)@." r.Ledger.outcome
         r.Ledger.exit_code;
-      Option.iter (Format.printf "  kernel:   %s@.") r.Ledger.kernel;
       Option.iter (Format.printf "  seed:     %d@.") r.Ledger.seed;
       if is_request r then
         Format.printf "  cost:     %dB allocated, RE cache %d hit(s) / %d miss(es)@."
@@ -984,10 +973,6 @@ let runs_cmd =
           a.Ledger.majors b.Ledger.majors a.Ledger.top_heap_words
           b.Ledger.top_heap_words
       end;
-      (match (a.Ledger.kernel, b.Ledger.kernel) with
-      | Some ka, Some kb when ka <> kb ->
-          Format.printf "kernel: %s -> %s@." ka kb
-      | _ -> ());
       if
         a.Ledger.problems <> [] && b.Ledger.problems <> []
         && a.Ledger.problems <> b.Ledger.problems

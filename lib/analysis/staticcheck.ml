@@ -68,8 +68,6 @@ let kind_describe = function
       Printf.sprintf "hash-order-dependent iteration (%s, no canonical sort)" s
   | Exit_or_signal_handler s -> Printf.sprintf "process-exit hook (%s)" s
 
-type annotation_source = Pragma | Table
-
 type finding = {
   file : string;
   line : int;
@@ -78,7 +76,6 @@ type finding = {
   kind : kind;
   classification : classification option;
   reason : string option;
-  annotation : annotation_source option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -639,71 +636,19 @@ let scan_source ~file text =
         kind;
         classification = None;
         reason = None;
-        annotation = None;
       })
     ordered
 
 (* ------------------------------------------------------------------ *)
-(* Annotations: comment pragmas and the STATICCHECK.md table. *)
-
-type table_row = {
-  row_file : string;
-  row_key : string;
-  row_class : classification;
-  row_reason : string;
-}
-
-let cells_of_row line =
-  let parts = String.split_on_char '|' line in
-  match parts with
-  | "" :: rest | rest ->
-      List.filteri (fun i _ -> i < List.length rest - 1) rest
-      |> List.map String.trim
-
-let parse_table text =
-  let rows = ref [] and diags = ref [] in
-  List.iteri
-    (fun idx raw ->
-      let t = String.trim raw in
-      if String.length t > 0 && t.[0] = '|' then
-        match cells_of_row t with
-        | [ f; k; c; r ]
-          when f <> "file" && f <> "" && not (String.for_all (fun ch -> ch = '-' || ch = ' ') f)
-               && String.contains k ':' -> (
-            match classification_of_string c with
-            | Some cls ->
-                rows :=
-                  { row_file = f; row_key = k; row_class = cls; row_reason = r }
-                  :: !rows
-            | None ->
-                diags :=
-                  D.warning ~code:"SL056" ~subject:"STATICCHECK.md"
-                    (Printf.sprintf
-                       "row %d: %S is not a classification \
-                        (immutable-after-init | per-call | \
-                        shared-cache-needs-lock | nondeterministic)"
-                       (idx + 1) c)
-                  :: !diags)
-        | _ -> ())
-    (String.split_on_char '\n' text);
-  (List.rev !rows, List.rev !diags)
-
-let file_matches ~row_file file =
-  row_file = file
-  ||
-  let n = String.length file and k = String.length row_file in
-  k < n && String.sub file (n - k) k = row_file
-  && (file.[n - k - 1] = '/' || file.[n - k - 1] = '\\')
+(* Annotations: comment pragmas. *)
 
 (* A pragma annotates the nearest unannotated finding on its own line
    (trailing comment) or within the next three lines (comment above
    the binding). *)
 let pragma_window = 3
 
-let analyze ?(table = ([], [])) sources =
-  let table_rows, table_diags = table in
-  let all_findings = ref [] and diags = ref [ ] in
-  let used_rows : (string * string, unit) Hashtbl.t = Hashtbl.create 16 in
+let analyze sources =
+  let all_findings = ref [] and diags = ref [] in
   List.iter
     (fun (file, text) ->
       let findings = scan_source ~file text in
@@ -727,7 +672,7 @@ let analyze ?(table = ([], [])) sources =
               Array.iteri
                 (fun i f ->
                   if
-                    !candidate = None && f.annotation = None
+                    !candidate = None && f.classification = None
                     && f.line >= p.p_line
                     && f.line <= p.p_line + pragma_window
                   then candidate := Some i)
@@ -739,7 +684,6 @@ let analyze ?(table = ([], [])) sources =
                       (findings.(i)) with
                       classification = Some cls;
                       reason = (if p.p_rest = "" then None else Some p.p_rest);
-                      annotation = Some Pragma;
                     }
               | None ->
                   diags :=
@@ -750,48 +694,9 @@ let analyze ?(table = ([], [])) sources =
                          p.p_line pragma_window)
                     :: !diags))
         pragmas;
-      (* table pass *)
-      Array.iteri
-        (fun i f ->
-          if f.annotation = None then
-            match
-              List.find_opt
-                (fun r ->
-                  file_matches ~row_file:r.row_file f.file
-                  && r.row_key = f.key)
-                table_rows
-            with
-            | Some r ->
-                Hashtbl.replace used_rows (r.row_file, r.row_key) ();
-                findings.(i) <-
-                  {
-                    f with
-                    classification = Some r.row_class;
-                    reason =
-                      (if r.row_reason = "" then None else Some r.row_reason);
-                    annotation = Some Table;
-                  }
-            | None -> ())
-        findings;
       all_findings := Array.to_list findings :: !all_findings)
     sources;
   let findings = List.concat (List.rev !all_findings) in
-  (* stale table rows *)
-  let stale_rows =
-    List.filter
-      (fun r -> not (Hashtbl.mem used_rows (r.row_file, r.row_key)))
-      table_rows
-  in
-  let stale_diags =
-    List.map
-      (fun r ->
-        D.warning ~code:"SL056" ~subject:"STATICCHECK.md"
-          (Printf.sprintf
-             "stale annotation: no finding %s in %s (deleted binding, or \
-              detector drift?)"
-             r.row_key r.row_file))
-      stale_rows
-  in
   let unannotated_diags =
     List.filter_map
       (fun f ->
@@ -802,12 +707,11 @@ let analyze ?(table = ([], [])) sources =
               (D.warning ~code:(code_of_kind f.kind) ~subject:f.file
                  (Printf.sprintf
                     "%s `%s` at line %d is not classified; add a \
-                     (* staticcheck: <class> <reason> *) pragma or a \
-                     STATICCHECK.md row with key %s"
+                     (* staticcheck: <class> <reason> *) pragma (key %s)"
                     (kind_describe f.kind) f.name f.line f.key)))
       findings
   in
-  (findings, table_diags @ List.rev !diags @ stale_diags @ unannotated_diags)
+  (findings, List.rev !diags @ unannotated_diags)
 
 let read_file path =
   let ic = open_in path in
@@ -815,12 +719,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let analyze_files ?(table_path = "STATICCHECK.md") ~src_dirs () =
-  let table =
-    match read_file table_path with
-    | text -> parse_table text
-    | exception Sys_error _ -> ([], [])
-  in
+let analyze_files ~src_dirs () =
   let missing, sources =
     List.fold_left
       (fun (missing, sources) dir ->
@@ -836,7 +735,7 @@ let analyze_files ?(table_path = "STATICCHECK.md") ~src_dirs () =
         else (dir :: missing, sources))
       ([], []) src_dirs
   in
-  let findings, diags = analyze ~table sources in
+  let findings, diags = analyze sources in
   let missing_diags =
     List.rev_map
       (fun dir ->
@@ -866,11 +765,6 @@ let finding_json f =
       ( "class",
         opt_str (Option.map classification_to_string f.classification) );
       ("reason", opt_str f.reason);
-      ( "annotation",
-        opt_str
-          (Option.map
-             (function Pragma -> "pragma" | Table -> "table")
-             f.annotation) );
     ]
 
 let count_by proj findings =

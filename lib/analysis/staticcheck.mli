@@ -20,10 +20,10 @@
       canonical sort in the same top-level item (SL054), [at_exit] and
       signal handlers (SL055);
 
-    and classifies every finding against checked-in annotations: a
+    and classifies every finding by its checked-in annotation: a
     [(* staticcheck: <class> <reason> *)] comment pragma on (or up to
-    three lines above) the finding, or a row of the STATICCHECK.md
-    table.  Unannotated findings and stale annotations (SL056) are
+    three lines above) the finding.  Unannotated findings and
+    malformed or stale pragmas (SL056) are
     reported through {!Diagnostic} under the usual 0/1/2 exit
     contract; the full inventory is rendered as a human table and as a
     machine-readable [slocal.staticcheck/1] JSON document. *)
@@ -71,8 +71,6 @@ val code_of_kind : kind -> string
     (random), SL053 (wall clock), SL054 (hash order), SL055 (exit or
     signal handler). *)
 
-type annotation_source = Pragma | Table
-
 type finding = {
   file : string;  (** Path as given to the scanner. *)
   line : int;  (** 1-based line of the binding / type / occurrence. *)
@@ -86,53 +84,32 @@ type finding = {
   kind : kind;
   classification : classification option;  (** [None] = unannotated. *)
   reason : string option;
-  annotation : annotation_source option;
 }
-
-type table_row = {
-  row_file : string;  (** Matched against finding files by suffix. *)
-  row_key : string;
-  row_class : classification;
-  row_reason : string;
-}
-
-val parse_table : string -> table_row list * Diagnostic.t list
-(** Parse the STATICCHECK.md annotation rows
-    ([| file | key | class | reason |]); rows whose class column is
-    not a lattice name are reported as SL056. *)
 
 val scan_source : file:string -> string -> finding list
 (** Detection only: every finding in one source text, unclassified,
     sorted by line.  Comments and string literals are ignored;
     wall-clock reads are exempt when [file] contains [lib/obs]. *)
 
-val analyze :
-  ?table:(table_row list * Diagnostic.t list) ->
-  (string * string) list ->
-  finding list * Diagnostic.t list
-(** [analyze ~table sources] scans every [(file, text)] pair, attaches
-    pragma and table annotations, and returns the classified inventory
-    (sorted by file, then line) together with the diagnostics: one
-    warning per unannotated finding (its [code_of_kind]), one SL056
-    per malformed pragma, stale pragma, or unmatched table row. *)
+val analyze : (string * string) list -> finding list * Diagnostic.t list
+(** [analyze sources] scans every [(file, text)] pair, attaches the
+    pragma annotations, and returns the classified inventory (sorted
+    by file, then line) together with the diagnostics: one warning per
+    unannotated finding (its [code_of_kind]), one SL056 per malformed
+    or stale pragma. *)
 
 val analyze_files :
-  ?table_path:string ->
-  src_dirs:string list ->
-  unit ->
-  finding list * Diagnostic.t list
+  src_dirs:string list -> unit -> finding list * Diagnostic.t list
 (** {!analyze} over every [.ml] under [src_dirs] (recursively,
-    sorted), with annotations from [table_path] (default
-    [STATICCHECK.md]; a missing table file is simply an empty table,
-    but an unreadable source directory yields an SL000 error). *)
+    sorted); an unreadable source directory yields an SL000 error. *)
 
 val schema_version : string
 (** ["slocal.staticcheck/1"]. *)
 
 val report_json : roots:string list -> finding list -> Slocal_obs.Json.t
 (** The machine-readable inventory: schema, scanned roots, one object
-    per finding (file, line, code, kind, name, key, class, reason,
-    annotation source), and a summary (totals, per-code and per-class
+    per finding (file, line, code, kind, name, key, class, reason),
+    and a summary (totals, per-code and per-class
     counts). *)
 
 val pp_inventory : Format.formatter -> finding list -> unit

@@ -74,8 +74,7 @@ val decide_batch :
     fanned out over [jobs] domains (default 1 = sequential; a
     [jobs <= 1] run spawns nothing).  This is the full E-LIFT agreement
     workload; for every width the result list is identical to
-    [jobs = 1].  A [decide_batch] issued from inside another pool task
-    runs sequentially (the pool's nested-run degradation). *)
+    [jobs = 1].  Tasks do not call into the pool themselves. *)
 
 val algorithm_of_lift_solution :
   Lift.t -> Bipartite.t -> int array -> Supported.white_algorithm

@@ -8,8 +8,8 @@
     itself is differentially tested against the unmemoized
     {!Constr_reference} scans.  The fast kernel in
     {!Re_step} must agree with it up to label renaming — the
-    differential property suite and the [--kernel reference] CLI switch
-    exercise exactly this contract.
+    differential property suite and the golden RE tests exercise
+    exactly this contract.
 
     Counts into the same [re.steps] / [re.enum_nodes] telemetry
     counters as the fast kernel, so before/after kernel comparisons

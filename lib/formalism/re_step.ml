@@ -8,12 +8,6 @@ type grounding = {
   meaning : Bitset.t array;
 }
 
-type kernel = Fast | Reference
-
-let kernel = ref Fast (* staticcheck: immutable-after-init selected once by the CLI / test setup before any RE runs *)
-let set_kernel k = kernel := k
-let current_kernel () = !kernel
-
 let c_steps = Telemetry.counter "re.steps"
 let c_enum_nodes = Telemetry.counter "re.enum_nodes"
 let c_cache_hits = Telemetry.counter "re.cache_hits"
@@ -322,7 +316,7 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
   Telemetry.set g_weak_configs (List.length weak_configs);
   (name, alphabet', strong', weak', meaning)
 
-let r_black_fast (p : Problem.t) =
+let r_black (p : Problem.t) =
   check_universe ~op:"R" p;
   let name, alphabet, black, white, meaning =
     r_core ~name:("R(" ^ p.Problem.name ^ ")")
@@ -331,7 +325,7 @@ let r_black_fast (p : Problem.t) =
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
 
-let r_white_fast (p : Problem.t) =
+let r_white (p : Problem.t) =
   check_universe ~op:"R̄" p;
   let name, alphabet, white, black, meaning =
     r_core ~name:("R̄(" ^ p.Problem.name ^ ")")
@@ -339,20 +333,6 @@ let r_white_fast (p : Problem.t) =
       ~weak_constr:p.Problem.black
   in
   { problem = Problem.make ~name ~alphabet ~white ~black; meaning }
-
-let r_black p =
-  match !kernel with
-  | Fast -> r_black_fast p
-  | Reference ->
-      let problem, meaning = Re_reference.r_black p in
-      { problem; meaning }
-
-let r_white p =
-  match !kernel with
-  | Fast -> r_white_fast p
-  | Reference ->
-      let problem, meaning = Re_reference.r_white p in
-      { problem; meaning }
 
 (* Cross-invocation RE cache.  Fixed-point checks and sequence
    verification recompute RE on problems just produced by RE; caching
@@ -403,43 +383,41 @@ let clear_cache () =
   Telemetry.zero c_cache_misses
 
 let re_fast p =
-  let step1 = r_black_fast p in
-  let step2 = r_white_fast step1.problem in
+  let step1 = r_black p in
+  let step2 = r_white step1.problem in
   step2.problem
 
 let re ?(cache = true) p =
   check_universe ~op:"RE" p;
   let renamed result = Problem.rename result ("RE(" ^ p.Problem.name ^ ")") in
-  match !kernel with
-  | Reference -> Re_reference.re p
-  | Fast when not cache -> renamed (re_fast p)
-  | Fast ->
-      let h = Problem.canonical_hash p in
-      let hit =
-        locked @@ fun () ->
-        let bucket =
-          Option.value (Hashtbl.find_opt result_cache h) ~default:[]
-        in
-        let hit = List.find_opt (fun (q, _) -> Problem.equal q p) bucket in
-        (match hit with
-        | Some _ -> Telemetry.incr c_cache_hits
-        | None -> Telemetry.incr c_cache_misses);
-        hit
+  if not cache then renamed (re_fast p)
+  else
+    let h = Problem.canonical_hash p in
+    let hit =
+      locked @@ fun () ->
+      let bucket =
+        Option.value (Hashtbl.find_opt result_cache h) ~default:[]
       in
+      let hit = List.find_opt (fun (q, _) -> Problem.equal q p) bucket in
       (match hit with
-      | Some (_, result) -> renamed result
-      | None ->
-          let result = re_fast p in
-          (locked @@ fun () ->
-           if !result_cache_entries >= max_result_cache_entries then begin
-             Hashtbl.reset result_cache;
-             result_cache_entries := 0
-           end;
-           let bucket =
-             Option.value (Hashtbl.find_opt result_cache h) ~default:[]
-           in
-           Hashtbl.replace result_cache h ((p, result) :: bucket);
-           incr result_cache_entries);
-          renamed result)
+      | Some _ -> Telemetry.incr c_cache_hits
+      | None -> Telemetry.incr c_cache_misses);
+      hit
+    in
+    match hit with
+    | Some (_, result) -> renamed result
+    | None ->
+        let result = re_fast p in
+        (locked @@ fun () ->
+         if !result_cache_entries >= max_result_cache_entries then begin
+           Hashtbl.reset result_cache;
+           result_cache_entries := 0
+         end;
+         let bucket =
+           Option.value (Hashtbl.find_opt result_cache h) ~default:[]
+         in
+         Hashtbl.replace result_cache h ((p, result) :: bucket);
+         incr result_cache_entries);
+        renamed result
 
 let is_fixed_point p = Problem.equal_up_to_renaming (re p) p

@@ -18,18 +18,15 @@
     of each new label — the set of old labels it stands for — so that
     steps can be chained.
 
-    {b Kernels.}  Two implementations coexist.  The {e fast} kernel
-    (default) finds the maximal good configurations by a top-down
-    subset-lattice search that expands only non-good configurations
-    (goodness is downward closed), answers constraint queries through
-    {!Constr}'s packed-key memo tables, and caches whole RE results
-    across invocations keyed by structural problem equality.  The
-    {e reference} kernel is the original bottom-up
-    enumerate-then-filter implementation, kept verbatim in
-    {!Re_reference} as a differential oracle.  {!set_kernel} switches
-    the [r_black]/[r_white]/[re]/[is_fixed_point] entry points between
-    the two (the CLI exposes it as [--kernel reference|fast]); both
-    kernels produce identical problems. *)
+    {b Implementation.}  {!r_black}, {!r_white} and {!re} find the
+    maximal good configurations by a top-down subset-lattice search
+    that expands only non-good configurations (goodness is downward
+    closed), answer constraint queries through {!Constr}'s packed-key
+    memo tables, and cache whole RE results across invocations keyed
+    by structural problem equality.  The original bottom-up
+    enumerate-then-filter implementation is kept verbatim in
+    {!Re_reference}, which tests and benchmarks call directly as a
+    differential oracle; both produce identical problems. *)
 
 type grounding = {
   problem : Problem.t;
@@ -37,14 +34,6 @@ type grounding = {
       (** [meaning.(l)] is the set of previous-alphabet labels that the
           new label [l] denotes. *)
 }
-
-type kernel = Fast | Reference
-
-val set_kernel : kernel -> unit
-(** Select the implementation behind {!r_black}, {!r_white}, {!re} and
-    {!is_fixed_point}.  Default: [Fast]. *)
-
-val current_kernel : unit -> kernel
 
 val r_black : Problem.t -> grounding
 (** The operator [R]: maximality on the black side, existence on the
@@ -55,8 +44,7 @@ val r_white : Problem.t -> grounding
     black side. *)
 
 val re : ?cache:bool -> Problem.t -> Problem.t
-(** [RE(Π) = R̄(R(Π))], with fresh atomic labels.  With the fast
-    kernel, results are cached across invocations (hits require
+(** [RE(Π) = R̄(R(Π))], with fresh atomic labels.  Results are cached across invocations (hits require
     structural {!Problem.equal}; buckets use
     {!Problem.canonical_hash}; [re.cache_hits]/[re.cache_misses]
     count both outcomes).  Pass [~cache:false] to force a full
@@ -108,7 +96,6 @@ val maximal_good_configs :
   Slocal_util.Bitset.t list list
 (** The maximal multisets (given as sorted lists) of candidate
     label-sets, of size [arity], all whose choices lie in the given
-    constraint — computed by the fast top-down lattice search
-    regardless of {!set_kernel} (the reference implementation lives in
-    {!Re_reference.maximal_good_configs}).  Visited lattice nodes
+    constraint — computed by the top-down lattice search (the reference
+    implementation lives in {!Re_reference.maximal_good_configs}).  Visited lattice nodes
     count into [re.enum_nodes]. *)

@@ -5,8 +5,8 @@
     plus 0-round unsolvability of [Π_k], into a round lower bound for
     [Π_0].  This module builds and machine-checks sequences.
 
-    Both {!check} and {!iterate_re} go through {!Re_step.re}, whose
-    fast kernel caches results across invocations: building a sequence
+    Both {!check} and {!iterate_re} go through {!Re_step.re}, which
+    caches results across invocations: building a sequence
     with {!iterate_re} and then verifying it with {!check} recomputes
     no RE step (the second pass hits the cache, counted in
     [re.cache_hits]).

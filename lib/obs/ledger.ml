@@ -2,8 +2,8 @@
 
    One record type for every writer.  Each kernel-facing CLI
    invocation and each bench run appends one record — op, argv,
-   start time and wall time, outcome, kernel mode, seed, problem
-   canonical hashes, the final counter/gauge snapshot, key histogram
+   start time and wall time, outcome, seed, problem canonical
+   hashes, the final counter/gauge snapshot, key histogram
    quantiles and artifact paths — and [slocal serve --record] appends
    one per work request with its cost summary and body.  A
    multi-session lower-bound campaign so has one durable history that
@@ -32,7 +32,6 @@ type record = {
   id : string;
   op : string;
   problems : (string * int) list;
-  kernel : string option;
   wall_ns : int;
   alloc_b : int;
   cache_hits : int;
@@ -56,7 +55,6 @@ let empty =
     id = "";
     op = "";
     problems = [];
-    kernel = None;
     wall_ns = 0;
     alloc_b = 0;
     cache_hits = 0;
@@ -116,8 +114,6 @@ let to_json r : Json.t =
        ("id", Json.String r.id);
        ("op", Json.String r.op);
        ("problems", ints r.problems);
-       ( "kernel",
-         match r.kernel with None -> Json.Null | Some k -> Json.String k );
        ("wall_ns", Json.Int r.wall_ns);
        ("alloc_b", Json.Int r.alloc_b);
        ("cache_hits", Json.Int r.cache_hits);
@@ -241,7 +237,6 @@ let of_json j : (record, string) result =
         id;
         op;
         problems;
-        kernel = Option.bind (Json.member "kernel" j) Json.as_string;
         wall_ns;
         alloc_b = opt_int "alloc_b";
         cache_hits = opt_int "cache_hits";
@@ -381,7 +376,6 @@ type ctx = {
   c_started : float;
   c_alloc0 : float;  (* Gc.allocated_bytes at begin_run *)
   c_majors0 : int;  (* major_collections at begin_run *)
-  mutable c_kernel : string option;
   mutable c_seed : int option;
   mutable c_problems : (string * int) list;
   mutable c_artifacts : (string * string) list;
@@ -407,7 +401,6 @@ let begin_run ~op ~argv =
         c_started = Unix.gettimeofday ();
         c_alloc0 = Gc.allocated_bytes ();
         c_majors0 = (Gc.quick_stat ()).Gc.major_collections;
-        c_kernel = None;
         c_seed = None;
         c_problems = [];
         c_artifacts = [];
@@ -416,7 +409,6 @@ let begin_run ~op ~argv =
       }
 
 let with_ctx f = match !active with None -> () | Some c -> f c
-let note_kernel k = with_ctx (fun c -> c.c_kernel <- Some k)
 let note_seed s = with_ctx (fun c -> c.c_seed <- Some s)
 
 let note_problem ~name ~hash =
@@ -462,7 +454,6 @@ let snapshot_record c ~outcome =
     id = c.c_id;
     op = c.c_op;
     problems = c.c_problems;
-    kernel = c.c_kernel;
     wall_ns = Float.to_int ((Unix.gettimeofday () -. c.c_started) *. 1e9);
     alloc_b = Float.to_int (Gc.allocated_bytes () -. c.c_alloc0);
     cache_hits = counter "re.cache_hits";

@@ -2,10 +2,12 @@
 
     One record type for every writer.  Every kernel-facing CLI
     subcommand and every bench run appends one record (op, argv,
-    wall-clock interval, outcome, kernel and seed, problem canonical
-    hashes, the final counters, gauges and histogram quantiles,
-    artifact paths); [slocal serve --record] appends one per work
-    request (op, problems, kernel, cost summary and the request body).
+    wall-clock interval, outcome and seed, problem canonical hashes,
+    the final counters, gauges and histogram quantiles, artifact
+    paths); [slocal serve --record] appends one per work request (op,
+    problems, cost summary and the request body).  The reader ignores
+    the [kernel] field that records written before the RE kernel
+    became fixed still carry.
     Multi-session lower-bound campaigns so get one durable history:
     [slocal runs list|show|diff|gc] renders and maintains it, and
     [slocal client --replay] re-sends its bodies.
@@ -36,7 +38,6 @@ type record = {
           [""] on a legacy run record. *)
   problems : (string * int) list;
       (** [(name, canonical hash)] of every parsed problem. *)
-  kernel : string option;  (** Kernel mode, when the operation has one. *)
   wall_ns : int;
   alloc_b : int;
       (** Bytes allocated on the recording (or coordinating) domain. *)
@@ -129,7 +130,6 @@ val begin_run : op:string -> argv:string list -> unit
     baselines that {!finish_run} turns into the record's [alloc_b]
     and [majors] deltas. *)
 
-val note_kernel : string -> unit
 val note_seed : int -> unit
 val note_problem : name:string -> hash:int -> unit
 val note_artifact : kind:string -> string -> unit

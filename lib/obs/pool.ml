@@ -11,7 +11,6 @@ let c_submitted = Telemetry.counter "par.tasks_submitted"
 let c_completed = Telemetry.counter "par.tasks_completed"
 let c_stolen = Telemetry.counter "par.tasks_stolen"
 let c_merges = Telemetry.counter "par.merges"
-let c_nested = Telemetry.counter "par.nested_runs"
 let g_jobs = Telemetry.gauge "par.jobs"
 
 (* Count of parallel regions currently open across the process.  Read
@@ -22,40 +21,15 @@ let regions : int Atomic.t = Atomic.make 0 (* staticcheck: domain-safe parallel-
 
 let parallel_active () = Atomic.get regions > 0
 
-(* Set while the current domain is executing a pool task.  A nested
-   [run] with [jobs > 1] from inside a task degrades to the inline
-   sequential path (counted in [par.nested_runs]): spawning domains
-   from a worker would nest joins inside the outer run's merge point
-   and oversubscribe the machine. *)
-(* staticcheck: domain-safe per-domain nesting flag; DLS, never shared *)
-let in_task_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let in_task () = !(Domain.DLS.get in_task_key)
-
-let run_task f i =
-  let flag = Domain.DLS.get in_task_key in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) (fun () -> f i)
-
-let effective_jobs jobs =
-  if jobs > 1 && in_task () then begin
-    Telemetry.incr c_nested;
-    1
-  end
-  else jobs
-
 let run ~jobs n f =
   if n < 0 then invalid_arg "Pool.run: negative task count";
-  let jobs = effective_jobs jobs in
   if n = 0 then [||]
   else if jobs <= 1 || n = 1 then begin
     (* The sequential path: no spawn, no atomics on the task index,
        results in order by construction. *)
     Telemetry.add c_submitted n;
     Array.init n (fun i ->
-        let r = run_task f i in
+        let r = f i in
         Telemetry.incr c_completed;
         r)
   end
@@ -74,7 +48,7 @@ let run ~jobs n f =
         let i = Atomic.fetch_and_add next 1 in
         if i >= n then continue := false
         else
-          match run_task f i with
+          match f i with
           | r ->
               (* Distinct slots: no two workers ever write the same
                  cell, and the joins below publish every write. *)

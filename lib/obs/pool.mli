@@ -17,8 +17,6 @@
       domain;
     - [par.merges] — worker joins, after which each worker's shard
       is read by every snapshot;
-    - [par.nested_runs] — parallel runs requested from inside a pool
-      task, degraded to the inline sequential path;
     - [par.jobs] — gauge: width of the last parallel run.
 
     While a trace sink is installed, each worker wraps its claiming
@@ -35,12 +33,9 @@ val run : jobs:int -> int -> (int -> 'a) -> 'a array
     constraint memos may be shared only because {!Constr} locks its
     memo tables while {!parallel_active} — prefer one problem per
     task).  If a task raises, the remaining tasks still run and the
-    first exception is re-raised after all workers are joined.
-
-    A [run] with [jobs > 1] issued from {e inside} a pool task does
-    not spawn: it degrades to the inline sequential path and counts
-    [par.nested_runs], so accidental nesting cannot deadlock the
-    merge points or oversubscribe the machine.
+    first exception is re-raised after all workers are joined.  A task
+    must not itself call [run] with [jobs > 1]: that would spawn
+    domains from a worker and oversubscribe the machine.
     @raise Invalid_argument on a negative [n]. *)
 
 val parallel_active : unit -> bool

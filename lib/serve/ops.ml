@@ -66,32 +66,15 @@ let parse_graph spec =
         ~dw:(int_field spec dw) ~db:(int_field spec db)
   | _ -> invalid_arg (Printf.sprintf "unknown graph spec %S" spec)
 
-let kernels = [ ("fast", Re_step.Fast); ("reference", Re_step.Reference) ]
-let kernel_name k = fst (List.find (fun (_, k') -> k' = k) kernels)
-
-let kernel_of_name s =
-  match List.assoc_opt s kernels with
-  | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "unknown kernel %S" s)
-
 let error_message = function
   | Invalid_argument msg | Failure msg | Sys_error msg -> Some msg
   | _ -> None
-
-let with_kernel kernel f =
-  match kernel with
-  | None -> f ()
-  | Some k ->
-      let prev = Re_step.current_kernel () in
-      Re_step.set_kernel k;
-      Fun.protect ~finally:(fun () -> Re_step.set_kernel prev) f
 
 type re_result = { problems : Problem.t list; fixed_point : bool }
 
 let last r = List.nth r.problems (List.length r.problems - 1)
 
-let re ?kernel ~steps p =
-  with_kernel kernel @@ fun () ->
+let re ~steps p =
   let rec go q i =
     if i >= steps then [ q ] else q :: go (Re_step.re q) (i + 1)
   in
@@ -105,8 +88,7 @@ type sequence_result = {
   lower_bound : bool option;
 }
 
-let sequence ?kernel ?max_nodes ~steps p =
-  with_kernel kernel @@ fun () ->
+let sequence ?max_nodes ~steps p =
   let sequence = Sequence.iterate_re p ~steps in
   let checks = Sequence.check ?max_nodes sequence in
   { sequence; checks; lower_bound = Sequence.verdict checks }

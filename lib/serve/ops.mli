@@ -5,9 +5,7 @@
     only maps its flags or JSON fields onto a call and renders the
     typed result, so the same request gets the same answer everywhere.
 
-    [?kernel] selects the RE kernel for the call and restores the
-    previous one afterwards.  Every operation runs in the calling
-    domain.  Omitted budgets are the library defaults. *)
+    Every operation runs in the calling domain.  Omitted budgets are the library defaults. *)
 
 open Slocal_formalism
 
@@ -25,13 +23,6 @@ val parse_graph : string -> Slocal_graph.Bipartite.t
     [cover-random:N:D:SEED] or [biregular:NW:NB:DW:DB:SEED].
     @raise Invalid_argument on an unknown spec. *)
 
-val kernels : (string * Re_step.kernel) list
-(** [("fast", Fast); ("reference", Reference)]. *)
-
-val kernel_name : Re_step.kernel -> string
-val kernel_of_name : string -> Re_step.kernel
-(** @raise Invalid_argument on a name not in {!kernels}. *)
-
 val error_message : exn -> string option
 (** The message of a failed operation ([Invalid_argument], [Failure],
     [Sys_error]: bad spec, parameter or file); [None] for a bug. *)
@@ -42,7 +33,7 @@ type re_result = {
       (** The fixed-point test (one more RE) on the last problem. *)
 }
 
-val re : ?kernel:Re_step.kernel -> steps:int -> Problem.t -> re_result
+val re : steps:int -> Problem.t -> re_result
 
 val last : re_result -> Problem.t
 
@@ -52,8 +43,7 @@ type sequence_result = {
   lower_bound : bool option;  (** {!Sequence.verdict} of [checks]. *)
 }
 
-val sequence :
-  ?kernel:Re_step.kernel -> ?max_nodes:int -> steps:int -> Problem.t -> sequence_result
+val sequence : ?max_nodes:int -> steps:int -> Problem.t -> sequence_result
 
 type solve_result = {
   outcome : Slocal_model.Solver.outcome;

@@ -122,7 +122,7 @@ let is_work_op = function
   | "re" | "sequence" | "solve" | "audit" -> true
   | _ -> false
 
-let work_op ~problems ~kernel_used req op =
+let work_op ~problems req op =
   let max_nodes = member_int req "budget" in
   let int_field k ~default ~min =
     max min (Option.value ~default (member_int req k))
@@ -133,17 +133,10 @@ let work_op ~problems ~kernel_used req op =
     p
   in
   let graph () = Ops.parse_graph (require_string req "graph") in
-  let kernel () =
-    let k = Option.map Ops.kernel_of_name (member_string req "kernel") in
-    let used = Option.value k ~default:(Re_step.current_kernel ()) in
-    kernel_used := Some (Ops.kernel_name used);
-    k
-  in
   match op with
   | "re" ->
-      let kernel = kernel () in
       let steps = int_field "steps" ~default:1 ~min:1 in
-      let r = Ops.re ?kernel ~steps (problem ()) in
+      let r = Ops.re ~steps (problem ()) in
       let q = Ops.last r in
       let text =
         match Option.bind (Json.member "text" req) Json.as_bool with
@@ -161,9 +154,8 @@ let work_op ~problems ~kernel_used req op =
          ]
         @ text)
   | "sequence" ->
-      let kernel = kernel () in
       let steps = int_field "steps" ~default:1 ~min:0 in
-      let r = Ops.sequence ?kernel ?max_nodes ~steps (problem ()) in
+      let r = Ops.sequence ?max_nodes ~steps (problem ()) in
       Json.Obj
         [
           ("length", Json.Int (List.length r.Ops.sequence));
@@ -294,11 +286,11 @@ let handle_request st req =
   let op = Option.value ~default:"" (member_string req "op") in
   st.served <- st.served + 1;
   if is_work_op op then begin
-    let problems = ref [] and kernel_used = ref None in
+    let problems = ref [] in
     let body, summary =
       Telemetry.with_request ~id (fun () ->
           Telemetry.incr c_requests;
-          match work_op ~problems ~kernel_used req op with
+          match work_op ~problems req op with
           | j -> Ok j
           | exception e ->
               Telemetry.incr c_errors;
@@ -315,7 +307,6 @@ let handle_request st req =
         id;
         op;
         problems = List.rev !problems;
-        kernel = !kernel_used;
         wall_ns = Int64.to_int summary.Telemetry.rq_wall_ns;
         alloc_b = summary.Telemetry.rq_alloc_b;
         cache_hits = cdelta "re.cache_hits";

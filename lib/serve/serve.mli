@@ -26,9 +26,9 @@
 
     The daemon is single-threaded by design, and so is every work op:
     requests never overlap, which keeps their windows and counter
-    deltas disjoint.  A [jobs] field, which records written before the
-    daemon lost its worker width still carry, is ignored like any
-    other unknown field. *)
+    deltas disjoint.  The [jobs] and [kernel] fields, which records
+    written before the daemon lost its worker width and its RE-kernel
+    choice still carry, are ignored like any other unknown field. *)
 
 open Slocal_formalism
 module Json = Slocal_obs.Json

@@ -254,7 +254,6 @@ let ledger_record g : Ledger.record =
       id = text g;
       op = text g;
       problems = kvs signed_int;
-      kernel = opt text;
       wall_ns = signed_int g;
       alloc_b = signed_int g;
       cache_hits = signed_int g;

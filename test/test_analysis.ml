@@ -664,7 +664,6 @@ let test_staticcheck_pragmas () =
   | ( [
         {
           Staticcheck.classification = Some Staticcheck.Shared_cache_needs_lock;
-          annotation = Some Staticcheck.Pragma;
           reason = Some "guarded by cache_mutex";
           _;
         };
@@ -681,7 +680,6 @@ let test_staticcheck_pragmas () =
   | ( [
         {
           Staticcheck.classification = Some Staticcheck.Immutable_after_init;
-          annotation = Some Staticcheck.Pragma;
           _;
         };
       ],
@@ -705,41 +703,6 @@ let test_staticcheck_pragmas () =
    with
   | [], diags -> check bool_t "stale pragma is SL056" true (has_code "SL056" diags)
   | _ -> Alcotest.fail "expected no findings")
-
-let test_staticcheck_table () =
-  let table_text =
-    "| file | key | class | reason |\n\
-     | ---- | --- | ----- | ------ |\n\
-     | a.ml | mutable:cache | shared-cache-needs-lock | guarded |\n\
-     | a.ml | mutable:gone | per-call | stale row |\n\
-     | b.ml | mutable:cache | not-a-class | bad |\n"
-  in
-  let rows, row_diags = Staticcheck.parse_table table_text in
-  check int_t "two well-formed rows" 2 (List.length rows);
-  check bool_t "bad class column is SL056" true (has_code "SL056" row_diags);
-  let findings, diags =
-    Staticcheck.analyze
-      ~table:(rows, row_diags)
-      [ ("src/a.ml", "let cache = Hashtbl.create 4\n") ]
-  in
-  (match findings with
-  | [
-   {
-     Staticcheck.classification = Some Staticcheck.Shared_cache_needs_lock;
-     annotation = Some Staticcheck.Table;
-     _;
-   };
-  ] ->
-      ()
-  | _ -> Alcotest.fail "table row not applied by file suffix");
-  (* the unmatched row is stale *)
-  check bool_t "stale table row is SL056" true
-    (List.exists
-       (fun d ->
-         d.D.code = "SL056"
-         && d.D.subject = "STATICCHECK.md"
-         && String.length d.D.message > 0)
-       diags)
 
 let test_staticcheck_json_report () =
   let findings, _ =
@@ -781,11 +744,7 @@ let test_staticcheck_repo_inventory () =
   let root = "../../.." in
   let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
   if List.for_all Sys.file_exists dirs then begin
-    let findings, diags =
-      Staticcheck.analyze_files
-        ~table_path:(Filename.concat root "STATICCHECK.md")
-        ~src_dirs:dirs ()
-    in
+    let findings, diags = Staticcheck.analyze_files ~src_dirs:dirs () in
     check
       (Alcotest.list Alcotest.string)
       "repo inventory fully classified" []
@@ -816,10 +775,10 @@ let test_staticcheck_repo_inventory () =
         (("bin", "SL055"), 1);
         (("lib/analysis", "SL051"), 1);
         (("lib/core", "SL051"), 1);
-        (("lib/formalism", "SL050"), 4);
+        (("lib/formalism", "SL050"), 3);
         (("lib/formalism", "SL051"), 2);
         (("lib/model", "SL051"), 1);
-        (("lib/obs", "SL050"), 21);
+        (("lib/obs", "SL050"), 20);
         (("lib/obs", "SL051"), 4);
         (("lib/obs", "SL054"), 1);
         (("lib/obs", "SL055"), 1);
@@ -1140,7 +1099,6 @@ let () =
           Alcotest.test_case "hash order and handlers" `Quick
             test_staticcheck_order_and_handlers;
           Alcotest.test_case "pragmas" `Quick test_staticcheck_pragmas;
-          Alcotest.test_case "annotation table" `Quick test_staticcheck_table;
           Alcotest.test_case "json report" `Quick test_staticcheck_json_report;
           Alcotest.test_case "repo golden inventory" `Quick
             test_staticcheck_repo_inventory;

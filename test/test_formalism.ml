@@ -385,21 +385,30 @@ let shape (p : Problem.t) =
 
 let shape_t = Alcotest.(triple int int int)
 
+(* The fast kernel ([Re_step]) and the reference oracle
+   ([Re_reference]) against the same pinned shapes. *)
+let golden_kernels =
+  [
+    ( "fast",
+      fun p ->
+        Re_step.clear_cache ();
+        (shape (Re_step.r_black p).Re_step.problem, shape (Re_step.re p)) );
+    ( "reference",
+      fun p ->
+        (shape (fst (Re_reference.r_black p)), shape (Re_reference.re p)) );
+  ]
+
 let golden_tests =
   List.concat_map
     (fun (spec, after_r, after_re) ->
       List.map
-        (fun (kernel, kname) ->
+        (fun (kname, shapes) ->
           Alcotest.test_case (Printf.sprintf "%s (%s)" spec kname) `Quick
             (fun () ->
-              Re_step.set_kernel kernel;
-              Re_step.clear_cache ();
-              let p = golden_problem spec in
-              check shape_t "after R" after_r
-                (shape (Re_step.r_black p).Re_step.problem);
-              check shape_t "after RE" after_re (shape (Re_step.re p));
-              Re_step.set_kernel Re_step.Fast))
-        [ (Re_step.Fast, "fast"); (Re_step.Reference, "reference") ])
+              let r, re = shapes (golden_problem spec) in
+              check shape_t "after R" after_r r;
+              check shape_t "after RE" after_re re))
+        golden_kernels)
     golden_cases
 
 (* The same golden counts with the REs run concurrently: [2 * jobs]
@@ -416,7 +425,6 @@ let golden_parallel_tests =
             (Printf.sprintf "%s (fast, jobs=%d)" spec jobs)
             `Quick
             (fun () ->
-              Re_step.set_kernel Re_step.Fast;
               Re_step.clear_cache ();
               let p = golden_problem spec in
               Slocal_obs.Pool.run ~jobs (2 * jobs) (fun _ ->
@@ -439,7 +447,6 @@ let test_kernels_agree_structurally () =
 let test_re_cache_hits () =
   let hits = Slocal_obs.Telemetry.counter "re.cache_hits" in
   let misses = Slocal_obs.Telemetry.counter "re.cache_misses" in
-  Re_step.set_kernel Re_step.Fast;
   Re_step.clear_cache ();
   check int_t "clear zeroes the hit counter" 0
     (Slocal_obs.Telemetry.value hits);
@@ -472,7 +479,6 @@ let test_re_cache_clear_under_parallel () =
   let module Pool = Slocal_obs.Pool in
   let hits = Slocal_obs.Telemetry.counter "re.cache_hits" in
   let misses = Slocal_obs.Telemetry.counter "re.cache_misses" in
-  Re_step.set_kernel Re_step.Fast;
   Re_step.clear_cache ();
   let specs = [| "mm:3"; "arb:3:2"; "so:3"; "mm:3"; "arb:3:2"; "so:3" |] in
   (* Worker domains query and fill the result cache, so their shards

@@ -605,7 +605,6 @@ let sample_record ?(id = "cafe0001") ?(counters = [ ("c", 1) ]) () =
     wall_ns = 3_500_000_000;
     outcome = "ok";
     exit_code = 0;
-    kernel = Some "fast";
     seed = Some 42;
     problems = [ ("mm3", 123456789) ];
     cache_hits = 1;
@@ -730,7 +729,6 @@ let test_ledger_run_context () =
   check bool_t "\"none\" disables" true (Ledger.default_path () = None);
   Unix.putenv "SLOCAL_LEDGER" path;
   Ledger.begin_run ~op:"test" ~argv:[ "slocal"; "test" ];
-  Ledger.note_kernel "fast";
   Ledger.note_seed 7;
   Ledger.note_problem ~name:"mm3" ~hash:99;
   Ledger.note_problem ~name:"mm3" ~hash:99;
@@ -745,8 +743,6 @@ let test_ledger_run_context () =
         rec_.Ledger.argv;
       check string_t "finish_run is idempotent" "ok" rec_.Ledger.outcome;
       check string_t "op noted" "test" rec_.Ledger.op;
-      check (Alcotest.option string_t) "kernel noted" (Some "fast")
-        rec_.Ledger.kernel;
       check (Alcotest.option int_t) "seed noted" (Some 7) rec_.Ledger.seed;
       check
         (Alcotest.list (Alcotest.pair string_t int_t))
@@ -963,26 +959,6 @@ let test_pool_last_task_exception () =
   Alcotest.check_raises "last-claimed task exception re-raised" Exit (fun () ->
       ignore (Pool.run ~jobs:4 8 (fun i -> if i = 7 then raise Exit)));
   check bool_t "region closed after exception" false (Pool.parallel_active ())
-
-let test_pool_nested_run () =
-  with_clean_telemetry @@ fun () ->
-  (* A task that calls Pool.run again must not deadlock or oversubscribe:
-     the inner parallel request degrades to the sequential path (counted
-     in par.nested_runs) and still returns correct results. *)
-  let r =
-    Pool.run ~jobs:2 4 (fun i ->
-        Array.to_list (Pool.run ~jobs:3 3 (fun j -> (10 * i) + j)))
-  in
-  check bool_t "nested results correct" true
-    (r = [| [ 0; 1; 2 ]; [ 10; 11; 12 ]; [ 20; 21; 22 ]; [ 30; 31; 32 ] |]);
-  let v name =
-    Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  check bool_t "nested parallel requests degraded and were counted" true
-    (v "par.nested_runs" >= 1);
-  (* Only the outer region spawned domains. *)
-  check int_t "merges from the outer run only" 1 (v "par.merges");
-  check bool_t "region closed" false (Pool.parallel_active ())
 
 let test_jsonl_multi_domain () =
   with_clean_telemetry @@ fun () ->
@@ -1242,7 +1218,6 @@ let () =
           Alcotest.test_case "zero tasks" `Quick test_pool_zero_tasks;
           Alcotest.test_case "exception in the last task" `Quick
             test_pool_last_task_exception;
-          Alcotest.test_case "nested run degrades" `Quick test_pool_nested_run;
           Alcotest.test_case "multi-domain jsonl trace" `Quick
             test_jsonl_multi_domain;
           Alcotest.test_case "mixed /1 + /2 + /3 trace" `Quick

@@ -80,7 +80,6 @@ let re_tests =
     (fun (d_white, d_black) ->
       let name = Printf.sprintf "re fast = reference (%d,%d)" d_white d_black in
       Alcotest.test_case name `Slow (fun () ->
-          Re_step.set_kernel Re_step.Fast;
           run
             (Proptest.property ~count:200 ~name
                ~gen:(Proptest.problem ~d_white ~d_black)
@@ -273,7 +272,6 @@ let relaxation_tests =
           (!relaxation_decided >= 300 && !relaxation_refuted >= 60));
     Alcotest.test_case "search = oracle (RE vs permuted names)" `Slow
       (fun () ->
-        Re_step.set_kernel Re_step.Fast;
         relaxation_decided := 0;
         run
           (Proptest.property ~count:100 ~name:"relaxation permuted names"
@@ -613,7 +611,6 @@ let alloc_determinism_tests =
   [
     Alcotest.test_case "sequential RE allocation deterministic" `Slow
       (fun () ->
-        Re_step.set_kernel Re_step.Fast;
         let problems () =
           let g = Slocal_util.Prng.create seed in
           List.init 50 (fun _ -> Proptest.problem ~d_white:2 ~d_black:2 g)

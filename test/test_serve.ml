@@ -138,7 +138,7 @@ let test_metrics_op () =
    key list of the reply's [request] record: clients read its fields by
    name, and the order is part of the byte-identical reply. *)
 let request_keys =
-  [ "schema"; "id"; "op"; "problems"; "kernel"; "wall_ns"; "alloc_b";
+  [ "schema"; "id"; "op"; "problems"; "wall_ns"; "alloc_b";
     "cache_hits"; "cache_misses"; "outcome" ]
 
 let test_result_goldens () =
@@ -162,9 +162,13 @@ let test_result_goldens () =
       ( {|{"op":"re","problem":"mm:3"}|},
         {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
       );
-      (* A "kernel" field selects nothing the reply shows: the body is
-         the one above. *)
+      (* Captures recorded while the daemon had a choice of RE kernel
+         may carry "kernel"; the field is ignored, whatever its value,
+         so the reply is the one above. *)
       ( {|{"op":"re","problem":"mm:3","kernel":"reference"}|},
+        {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
+      );
+      ( {|{"op":"re","problem":"mm:3","kernel":"bogus"}|},
         {|{"steps":1,"labels":6,"white_configs":3,"black_configs":31,"hash":370531962,"fixed_point":false}|}
       );
       ( {|{"op":"sequence","problem":"matching:2:0:1","steps":2}|},
@@ -384,7 +388,6 @@ let test_mixed_schema_ledger () =
       started_at = 1000.;
       wall_ns = 1_000_000_000;
       outcome = "ok";
-      kernel = Some "fast";
       problems = [ ("mm3", 42) ];
       counters = [ ("re.steps", 1) ];
     }
@@ -395,7 +398,6 @@ let test_mixed_schema_ledger () =
       id;
       op = "re";
       problems = [ ("mm3", 42) ];
-      kernel = Some "fast";
       wall_ns = 5_000;
       alloc_b = 1_024;
       cache_hits = 3;
@@ -412,8 +414,8 @@ let test_mixed_schema_ledger () =
   append (rr "r1");
   append cli;
   append { (rr "r2") with Ledger.body = Some (Json.Obj [ ("op", Json.String "re") ]) };
-  (* A record written while requests had a worker width: its "jobs"
-     field is ignored. *)
+  (* A record written while requests had a worker width and a choice
+     of RE kernel: its "jobs" and "kernel" fields are ignored. *)
   append_line file
     {|{"schema":"slocal.request/1","id":"r0","op":"re","problems":{"mm3":42},"kernel":"fast","jobs":2,"wall_ns":5000,"alloc_b":1024,"cache_hits":3,"cache_misses":0,"outcome":"ok"}|};
   append_line file "{ damaged";
