@@ -662,7 +662,7 @@ let lint_cmd =
       let domain_diags =
         if not domains then []
         else begin
-          let findings, diags = Staticcheck.analyze_files ~src_dirs () in
+          let findings, diags = Staticcheck.analyze_files ~src_dirs in
           if inventory then
             Format.printf "%a" Staticcheck.pp_inventory findings;
           (match report with

@@ -719,7 +719,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let analyze_files ~src_dirs () =
+let analyze_files ~src_dirs =
   let missing, sources =
     List.fold_left
       (fun (missing, sources) dir ->

@@ -98,8 +98,7 @@ val analyze : (string * string) list -> finding list * Diagnostic.t list
     unannotated finding (its [code_of_kind]), one SL056 per malformed
     or stale pragma. *)
 
-val analyze_files :
-  src_dirs:string list -> unit -> finding list * Diagnostic.t list
+val analyze_files : src_dirs:string list -> finding list * Diagnostic.t list
 (** {!analyze} over every [.ml] under [src_dirs] (recursively,
     sorted); an unreadable source directory yields an SL000 error. *)
 

@@ -5,7 +5,8 @@
     only maps its flags or JSON fields onto a call and renders the
     typed result, so the same request gets the same answer everywhere.
 
-    Every operation runs in the calling domain.  Omitted budgets are the library defaults. *)
+    Every operation runs in the calling domain.  Omitted budgets are
+    the library defaults. *)
 
 open Slocal_formalism
 

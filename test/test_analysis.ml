@@ -744,7 +744,7 @@ let test_staticcheck_repo_inventory () =
   let root = "../../.." in
   let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
   if List.for_all Sys.file_exists dirs then begin
-    let findings, diags = Staticcheck.analyze_files ~src_dirs:dirs () in
+    let findings, diags = Staticcheck.analyze_files ~src_dirs:dirs in
     check
       (Alcotest.list Alcotest.string)
       "repo inventory fully classified" []
