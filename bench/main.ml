@@ -870,7 +870,7 @@ let e_scale () =
   List.iter
     (fun jobs ->
       let t0 = Telemetry.now_ns () in
-      (* Fresh problems per width: each task owns its memo tables. *)
+      (* Fresh problems per width: each task owns its instance. *)
       let results =
         Zero_round.decide_batch ~jobs support (Zero_round.two_label_problems ())
       in

@@ -1033,8 +1033,8 @@ let runs_cmd =
     [ list_cmd; show_cmd; diff_cmd; gc_cmd ]
 
 (* ------------------------------------------------------------------ *)
-(* The serve daemon and its client: one warm process (RE cache, memo
-   tables, telemetry registry) answering JSONL requests over a
+(* The serve daemon and its client: one warm process (RE cache,
+   telemetry registry) answering JSONL requests over a
    Unix-domain socket, each work request inside a
    Telemetry.with_request window (DESIGN.md §10). *)
 

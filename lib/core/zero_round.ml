@@ -43,11 +43,11 @@ let solvable_non_bipartite ?max_nodes h problem =
 
 (* ------------------------------------------------------------------ *)
 (* Batch decision over independent instances — the one parallel
-   workload.  Each problem (with its on-demand constraint memo tables)
-   belongs to exactly one task, and the support graph is immutable, so
-   the tasks share no mutable state and a pool fan-out is safe; the
-   pool writes results into index-addressed slots, making the output
-   byte-identical to the sequential [jobs = 1] run. *)
+   workload.  Each problem belongs to exactly one task, and the
+   support graph is immutable, so the tasks share no mutable state
+   and a pool fan-out is safe; the pool writes results into
+   index-addressed slots, making the output byte-identical to the
+   sequential [jobs = 1] run. *)
 
 let two_label_problems () =
   (* The 49-problem two-label sweep space: every pair of nonempty

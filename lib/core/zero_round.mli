@@ -46,8 +46,7 @@ val lift_of_hypergraph : Hypergraph.t -> Problem.t -> Lift.t
     Independent per-instance decisions fanned out over an
     {!Slocal_obs.Pool} of OCaml domains — the one parallel kernel of
     the library, behind [slocal sweep --jobs] and the E-SCALE bench
-    rows (DESIGN.md §9).  Each [Problem.t] (whose
-    constraint memo tables fill on demand) is owned by exactly one
+    rows (DESIGN.md §9).  Each [Problem.t] is owned by exactly one
     task and the support graph is immutable, so the tasks share no
     mutable state; results come back in input order, byte-identical
     to the sequential [jobs = 1] default. *)
@@ -57,7 +56,7 @@ val two_label_problems : unit -> Problem.t list
     at arity 2: every pair of nonempty subsets of the three
     edge-configuration multisets ([AA], [AB], [BB]) as
     (white, black) constraints.  Fresh problems on every call (so
-    each caller owns its instances' memo tables). *)
+    each caller owns its instances). *)
 
 val decide_batch :
   ?jobs:int ->

@@ -1,10 +1,5 @@
 module Multiset = Slocal_util.Multiset
 module Config_key = Slocal_util.Config_key
-module Telemetry = Slocal_obs.Telemetry
-module Pool = Slocal_obs.Pool
-
-let c_memo_hits = Telemetry.counter "constr.memo_hits"
-let c_memo_misses = Telemetry.counter "constr.memo_misses"
 
 module Config_set = Set.Make (struct
   type t = Multiset.t
@@ -12,7 +7,6 @@ module Config_set = Set.Make (struct
   let compare = Multiset.compare
 end)
 
-(* staticcheck: shared-cache-needs-lock per-constraint memo tables are filled on demand; [memo_mu] is held across every memo lookup+store while Pool.parallel_active, and the down slots publish through Atomic *)
 type t = {
   arity : int;
   configs : Config_set.t;
@@ -28,21 +22,6 @@ type t = {
      last store wins, no counters involved) or a complete table that
      is immutable from then on. *)
   down : unit Config_key.Tbl.t option Atomic.t array;
-  (* Memoized quantified-choice queries, one table per quantifier,
-     keyed by the canonicalized position sets (each set sorted and
-     deduplicated, the positions sorted — the answers only depend on
-     the multiset of position sets). *)
-  memo_exists : (int list list, bool) Hashtbl.t;
-  memo_for_all : (int list list, bool) Hashtbl.t;
-  memo_exists_partial : (int list list, bool) Hashtbl.t;
-  memo_for_all_partial : (int list list, bool) Hashtbl.t;
-  (* Taken around every memo lookup+compute+store — but only while a
-     pool region is open ([Pool.parallel_active]; one atomic load on
-     the sequential path).  Holding it across the compute keeps the
-     memo accounting schedule-independent: the miss count is exactly
-     the number of distinct canonical keys, the hit count exactly the
-     remaining queries, the same totals as a sequential run. *)
-  memo_mu : Mutex.t;
 }
 
 let key t c = Config_key.of_multiset ~bits:t.bits c
@@ -72,11 +51,6 @@ let make ~arity config_list =
     bits;
     member;
     down = Array.init (arity + 1) (fun _ -> Atomic.make None);
-    memo_exists = Hashtbl.create 64;
-    memo_for_all = Hashtbl.create 64;
-    memo_exists_partial = Hashtbl.create 64;
-    memo_for_all_partial = Hashtbl.create 64;
-    memo_mu = Mutex.create ();
   }
 
 let arity t = t.arity
@@ -105,36 +79,7 @@ let extendable partial t =
   else Config_key.Tbl.mem (down_closure t k) (key t partial)
 
 (* Quantified-choice tests.  Positions are processed one at a time; the
-   accumulated partial multiset is pruned through [extendable].  Each
-   query is memoized per constraint under its canonical key. *)
-
-let canonical_sets sets =
-  List.sort compare (List.map (fun s -> List.sort_uniq compare s) sets)
-
-let memoized t tbl sets compute =
-  let k = canonical_sets sets in
-  let lookup () =
-    match Hashtbl.find_opt tbl k with
-    | Some v ->
-        Telemetry.incr c_memo_hits;
-        v
-    | None ->
-        Telemetry.incr c_memo_misses;
-        let v = compute () in
-        Hashtbl.add tbl k v;
-        v
-  in
-  if Pool.parallel_active () then begin
-    (* The lock spans lookup, compute and store, so exactly one task
-       computes each distinct key and every other query of it is a
-       hit — the same hit/miss totals as a sequential run, whatever
-       the schedule.  [compute] recurses only into the lock-free
-       membership/extendability paths of the same constraint, never
-       back into [memoized], so the mutex is never re-entered. *)
-    Mutex.lock t.memo_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.memo_mu) lookup
-  end
-  else lookup ()
+   accumulated partial multiset is pruned through [extendable]. *)
 
 let exists_pick ~complete sets t =
   let rec go acc = function
@@ -162,7 +107,6 @@ let for_all_pick ~complete sets t =
 
 let exists_choice sets t =
   if List.length sets <> t.arity then invalid_arg "Constr.exists_choice: arity mismatch";
-  memoized t t.memo_exists sets @@ fun () ->
   exists_pick ~complete:(fun acc -> mem acc t) sets t
 
 let for_all_choices sets t =
@@ -173,20 +117,16 @@ let for_all_choices sets t =
      empty position set makes the product empty and the test
      vacuously true, answered before the walk (which could otherwise
      short-circuit on an earlier position). *)
-  List.mem [] sets
-  || memoized t t.memo_for_all sets @@ fun () ->
-     for_all_pick ~complete:(fun acc -> mem acc t) sets t
+  List.mem [] sets || for_all_pick ~complete:(fun acc -> mem acc t) sets t
 
 let exists_choice_partial sets t =
   if List.length sets > t.arity then invalid_arg "Constr.exists_choice_partial";
-  memoized t t.memo_exists_partial sets @@ fun () ->
   exists_pick ~complete:(fun acc -> extendable acc t) sets t
 
 let for_all_choices_partial sets t =
   if List.length sets > t.arity then invalid_arg "Constr.for_all_choices_partial";
   List.mem [] sets
-  || memoized t t.memo_for_all_partial sets @@ fun () ->
-     for_all_pick ~complete:(fun acc -> extendable acc t) sets t
+  || for_all_pick ~complete:(fun acc -> extendable acc t) sets t
 
 let labels_used t =
   Config_set.fold

@@ -7,7 +7,10 @@
     solver are quantified-choice tests over "condensed" configurations
     (one label set per position), with pruning through the downward
     closure of the constraint (the set of all sub-multisets of its
-    configurations, indexed by size). *)
+    configurations, indexed by size).  Each quantified-choice query
+    walks the picks afresh; only the downward closures are cached,
+    built lazily per size and published atomically, so a constraint
+    may be shared across domains. *)
 
 module Config_set : Set.S with type elt = Slocal_util.Multiset.t
 
@@ -26,7 +29,7 @@ val mem : Slocal_util.Multiset.t -> t -> bool
 val extendable : Slocal_util.Multiset.t -> t -> bool
 (** [extendable partial t]: is [partial] a sub-multiset of some
     configuration of [t]?  ([partial] may have any size up to the
-    arity.)  Memoized via downward closures. *)
+    arity.)  One lookup in the downward closure of that size. *)
 
 val exists_choice : int list list -> t -> bool
 (** [exists_choice sets t]: do per-position picks [ℓ_i ∈ sets_i] exist

@@ -1,7 +1,7 @@
 module Multiset = Slocal_util.Multiset
 
 (* Every query answers directly from the configuration list of the
-   constraint: no hash tables, no cached down-closures, no memo.  Kept
+   constraint: no hash tables, no cached down-closures.  Kept
    deliberately naive — the differential property suite compares the
    fast kernel against these semantics. *)
 

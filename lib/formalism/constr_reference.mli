@@ -1,11 +1,11 @@
-(** Unmemoized constraint-query oracle.
+(** Scanning constraint-query oracle.
 
     Answers the same queries as {!Constr} by scanning the configuration
     list directly — no packed keys, no cached down-closures, no
-    memoization, no pruning of the choice walks.  The differential
-    property suite ([test/test_proptest.ml]) checks {!Constr}'s
-    memoized fast paths against these reference semantics on random
-    constraints and random queries. *)
+    pruning of the choice walks.  The differential property suite
+    ([test/test_proptest.ml]) checks {!Constr}'s fast paths against
+    these reference semantics on random constraints and random
+    queries. *)
 
 val mem : Slocal_util.Multiset.t -> Constr.t -> bool
 val extendable : Slocal_util.Multiset.t -> Constr.t -> bool

@@ -5,7 +5,7 @@
     with a quadratic pairwise domination filter, and no result cache.
     Constraint queries go through {!Constr} as they did in the seed
     (whose queries already pruned through down-closures); {!Constr}
-    itself is differentially tested against the unmemoized
+    itself is differentially tested against the
     {!Constr_reference} scans.  The fast kernel in
     {!Re_step} must agree with it up to label renaming — the
     differential property suite and the golden RE tests exercise

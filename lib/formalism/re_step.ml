@@ -132,7 +132,7 @@ let maximal_good_configs ~candidates ~arity constr =
     (* A violating choice of cfg: (position, label) pairs forming a
        {e dead} pick — a multiset no configuration of [constr] extends
        (at full size, deadness is non-membership); [None] means cfg is
-       good.  The memoized [for_all_choices] answers the good case.
+       good.  [for_all_choices] answers the good case.
        The walk returns the first dead partial pick it meets (falling
        back to a full-length pick when every proper prefix stays
        extendable), then greedily minimizes it: dropping any label

@@ -22,7 +22,7 @@
     maximal good configurations by a top-down subset-lattice search
     that expands only non-good configurations (goodness is downward
     closed), answer constraint queries through {!Constr}'s packed-key
-    memo tables, and cache whole RE results across invocations keyed
+    down closures, and cache whole RE results across invocations keyed
     by structural problem equality.  The original bottom-up
     enumerate-then-filter implementation is kept verbatim in
     {!Re_reference}, which tests and benchmarks call directly as a
@@ -49,8 +49,8 @@ val re : ?cache:bool -> Problem.t -> Problem.t
     {!Problem.canonical_hash}; [re.cache_hits]/[re.cache_misses]
     count both outcomes).  Pass [~cache:false] to force a full
     recomputation (benchmarks).  Safe to call from concurrent
-    {!Slocal_obs.Pool} tasks: the cache and the constraint memos are
-    locked while a pool region is open.
+    {!Slocal_obs.Pool} tasks: every cache access holds the cache's
+    lock, and the constraints' down closures publish atomically.
     @raise Invalid_argument, naming the problem, its label count and
     the limit, when [Π] or [R(Π)] has more than [Bitset.max_universe]
     labels. *)

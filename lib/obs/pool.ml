@@ -13,14 +13,6 @@ let c_stolen = Telemetry.counter "par.tasks_stolen"
 let c_merges = Telemetry.counter "par.merges"
 let g_jobs = Telemetry.gauge "par.jobs"
 
-(* Count of parallel regions currently open across the process.  Read
-   by shared-cache owners (Constr's memo tables, Re_step's result
-   cache) to decide whether their lock must be taken: the sequential
-   path pays one atomic load per query, nothing more. *)
-let regions : int Atomic.t = Atomic.make 0 (* staticcheck: domain-safe parallel-region count; fetch_and_add around each multi-domain run *)
-
-let parallel_active () = Atomic.get regions > 0
-
 let run ~jobs n f =
   if n < 0 then invalid_arg "Pool.run: negative task count";
   if n = 0 then [||]
@@ -37,7 +29,6 @@ let run ~jobs n f =
     let jobs = min jobs n in
     Telemetry.set g_jobs jobs;
     Telemetry.add c_submitted n;
-    Atomic.incr regions;
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let failed : exn option Atomic.t = Atomic.make None in
@@ -64,8 +55,7 @@ let run ~jobs n f =
     let finish () =
       (* Each joined worker's shard is now read by every snapshot;
          count the merges at the join point. *)
-      Telemetry.add c_merges (jobs - 1);
-      Atomic.decr regions
+      Telemetry.add c_merges (jobs - 1)
     in
     let spawned =
       List.init (jobs - 1) (fun _ ->

@@ -29,20 +29,15 @@ val run : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [run ~jobs n f] evaluates [f i] for [0 <= i < n] on [min jobs n]
     domains (the caller plus spawned workers) and returns the results
     in index order.  Tasks must be independent: they may not share
-    mutable state without a lock (a [Problem.t] with its on-demand
-    constraint memos may be shared only because {!Constr} locks its
-    memo tables while {!parallel_active} — prefer one problem per
-    task).  If a task raises, the remaining tasks still run and the
-    first exception is re-raised after all workers are joined.  A task
+    mutable state without a lock.  A shared [Problem.t] is safe: its
+    constraints' lazily built down closures are published with one
+    atomic store each, so a concurrent reader sees either none or a
+    complete, immutable table.  If a task raises, the remaining tasks
+    still run and the first exception is re-raised after all workers
+    are joined.  A task
     must not itself call [run] with [jobs > 1]: that would spawn
     domains from a worker and oversubscribe the machine.
     @raise Invalid_argument on a negative [n]. *)
-
-val parallel_active : unit -> bool
-(** [true] while at least one multi-domain {!run} is open anywhere in
-    the process.  Shared caches ({!Slocal_formalism.Constr} memo
-    tables, the RE result cache) consult this to decide whether their
-    lock must be taken, keeping the sequential path lock-free. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f l] is {!run} over the elements of [l], preserving

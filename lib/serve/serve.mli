@@ -3,9 +3,10 @@
     request-scoped observability.
 
     One process owns the warm state — the cross-invocation RE cache
-    ({!Slocal_formalism.Re_step}), the telemetry registry, the interned
-    constraint memo tables — and serves {e work} requests ([re],
-    [sequence], [solve], [audit]) one at a time, each inside a
+    ({!Slocal_formalism.Re_step}), whose cached problems keep their
+    built constraint down closures, and the telemetry registry — and
+    serves {e work} requests ([re], [sequence], [solve], [audit]) one
+    at a time, each inside a
     {!Slocal_obs.Telemetry.with_request} window: trace events carry the
     request id, the response reports the window's own counter deltas,
     wall time and allocation, and — with [record] set — one

@@ -12,17 +12,20 @@ let choose n k =
 let multichoose n k = choose (n + k - 1) k
 
 let subsets_of_size k xs =
-  let rec go k xs =
+  (* [n] is the length of [xs].  Stopping once fewer than [k] elements
+     remain keeps the call count near the output size, not 2^n. *)
+  let rec go k n xs =
     if k = 0 then [ [] ]
+    else if n < k then []
     else
       match xs with
       | [] -> []
       | x :: rest ->
-          let with_x = List.map (fun s -> x :: s) (go (k - 1) rest) in
-          let without = go k rest in
+          let with_x = List.map (fun s -> x :: s) (go (k - 1) (n - 1) rest) in
+          let without = go k (n - 1) rest in
           with_x @ without
   in
-  go k xs
+  go k (List.length xs) xs
 
 let multisets_of_size k xs =
   let rec go k xs =

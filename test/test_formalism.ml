@@ -412,10 +412,10 @@ let golden_tests =
     golden_cases
 
 (* The same golden counts with the REs run concurrently: [2 * jobs]
-   pool tasks share one instance of the problem (its constraint memo
-   tables) and the RE result cache, which {!Constr} and {!Re_step}
-   lock while a pool region is open.  Every task must reproduce the
-   sequential fast kernel's shapes. *)
+   pool tasks share one instance of the problem (its constraints'
+   lazily built down closures, published atomically by {!Constr}) and
+   the RE result cache, which {!Re_step} locks.  Every task must
+   reproduce the sequential fast kernel's shapes. *)
 let golden_parallel_tests =
   List.concat_map
     (fun (spec, after_r, after_re) ->

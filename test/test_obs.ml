@@ -936,8 +936,7 @@ let test_pool_width_exceeds_tasks () =
   (* The pool clamps the width to the task count, so only
      min(jobs, n) - 1 = 2 workers are ever spawned and merged. *)
   check int_t "spawned workers merged" 2 (v "par.merges");
-  check int_t "width clamped to the task count" 3 (v "par.jobs");
-  check bool_t "region closed" false (Pool.parallel_active ())
+  check int_t "width clamped to the task count" 3 (v "par.jobs")
 
 let test_pool_zero_tasks () =
   with_clean_telemetry @@ fun () ->
@@ -945,20 +944,17 @@ let test_pool_zero_tasks () =
   let v name =
     Option.value ~default:0 (List.assoc_opt name (Telemetry.snapshot ()))
   in
-  (* n <= 1 stays on the inline sequential path: no domains, no region. *)
+  (* n <= 1 stays on the inline sequential path: no domains. *)
   check int_t "nothing submitted or merged" 0
-    (v "par.tasks_completed" + v "par.merges");
-  check bool_t "no region opened" false (Pool.parallel_active ())
+    (v "par.tasks_completed" + v "par.merges")
 
 let test_pool_last_task_exception () =
   with_clean_telemetry @@ fun () ->
   (* The failing task is the LAST one, so the worker that claims it is
      the last to steal work while the others are already draining; the
-     exception must still surface after every join, and the parallel
-     region must be closed on the way out. *)
+     exception must still surface after every join. *)
   Alcotest.check_raises "last-claimed task exception re-raised" Exit (fun () ->
-      ignore (Pool.run ~jobs:4 8 (fun i -> if i = 7 then raise Exit)));
-  check bool_t "region closed after exception" false (Pool.parallel_active ())
+      ignore (Pool.run ~jobs:4 8 (fun i -> if i = 7 then raise Exit)))
 
 let test_jsonl_multi_domain () =
   with_clean_telemetry @@ fun () ->

@@ -9,10 +9,10 @@
      random problems per arity profile — including problems where both
      must reject with an empty result constraint;
 
-   - per-query: [Constr]'s memoized membership / extendability /
-     quantified-choice queries agree with the unmemoized scans in
-     [Constr_reference] on random constraints and random condensed
-     queries.
+   - per-query: [Constr]'s membership / extendability /
+     quantified-choice queries (packed keys, down-closure pruning)
+     agree with the plain scans in [Constr_reference] on random
+     constraints and random condensed queries.
 
    The seed defaults to a fixed value and can be rotated from the
    environment: PROPTEST_SEED=12345 dune runtest. *)
@@ -88,7 +88,7 @@ let re_tests =
     arity_profiles
 
 (* ------------------------------------------------------------------ *)
-(* Memoized constraint queries vs the unmemoized oracle *)
+(* Constraint queries vs the scanning oracle *)
 
 type query_case = {
   constr : Constr.t;
@@ -137,8 +137,8 @@ let queries_agree c =
      = exists_choice_partial c.partial c.constr
   && Constr.for_all_choices_partial c.partial c.constr
      = for_all_choices_partial c.partial c.constr
-  (* Ask everything twice: the second round must be answered from the
-     memo tables with identical results. *)
+  (* Ask twice: the second round runs after the first has built the
+     down closures, and must answer the same. *)
   && Constr.exists_choice c.full c.constr = exists_choice c.full c.constr
   && Constr.for_all_choices_partial c.partial c.constr
      = for_all_choices_partial c.partial c.constr
@@ -561,8 +561,7 @@ let solver_tests =
    to the sequential run.  Decide 200 seeded random (2,2) problems on
    a C_6 support by both routes at widths 2..4 and compare against
    jobs=1; the problem list is regenerated from the same seed per
-   width, so each batch owns fresh instances (and their constraint
-   memo tables). *)
+   width, so each batch owns fresh instances. *)
 let parallel_tests =
   let bipartite_cycle k =
     let g = Slocal_graph.Graph_gen.cycle (2 * k) in
@@ -601,7 +600,7 @@ let parallel_tests =
    number of bytes on every run over the same seeded problems — the
    property underpinning the bench harness's 1.02x allocation gate
    (DESIGN.md, bench schema).  Each sweep regenerates the problems
-   from the same seed (fresh constraint memo tables) and runs with the
+   from the same seed (fresh down closures) and runs with the
    cross-invocation cache off, so every sweep performs byte-identical
    work.  One warmup sweep first: lazy global state (metric
    registries, table growth) may allocate once per process, not per

@@ -204,7 +204,11 @@ let test_subsets_of_size () =
     [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
     subs;
   check int_t "empty for oversize" 0
-    (List.length (Combinat.subsets_of_size 4 [ 1; 2; 3 ]))
+    (List.length (Combinat.subsets_of_size 4 [ 1; 2; 3 ]));
+  (* The recursion stops once fewer than k elements remain, so taking
+     all 32 of 32 is one walk down the list, not 2^32 calls. *)
+  check int_t "subsets_of_size 32 of 32" 1
+    (List.length (Combinat.subsets_of_size 32 (List.init 32 Fun.id)))
 
 let test_multisets_of_size () =
   let subs = Combinat.multisets_of_size 2 [ 1; 2 ] |> List.sort compare in
