@@ -25,7 +25,6 @@ module Diagnostic = Slocal_analysis.Diagnostic
 module Chk = Slocal_analysis.Check
 module Profile = Slocal_analysis.Profile
 module Source = Slocal_analysis.Source
-module Staticcheck = Slocal_analysis.Staticcheck
 module Json = Slocal_obs.Json
 module Ledger = Slocal_obs.Ledger
 module Progress = Slocal_obs.Progress
@@ -127,7 +126,7 @@ let with_telemetry ~cmd ?(progress_mode = Progress.Auto) trace metrics
       Option.iter close_out oc
     end
   in
-  (* staticcheck: per-call registered per CLI run to finish the ledger record on early exit; one process, one run *)
+  (* Finishes the ledger record on early exit; one process, one run. *)
   at_exit (fun () -> finish "exit");
   match f () with
   | v ->
@@ -609,8 +608,9 @@ let lint_cmd =
     Arg.(value & flag
          & info [ "telemetry" ]
              ~doc:"Check that every telemetry metric name registered in the \
-                   library sources appears in the DESIGN.md §6 name table \
-                   (SL041).")
+                   library sources appears in the DESIGN.md §6 name table, \
+                   and that every name in the table is registered (SL041). \
+                   Implied when no $(i,PROBLEM) is given.")
   in
   let design_opt =
     Arg.(value & opt string "DESIGN.md"
@@ -621,65 +621,16 @@ let lint_cmd =
   let src_opt =
     Arg.(value & opt_all string [ "lib"; "bin"; "bench" ]
          & info [ "src" ] ~docv:"DIR"
-             ~doc:"Source directory to scan (repeatable, with --telemetry and \
-                   --domains).")
+             ~doc:"Source directory to scan (repeatable, with --telemetry).")
   in
-  let domains_flag =
-    Arg.(value & flag
-         & info [ "domains" ]
-             ~doc:"Run the domain-safety static analysis over the OCaml \
-                   sources: inventory module-scope mutable state and \
-                   nondeterminism sources (SL050-SL055) and require every \
-                   finding to carry a (* staticcheck: CLASS REASON *) pragma \
-                   on or up to three lines above it; malformed or stale \
-                   pragmas are SL056.")
-  in
-  let report_opt =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"With --domains: also write the machine-readable \
-                   slocal.staticcheck/1 JSON inventory to $(docv).")
-  in
-  let inventory_flag =
-    Arg.(value & flag
-         & info [ "inventory" ]
-             ~doc:"With --domains: print the human inventory table (every \
-                   finding with its classification) before the diagnostics.")
-  in
-  let run specs delta r machine codes re_steps telemetry design src_dirs
-      domains report inventory =
+  let run specs delta r machine codes re_steps telemetry design src_dirs =
     if codes then Format.printf "%a@?" Chk.pp_code_table ()
     else
       with_telemetry ~cmd:"lint" None false None
       @@ fun () ->
-      let domains = domains || report <> None || inventory in
       (* Plain [slocal lint] with no arguments: the repository
-         self-checks (domain-safety inventory + telemetry name table). *)
-      let domains, telemetry =
-        if specs = [] && not (domains || telemetry) then (true, true)
-        else (domains, telemetry)
-      in
-      let domain_diags =
-        if not domains then []
-        else begin
-          let findings, diags = Staticcheck.analyze_files ~src_dirs in
-          if inventory then
-            Format.printf "%a" Staticcheck.pp_inventory findings;
-          (match report with
-          | None -> ()
-          | Some file -> (
-              let json = Staticcheck.report_json ~roots:src_dirs findings in
-              try
-                let oc = open_out file in
-                output_string oc (Json.to_string json);
-                output_char oc '\n';
-                close_out oc;
-                Ledger.note_artifact ~kind:"staticcheck" file
-              with Sys_error msg ->
-                Format.eprintf "staticcheck: cannot write %s: %s@." file msg));
-          diags
-        end
-      in
+         self-check (telemetry name table). *)
+      let telemetry = telemetry || specs = [] in
       let telemetry_diags =
         if telemetry then Source.lint_telemetry_files ~design ~src_dirs
         else []
@@ -704,16 +655,14 @@ let lint_cmd =
                           ("unparsable problem: " ^ msg) ]))
           specs
       in
-      report_and_exit ~machine (domain_diags @ telemetry_diags @ diags)
+      report_and_exit ~machine (telemetry_diags @ diags)
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify formalism invariants (diagrams, lifts, \
-             condensed syntax, telemetry name inventory, domain-safety of \
-             the sources)")
+             condensed syntax, telemetry name inventory)")
     Term.(const run $ specs $ delta_opt $ r_opt $ machine_flag $ codes_flag
-          $ re_steps $ telemetry_flag $ design_opt $ src_opt $ domains_flag
-          $ report_opt $ inventory_flag)
+          $ re_steps $ telemetry_flag $ design_opt $ src_opt)
 
 let audit_cmd =
   let k =

@@ -34,14 +34,7 @@ let code_table =
     { code = "SL036"; severity = D.Error; title = "unsolvability certificate refuted by re-search" };
     { code = "SL037"; severity = D.Info; title = "unsolvability re-search undecided within audit budget" };
     { code = "SL040"; severity = D.Error; title = "trace file empty or fully damaged" };
-    { code = "SL041"; severity = D.Warning; title = "telemetry metric name not documented in DESIGN.md" };
-    { code = "SL050"; severity = D.Warning; title = "module-scope mutable binding not classified" };
-    { code = "SL051"; severity = D.Warning; title = "module-scope lazy value or mutable type not classified" };
-    { code = "SL052"; severity = D.Warning; title = "nondeterministic PRNG use not classified" };
-    { code = "SL053"; severity = D.Warning; title = "wall-clock read outside lib/obs not classified" };
-    { code = "SL054"; severity = D.Warning; title = "hash-order-dependent iteration not classified" };
-    { code = "SL055"; severity = D.Warning; title = "exit or signal handler not classified" };
-    { code = "SL056"; severity = D.Warning; title = "stale or malformed staticcheck annotation" };
+    { code = "SL041"; severity = D.Warning; title = "telemetry metric name undocumented, or documented but not registered" };
   ]
 
 let find_entry code = List.find_opt (fun e -> e.code = code) code_table

@@ -5,7 +5,7 @@
 module Telemetry = Slocal_obs.Telemetry
 module Trace = Slocal_obs.Trace
 
-(* staticcheck: per-call trace replay builds a fresh span table per parsed trace; never shared *)
+(* Trace replay builds a fresh span table per parsed trace; never shared. *)
 type span = {
   id : int;
   name : string;

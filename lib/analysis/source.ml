@@ -271,6 +271,10 @@ let design_metric_names text =
 
 let telemetry_name_findings ~design sources =
   let documented = design_metric_names design in
+  let registered =
+    List.map (fun (subject, text) -> (subject, telemetry_registrations text))
+      sources
+  in
   let table_missing =
     if documented = [] then
       [
@@ -279,9 +283,9 @@ let telemetry_name_findings ~design sources =
       ]
     else []
   in
-  table_missing
-  @ List.concat_map
-      (fun (subject, text) ->
+  let undocumented =
+    List.concat_map
+      (fun (subject, regs) ->
         List.filter_map
           (fun (kind, nm) ->
             if List.mem nm documented then None
@@ -292,8 +296,28 @@ let telemetry_name_findings ~design sources =
                       "telemetry %s %S is not documented in the DESIGN.md §6 \
                        name table"
                       kind nm)))
-          (telemetry_registrations text))
-      sources
+          regs)
+      registered
+  in
+  (* The reverse direction: a table row naming a metric that no scanned
+     source registers any more is stale. *)
+  let registered_names =
+    List.concat_map (fun (_, regs) -> List.map snd regs) registered
+  in
+  let stale =
+    List.filter_map
+      (fun nm ->
+        if List.mem nm registered_names then None
+        else
+          Some
+            (D.warning ~code:"SL041" ~subject:"DESIGN.md"
+               (Printf.sprintf
+                  "documented telemetry name %S is not registered by any \
+                   scanned source"
+                  nm)))
+      documented
+  in
+  table_missing @ undocumented @ stale
 
 let rec ml_files_under dir =
   match Sys.readdir dir with

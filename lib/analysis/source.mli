@@ -26,7 +26,8 @@ val lint_file : string -> Problem.t option * Diagnostic.t list
 
     Every [Telemetry.counter]/[gauge]/[histogram] name registered with
     a string literal in the library sources must appear in DESIGN.md
-    §6's "Counter and gauge names" table. *)
+    §6's "Counter and gauge names" table, and every name in that table
+    must be registered by some source. *)
 
 val telemetry_registrations : string -> (string * string) list
 (** [(kind, name)] pairs for every [counter "..."], [gauge "..."] or
@@ -44,12 +45,9 @@ val telemetry_name_findings :
   design:string -> (string * string) list -> Diagnostic.t list
 (** [telemetry_name_findings ~design sources] checks every
     registration in [sources] ([(subject, text)] pairs) against the
-    design table: one SL041 warning per undocumented name, plus one
+    design table: one SL041 warning per undocumented name, one per
+    documented name that no source in [sources] registers, plus one
     SL041 warning if [design] has no table at all. *)
-
-val ml_files_under : string -> string list
-(** Every [.ml] file under a directory, recursively, sorted; an
-    unreadable directory is the empty list. *)
 
 val lint_telemetry_files :
   design:string -> src_dirs:string list -> Diagnostic.t list

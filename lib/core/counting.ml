@@ -229,7 +229,8 @@ module Problem = Slocal_formalism.Problem
 module Constr = Slocal_formalism.Constr
 module Combinat = Slocal_util.Combinat
 
-(* staticcheck: per-call one ruling-set enumeration owns its state; the sets cache lives and dies with the call *)
+(* One ruling-set enumeration owns its state; the sets cache lives and
+   dies with the call. *)
 type ruling_state = {
   delta' : int;
   k : int;

@@ -1,4 +1,4 @@
-(* staticcheck: immutable-after-init the interning index is filled in of_names and read-only afterwards *)
+(* The interning index is filled in of_names and read-only afterwards. *)
 type t = {
   names : string array;
   index : (string, int) Hashtbl.t;

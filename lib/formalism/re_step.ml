@@ -344,11 +344,10 @@ let r_white (p : Problem.t) =
    independent of the input problem's own name; the RE(...) name is
    re-applied per call. *)
 
-(* staticcheck: shared-cache-needs-lock cross-invocation RE memo; every access holds result_cache_mu *)
 let result_cache : (int, (Problem.t * Problem.t) list) Hashtbl.t =
   Hashtbl.create 64
 
-let result_cache_entries = ref 0 (* staticcheck: shared-cache-needs-lock occupancy count paired with result_cache; same lock *)
+let result_cache_entries = ref 0
 let max_result_cache_entries = 512
 
 (* Guards [result_cache]/[result_cache_entries]: [re] is legal from
@@ -357,7 +356,7 @@ let max_result_cache_entries = 512
    across an RE computation — only across lookup and insertion — so
    two tasks missing on the same problem may both compute it (a
    benign duplicate; both count a miss, last insertion wins). *)
-let result_cache_mu = Mutex.create () (* staticcheck: domain-safe result-cache lock; taken around every result_cache access *)
+let result_cache_mu = Mutex.create ()
 
 let locked f =
   Mutex.lock result_cache_mu;

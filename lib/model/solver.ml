@@ -64,7 +64,8 @@ let edge_order g =
    until first asked.  The test runs once per (state, label) pair, and
    only states that pass it are ever created, so the automaton stays
    within the downward closure of the constraint. *)
-(* staticcheck: per-call built and filled by one search_raw call, never shared across calls or domains *)
+(* Built and filled by one search_raw call; never shared across calls or
+   domains. *)
 type automaton = {
   sigma : int;
   test : Multiset.t -> bool;

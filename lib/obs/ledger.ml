@@ -368,7 +368,7 @@ let gc ~path ~keep =
    context.  Appending is best-effort: a read-only working directory
    must never fail the run itself. *)
 
-(* staticcheck: per-call one ledger record per CLI invocation; owned by the coordinating domain *)
+(* One record per CLI invocation, owned by the coordinating domain. *)
 type ctx = {
   c_id : string;
   c_op : string;
@@ -383,7 +383,8 @@ type ctx = {
   mutable c_done : bool;
 }
 
-let active : ctx option ref = ref None (* staticcheck: per-call one active run per process; written only by the CLI wrapper *)
+(* One active run per process; written only by the CLI wrapper. *)
+let active : ctx option ref = ref None
 
 let fresh_id () =
   let t = Unix.gettimeofday () in

@@ -16,15 +16,15 @@
 
 type mode = Off | Auto | Forced
 
-let mode = ref Off (* staticcheck: immutable-after-init set once by the CLI before kernels run *)
-let out = ref stderr (* staticcheck: immutable-after-init set once by the CLI before kernels run *)
-let interval_ns = ref 500_000_000L (* staticcheck: immutable-after-init set once by the CLI before kernels run *)
+(* Set once by the CLI before kernels run. *)
+let mode = ref Off
+let out = ref stderr
+let interval_ns = ref 500_000_000L
 let heartbeats = Telemetry.counter "progress.heartbeats"
 let dropped = Telemetry.counter "progress.dropped"
 
 (* stderr's TTY-ness cannot change mid-process; cache the syscall so
    [Auto]-mode ticks from the solver hot loop stay cheap. *)
-(* staticcheck: immutable-after-init forcing races are idempotent (same syscall result) *)
 let stderr_tty = lazy (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
 
 let is_active () =
@@ -42,7 +42,7 @@ let dropped_count () = Telemetry.value dropped
 (* The single atomic last-emit timestamp: all heartbeat sources
    (phase ticks and solver ticks, from any domain) throttle through
    it.  0L means "emit immediately" (fresh phase). *)
-let last_emit : int64 Atomic.t = Atomic.make 0L (* staticcheck: domain-safe single CAS-guarded throttle cell *)
+let last_emit : int64 Atomic.t = Atomic.make 0L
 
 (* [true] for exactly one caller per interval window: losers (too
    early, or beaten to the CAS) count a dropped tick. *)
@@ -79,10 +79,11 @@ let pp_secs s =
    Phases are driven from the coordinating domain; worker ticks only
    race on [last_emit]. *)
 
-let ph_label = ref "" (* staticcheck: per-call one phase display active at a time; keep on the coordinating domain *)
-let ph_total = ref None (* staticcheck: per-call one phase display active at a time *)
-let ph_t0 = ref 0L (* staticcheck: per-call one phase display active at a time *)
-let ph_started = ref false (* staticcheck: per-call one phase display active at a time *)
+(* One phase display is active at a time. *)
+let ph_label = ref ""
+let ph_total = ref None
+let ph_t0 = ref 0L
+let ph_started = ref false
 
 let start ?total label =
   if is_active () then begin
@@ -129,7 +130,6 @@ let finish () = ph_started := false
    go through the shared [last_emit] throttle.  A node count below
    the last one means a new solve began on that domain. *)
 
-(* staticcheck: domain-safe per-domain solver-tick state; DLS, never shared *)
 let sv_key : (int ref * int64 ref) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (ref 0, ref 0L))
 

@@ -14,11 +14,11 @@ let self_domain () = (Domain.self () :> int)
 type metric_kind = Counter | Gauge
 type metric = { m_name : string; m_kind : metric_kind; m_slot : int }
 
-let intern_mu = Mutex.create () (* staticcheck: domain-safe interning lock; guards registry below *)
+(* Guards [registry] and [slot_count]. *)
+let intern_mu = Mutex.create ()
 
-(* staticcheck: domain-safe interning registry; every access takes intern_mu *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
-let slot_count = ref 0 (* staticcheck: domain-safe next metric slot; guarded by intern_mu *)
+let slot_count = ref 0
 
 let register m_name m_kind =
   Mutex.lock intern_mu;
@@ -61,7 +61,8 @@ module Histogram = struct
      and quantile estimates clamp to the observed range. *)
   let bucket_count = 64
 
-  (* staticcheck: per-call every histogram instance lives in one domain's shard; cross-domain reads only at quiescent merge points *)
+  (* Every instance lives in one domain's shard; cross-domain reads only
+     at quiescent merge points. *)
   type t = {
     mutable h_count : int;
     mutable h_sum : int;
@@ -200,7 +201,6 @@ end
    shard's counts keep contributing to process totals after its
    domain terminates. *)
 
-(* staticcheck: per-call one shard per domain, written only by its owner; cross-domain reads at quiescent merge points *)
 type shard = {
   sh_domain : int;
   mutable sh_values : int array; (* metric slot -> value *)
@@ -211,7 +211,8 @@ type shard = {
   sh_buf : Buffer.t; (* complete JSONL lines not yet handed to the writer *)
 }
 
-let shards : shard list Atomic.t = Atomic.make [] (* staticcheck: domain-safe append-only shard list; CAS push, read-only traversal *)
+(* CAS push, read-only traversal. *)
+let shards : shard list Atomic.t = Atomic.make []
 
 let new_shard () =
   Mutex.lock intern_mu;
@@ -225,7 +226,6 @@ let new_shard () =
     sh_buf = Buffer.create 256;
   }
 
-(* staticcheck: domain-safe per-domain metric shard; DLS, registered in the atomic shard list *)
 let shard_key : shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let s = new_shard () in
@@ -347,7 +347,6 @@ let reset_metrics () =
   List.iter
     (fun s ->
       Array.fill s.sh_values 0 (Array.length s.sh_values) 0;
-      (* staticcheck: domain-safe order-insensitive: every histogram is reset independently *)
       Hashtbl.iter (fun _ h -> Histogram.reset h) s.sh_hists)
     (all_shards ())
 
@@ -396,7 +395,7 @@ let sample_gc () = set_gc_gauges (Gc.quick_stat ())
 
 let c_gc_majors = counter "gc.majors"
 
-(* staticcheck: domain-safe major-cycle alarm handle; installed and deleted only by set_sink on the installing domain *)
+(* Installed and deleted only by set_sink, on the installing domain. *)
 let gc_alarm : Gc.alarm option ref = ref None
 
 let install_gc_alarm () =
@@ -438,7 +437,7 @@ let remove_gc_alarm () =
    before it closes), which is exactly what makes the per-request deltas
    disjoint and their sum equal to the global delta. *)
 
-(* staticcheck: domain-safe current request id; atomic swap at request boundaries, read-only on the emit path *)
+(* Atomic swap at request boundaries; read-only on the emit path. *)
 let current_request_id : string option Atomic.t = Atomic.make None
 
 let current_request () = Atomic.get current_request_id
@@ -525,7 +524,8 @@ let collector_sink f =
       flush_local = ignore;
     }
 
-let current = Atomic.make Null (* staticcheck: domain-safe sink slot; atomic swap on install, read-only on the emit path *)
+(* The sink slot: atomic swap on install; read-only on the emit path. *)
+let current = Atomic.make Null
 let enabled () = match Atomic.get current with Null -> false | Emit _ -> true
 let emit ev = match Atomic.get current with Null -> () | Emit e -> e.emit ev
 
@@ -563,12 +563,13 @@ let set_sink s =
    buffered output through.  Registered at module load, so it runs
    after every later [at_exit] (LIFO): a CLI wrapper that tears its
    sink down first leaves this a no-op. *)
-let () = at_exit flush_sink (* staticcheck: domain-safe registered once at module init; flush_sink is idempotent and total *)
+let () = at_exit flush_sink
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
-let next_id = Atomic.make 0 (* staticcheck: domain-safe span-id allocator; fetch_and_add gives process-unique ids *)
+(* fetch_and_add gives process-unique span ids. *)
+let next_id = Atomic.make 0
 let c_sink_flushes = counter "par.sink_flushes"
 
 let span nm f =

@@ -58,7 +58,6 @@ let is_sinkless_orientation g ~towards_head =
     if not (Hashtbl.mem oriented e) then ok := false
   done;
   let has_outgoing = Array.make (Graph.n g) false in
-  (* staticcheck: domain-safe order-insensitive: each edge sets its tail's flag independently *)
   Hashtbl.iter
     (fun e head ->
       let u, v = Graph.edge g e in

@@ -105,7 +105,6 @@ let is_arbdefective_coloring g ~alpha ~c ~colors ~orientation =
        done;
        (* Out-degree (tail side) bounded by alpha. *)
        let outdeg = Array.make (Graph.n g) 0 in
-       (* staticcheck: domain-safe order-insensitive: out-degrees accumulate commutatively *)
        Hashtbl.iter
          (fun e head ->
            let u, v = Graph.edge g e in

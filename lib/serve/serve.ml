@@ -49,8 +49,8 @@ let default_config =
     heartbeat_interval_ns = 500_000_000L;
   }
 
-(* staticcheck: per-call one state per daemon run, owned by the single
-   serving domain; requests are handled sequentially *)
+(* One state per daemon run, owned by the single serving domain;
+   requests are handled sequentially. *)
 type state = {
   cfg : config;
   started_ns : int64;
@@ -390,8 +390,6 @@ let maybe_heartbeat st =
 let serve ~socket st =
   if Sys.file_exists socket then Sys.remove socket;
   (* A client hanging up mid-reply must not kill the daemon. *)
-  (* staticcheck: immutable-after-init installed once per serve call,
-     before any connection; never changed while serving *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -1,4 +1,5 @@
-type t = { mutable state : int64 } (* staticcheck: per-call explicit splittable generator; give each domain its own split *)
+(* Mutable: give each domain its own split. *)
+type t = { mutable state : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 

@@ -22,7 +22,6 @@ module Invariants = Slocal_analysis.Invariants
 module Audit = Slocal_analysis.Audit
 module Source = Slocal_analysis.Source
 module Check = Slocal_analysis.Check
-module Staticcheck = Slocal_analysis.Staticcheck
 module Json = Slocal_obs.Json
 module MF = Slocal_problems.Matching_family
 module CF = Slocal_problems.Coloring_family
@@ -480,7 +479,11 @@ let test_design_metric_names () =
     (Source.design_metric_names "## 6. Telemetry\nno table here\n")
 
 let test_telemetry_name_findings () =
-  let documented_src = "let c = counter \"re.steps\"\n" in
+  let documented_src =
+    "let c = counter \"re.steps\"\n\
+     let h = counter \"re.cache_hits\"\n\
+     let g = gauge \"graph.girth_achieved\"\n"
+  in
   let drifted_src = "let c = counter \"re.undocumented_counter\"\n" in
   check bool_t "documented name is clean" true
     (Source.telemetry_name_findings ~design:design_stub
@@ -503,6 +506,28 @@ let test_telemetry_name_findings () =
        (Source.telemetry_name_findings ~design:"nothing here"
           [ ("a.ml", documented_src) ]))
 
+let test_telemetry_stale_row () =
+  (* design_stub documents re.cache_hits, which nothing registers *)
+  match
+    Source.telemetry_name_findings ~design:design_stub
+      [
+        ("a.ml", "let c = counter \"re.steps\"\n");
+        ("b.ml", "let g = gauge \"graph.girth_achieved\"\n");
+      ]
+  with
+  | [ d ] ->
+      check Alcotest.string "stale row is SL041" "SL041" d.D.code;
+      check bool_t "stale row is a warning" true (d.D.severity = D.Warning);
+      check Alcotest.string "stale row names the design document"
+        "DESIGN.md" d.D.subject;
+      check Alcotest.string "stale row names the metric"
+        "documented telemetry name \"re.cache_hits\" is not registered by \
+         any scanned source"
+        d.D.message
+  | ds ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 finding, got %d" (List.length ds))
+
 let test_telemetry_lint_repo () =
   (* The real sources (library, CLI, bench harness) against the real
      design document: the documented inventory must not drift (this is
@@ -518,277 +543,6 @@ let test_telemetry_lint_repo () =
       "repo registrations all documented" []
       (List.map D.to_machine_string
          (Source.lint_telemetry_files ~design ~src_dirs))
-
-(* ------------------------------------------------------------------ *)
-(* SL050–SL056: the domain-safety analyzer *)
-
-let sc_findings src = Staticcheck.scan_source ~file:"a.ml" src
-
-let sc_keys src = List.map (fun f -> f.Staticcheck.key) (sc_findings src)
-
-let test_staticcheck_mutable_bindings () =
-  check
-    (Alcotest.list Alcotest.string)
-    "constructors at module scope are findings"
-    [
-      "mutable:cache"; "mutable:count"; "mutable:buf"; "mutable:q";
-      "mutable:slots";
-    ]
-    (sc_keys
-       "let cache = Hashtbl.create 16\n\
-        let count = ref 0\n\
-        let buf = Buffer.create 80\n\
-        let q = Queue.create ()\n\
-        let slots = Array.make 4 None\n");
-  (* function-local mutation is out of scope: parameters make the
-     binding a function, and nested closures own their own state *)
-  check
-    (Alcotest.list Alcotest.string)
-    "function-local refs are ignored" []
-    (sc_keys
-       "let f x =\n\
-       \  let seen = Hashtbl.create 16 in\n\
-       \  let n = ref 0 in\n\
-       \  incr n; Hashtbl.length seen + x\n");
-  check
-    (Alcotest.list Alcotest.string)
-    "constructors inside a nested function body are ignored" []
-    (sc_keys
-       "let cmd =\n\
-       \  let run spec =\n\
-       \    let p = ref spec in\n\
-       \    !p\n\
-       \  in\n\
-       \  run\n");
-  check
-    (Alcotest.list Alcotest.string)
-    "comments and strings never produce findings" []
-    (sc_keys
-       "(* let fake = ref 0 *)\n\
-        let s = \"Hashtbl.create at_exit Random.self_init\"\n")
-
-let test_staticcheck_lazy_and_types () =
-  check
-    (Alcotest.list Alcotest.string)
-    "module-scope lazy is a finding" [ "lazy:tty" ]
-    (sc_keys "let tty = lazy (Unix.isatty Unix.stderr)\n");
-  (match sc_findings "type t = { mutable state : int64 }\n" with
-  | [ { Staticcheck.kind = Staticcheck.Mutable_type [ "state" ]; _ } ] -> ()
-  | _ -> Alcotest.fail "single-line mutable field not detected");
-  (match
-     sc_findings
-       "type cachey = {\n\
-       \  name : string;\n\
-       \  memo : (int, bool) Hashtbl.t;\n\
-        }\n"
-   with
-  | [ { Staticcheck.kind = Staticcheck.Mutable_type [ "memo" ]; _ } ] -> ()
-  | _ -> Alcotest.fail "container field not detected");
-  check
-    (Alcotest.list Alcotest.string)
-    "plain array fields are deliberately out of scope" []
-    (sc_keys "type v = { data : int array; width : int }\n");
-  (* types nested inside modules are indented but still module scope *)
-  (match
-     sc_findings
-       "module H = struct\n\
-       \  type t = {\n\
-       \    mutable h_count : int;\n\
-       \    h_buckets : int array;\n\
-       \  }\n\
-        end\n"
-   with
-  | [ { Staticcheck.kind = Staticcheck.Mutable_type [ "h_count" ]; _ } ] -> ()
-  | _ -> Alcotest.fail "nested-module mutable type not detected");
-  (* a module-level record literal over a mutable type *)
-  check bool_t "record literal with mutable fields is a finding" true
-    (List.mem "mutable:global"
-       (sc_keys
-          "type t = { mutable state : int }\n\
-           let global = { state = 0 }\n"))
-
-let test_staticcheck_nondeterminism () =
-  check
-    (Alcotest.list Alcotest.string)
-    "global PRNG uses are findings" [ "random:seed_it"; "random:roll" ]
-    (sc_keys
-       "let seed_it () = Random.self_init ()\n\
-        let roll () = Random.int 6\n");
-  check
-    (Alcotest.list Alcotest.string)
-    "explicit-state and seeded PRNG uses are fine" []
-    (sc_keys
-       "let mk () = Random.State.make [| 42 |]\n\
-        let seed () = Random.init 42\n");
-  (match sc_findings "let now () = Unix.gettimeofday ()\n" with
-  | [ { Staticcheck.kind = Staticcheck.Wall_clock "Unix.gettimeofday"; _ } ] ->
-      ()
-  | _ -> Alcotest.fail "wall clock not detected");
-  check
-    (Alcotest.list Alcotest.string)
-    "lib/obs is the designated timekeeper" []
-    (List.map
-       (fun f -> f.Staticcheck.key)
-       (Staticcheck.scan_source ~file:"lib/obs/ledger.ml"
-          "let now () = Unix.gettimeofday ()\n"))
-
-let test_staticcheck_order_and_handlers () =
-  (match sc_findings "let dump tbl = Hashtbl.iter print tbl\n" with
-  | [ { Staticcheck.kind = Staticcheck.Hash_order_iteration _; line = 1; _ } ]
-    ->
-      ()
-  | _ -> Alcotest.fail "hash-order iteration not detected");
-  check
-    (Alcotest.list Alcotest.string)
-    "a canonical sort in the same item suppresses the finding" []
-    (sc_keys
-       "let dump tbl =\n\
-       \  Hashtbl.fold (fun k _ acc -> k :: acc) tbl []\n\
-       \  |> List.sort compare\n");
-  check
-    (Alcotest.list Alcotest.string)
-    "exit hooks are findings" [ "exit-handler:_" ]
-    (sc_keys "let () = at_exit flush\n")
-
-let test_staticcheck_pragmas () =
-  let annotated src =
-    let findings, diags = Staticcheck.analyze [ ("a.ml", src) ] in
-    (findings, diags)
-  in
-  (* same-line pragma *)
-  (match
-     annotated
-       "let cache = Hashtbl.create 4 (* staticcheck: \
-        shared-cache-needs-lock guarded by cache_mutex *)\n"
-   with
-  | ( [
-        {
-          Staticcheck.classification = Some Staticcheck.Shared_cache_needs_lock;
-          reason = Some "guarded by cache_mutex";
-          _;
-        };
-      ],
-      [] ) ->
-      ()
-  | _ -> Alcotest.fail "same-line pragma not applied");
-  (* pragma above the finding, and the domain-safe alias *)
-  (match
-     annotated
-       "(* staticcheck: domain-safe set once at startup *)\n\
-        let mode = ref 0\n"
-   with
-  | ( [
-        {
-          Staticcheck.classification = Some Staticcheck.Immutable_after_init;
-          _;
-        };
-      ],
-      [] ) ->
-      ()
-  | _ -> Alcotest.fail "line-above pragma / domain-safe alias not applied");
-  (* unannotated: one warning with the kind's code *)
-  (match annotated "let cache = Hashtbl.create 4\n" with
-  | [ { Staticcheck.classification = None; _ } ], [ d ] ->
-      check Alcotest.string "unannotated is SL050" "SL050" d.D.code;
-      check bool_t "warning severity" true (d.D.severity = D.Warning)
-  | _ -> Alcotest.fail "unannotated finding not reported");
-  (* malformed classification *)
-  (match annotated "(* staticcheck: totally-fine trust me *)\nlet c = ref 0\n"
-   with
-  | _, diags ->
-      check bool_t "malformed pragma is SL056" true (has_code "SL056" diags));
-  (* stale pragma: nothing within the attachment window *)
-  (match
-     annotated "(* staticcheck: per-call nothing here *)\nlet pure = 42\n"
-   with
-  | [], diags -> check bool_t "stale pragma is SL056" true (has_code "SL056" diags)
-  | _ -> Alcotest.fail "expected no findings")
-
-let test_staticcheck_json_report () =
-  let findings, _ =
-    Staticcheck.analyze
-      [
-        ( "a.ml",
-          "let cache = Hashtbl.create 4 (* staticcheck: \
-           shared-cache-needs-lock guarded *)\n\
-           let c = ref 0\n" );
-      ]
-  in
-  let json = Staticcheck.report_json ~roots:[ "a" ] findings in
-  (* the document round-trips through the JSON printer/parser *)
-  match Json.of_string (Json.to_string json) with
-  | Error e -> Alcotest.fail ("report does not round-trip: " ^ e)
-  | Ok (Json.Obj fields) ->
-      check bool_t "schema field" true
-        (List.assoc_opt "schema" fields
-        = Some (Json.String Staticcheck.schema_version));
-      (match List.assoc_opt "findings" fields with
-      | Some (Json.List fs) ->
-          check int_t "one object per finding" (List.length findings)
-            (List.length fs)
-      | _ -> Alcotest.fail "findings array missing");
-      (match List.assoc_opt "summary" fields with
-      | Some (Json.Obj s) ->
-          check bool_t "summary totals" true
-            (List.assoc_opt "total" s = Some (Json.Int 2)
-            && List.assoc_opt "annotated" s = Some (Json.Int 1)
-            && List.assoc_opt "unannotated" s = Some (Json.Int 1))
-      | _ -> Alcotest.fail "summary missing")
-  | Ok _ -> Alcotest.fail "report is not an object"
-
-(* The golden inventory over the real repository: the per-directory,
-   per-code counts of the classified findings.  This pins the shape of
-   the shared-mutable-state map the multicore kernel will start from —
-   update it intentionally when state is added or removed. *)
-let test_staticcheck_repo_inventory () =
-  let root = "../../.." in
-  let dirs = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
-  if List.for_all Sys.file_exists dirs then begin
-    let findings, diags = Staticcheck.analyze_files ~src_dirs:dirs in
-    check
-      (Alcotest.list Alcotest.string)
-      "repo inventory fully classified" []
-      (List.map D.to_machine_string diags);
-    let dir_of f =
-      (* lib/obs, lib/formalism, ... ; bin and bench stay whole *)
-      match String.split_on_char '/' f.Staticcheck.file with
-      | ".." :: ".." :: ".." :: "lib" :: sub :: _ :: _ -> "lib/" ^ sub
-      | ".." :: ".." :: ".." :: d :: _ -> d
-      | _ -> f.Staticcheck.file
-    in
-    let counts = Hashtbl.create 16 in
-    List.iter
-      (fun f ->
-        let k = (dir_of f, Staticcheck.code_of_kind f.Staticcheck.kind) in
-        Hashtbl.replace counts k
-          (1 + Option.value (Hashtbl.find_opt counts k) ~default:0))
-      findings;
-    let got =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-      |> List.sort compare
-    in
-    check
-      (Alcotest.list
-         (Alcotest.pair (Alcotest.pair Alcotest.string Alcotest.string) int_t))
-      "per-directory per-code golden counts"
-      [
-        (("bin", "SL055"), 1);
-        (("lib/analysis", "SL051"), 1);
-        (("lib/core", "SL051"), 1);
-        (("lib/formalism", "SL050"), 3);
-        (("lib/formalism", "SL051"), 1);
-        (("lib/model", "SL051"), 1);
-        (("lib/obs", "SL050"), 19);
-        (("lib/obs", "SL051"), 4);
-        (("lib/obs", "SL054"), 1);
-        (("lib/obs", "SL055"), 1);
-        (("lib/problems", "SL054"), 2);
-        (("lib/serve", "SL051"), 1);
-        (("lib/serve", "SL055"), 1);
-        (("lib/util", "SL051"), 1);
-      ]
-      got
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Unused labels (SL001) and within-line duplicates (SL004) *)
@@ -1083,25 +837,12 @@ let () =
             test_design_metric_names;
           Alcotest.test_case "drift findings" `Quick
             test_telemetry_name_findings;
+          Alcotest.test_case "stale table row" `Quick
+            test_telemetry_stale_row;
           Alcotest.test_case "repo inventory documented" `Quick
             test_telemetry_lint_repo;
           Alcotest.test_case "bench registration drift" `Quick
             test_telemetry_bench_drift;
-        ] );
-      ( "staticcheck",
-        [
-          Alcotest.test_case "mutable bindings" `Quick
-            test_staticcheck_mutable_bindings;
-          Alcotest.test_case "lazy and mutable types" `Quick
-            test_staticcheck_lazy_and_types;
-          Alcotest.test_case "nondeterminism sources" `Quick
-            test_staticcheck_nondeterminism;
-          Alcotest.test_case "hash order and handlers" `Quick
-            test_staticcheck_order_and_handlers;
-          Alcotest.test_case "pragmas" `Quick test_staticcheck_pragmas;
-          Alcotest.test_case "json report" `Quick test_staticcheck_json_report;
-          Alcotest.test_case "repo golden inventory" `Quick
-            test_staticcheck_repo_inventory;
         ] );
       ( "bench-report",
         [

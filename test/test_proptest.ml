@@ -145,7 +145,7 @@ let queries_agree c =
 
 let constr_tests =
   [
-    Alcotest.test_case "memoized queries = oracle" `Slow (fun () ->
+    Alcotest.test_case "constr queries = oracle" `Slow (fun () ->
         run
           (Proptest.property ~count:400 ~name:"constr queries" ~gen:query_gen
              ~print:print_query_case queries_agree));
