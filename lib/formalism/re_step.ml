@@ -373,13 +373,11 @@ let evict_all () =
 let clear_cache () =
   evict_all ();
   (* An explicit clear starts a fresh measurement window: hit-rate
-     numbers after it must not be polluted by pre-clear traffic.  The
-     counters may have accumulated in worker shards (REs run inside
-     pool tasks), so the reset must zero every shard — a plain
-     [Telemetry.set _ 0] would leave the workers' contributions
-     standing and send post-clear delta windows negative. *)
-  Telemetry.zero c_cache_hits;
-  Telemetry.zero c_cache_misses
+     numbers after it must not be polluted by pre-clear traffic.  Pool
+     workers' counts are absorbed into the caller's store at the join,
+     so zeroing it clears them too. *)
+  Telemetry.set c_cache_hits 0;
+  Telemetry.set c_cache_misses 0
 
 let re_fast p =
   let step1 = r_black p in

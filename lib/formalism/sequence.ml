@@ -17,22 +17,25 @@ let c_re_misses = Telemetry.counter "re.cache_misses"
 
 (* One derivation-log record per problem of the sequence.  Guarded on
    [Telemetry.enabled]: the hash and diagram are only computed when a
-   sink is listening. *)
+   sink is listening, under their own span so a trace books their cost
+   apart from the RE steps. *)
 let emit_provenance ~index ~wall_ns ~cache_hits ~cache_misses (p : Problem.t) =
   if Telemetry.enabled () then begin
-    Telemetry.provenance ~step:index ~label:p.Problem.name
-      [
-        ("hash", Problem.canonical_hash p);
-        ("labels", Alphabet.size p.Problem.alphabet);
-        ("white_configs", Constr.size p.Problem.white);
-        ("black_configs", Constr.size p.Problem.black);
-        ("diagram_edges", List.length (Diagram.edges (Diagram.black p)));
-        ("re_cache_hits", cache_hits);
-        ("re_cache_misses", cache_misses);
-        ("wall_ns", wall_ns);
-      ];
-    (* A per-step counter snapshot: gives [trace report]'s
-       counter-delta attribution an interval per iteration. *)
+    Telemetry.span "sequence.provenance" (fun () ->
+        Telemetry.provenance ~step:index ~label:p.Problem.name
+          [
+            ("hash", Problem.canonical_hash p);
+            ("labels", Alphabet.size p.Problem.alphabet);
+            ("white_configs", Constr.size p.Problem.white);
+            ("black_configs", Constr.size p.Problem.black);
+            ("diagram_edges", List.length (Diagram.edges (Diagram.black p)));
+            ("re_cache_hits", cache_hits);
+            ("re_cache_misses", cache_misses);
+            ("wall_ns", wall_ns);
+          ]);
+    (* A per-step counter snapshot, taken outside the provenance span:
+       gives [trace report]'s counter-delta attribution an interval per
+       iteration, charged to the enclosing sequence span. *)
     Telemetry.emit_counters ()
   end
 

@@ -2,10 +2,10 @@
    domain plus [jobs - 1] spawned domains race over a shared atomic
    task index and write results into index-addressed slots, so the
    result array is byte-identical to a sequential run whatever the
-   schedule.  Workers record telemetry into their own shards (see
-   Telemetry); each worker wraps its claiming loop in a [par.worker]
-   span and hands its buffered trace bytes to the sink writer before
-   it is joined, so joins are exact merge points. *)
+   schedule.  Each spawned worker records telemetry into a private
+   store (see Telemetry) and returns it from the domain; after the
+   joins the caller absorbs the stores in worker order.  Every worker
+   wraps its claiming loop in a [par.worker] span. *)
 
 let c_submitted = Telemetry.counter "par.tasks_submitted"
 let c_completed = Telemetry.counter "par.tasks_completed"
@@ -52,28 +52,24 @@ let run ~jobs n f =
               ignore (Atomic.compare_and_set failed None (Some e))
       done
     in
-    let finish () =
-      (* Each joined worker's shard is now read by every snapshot;
-         count the merges at the join point. *)
-      Telemetry.add c_merges (jobs - 1)
-    in
     let spawned =
       List.init (jobs - 1) (fun _ ->
           Domain.spawn (fun () ->
+              let store = Telemetry.private_store () in
               worker ~primary:false ();
-              (* Last action on the worker domain: hand its buffered
-                 trace bytes to the mutex-guarded writer. *)
-              Telemetry.flush_local ()))
+              store))
+    in
+    let join () =
+      List.iter Telemetry.absorb (List.map Domain.join spawned);
+      Telemetry.add c_merges (jobs - 1)
     in
     (match worker ~primary:true () with
     | () -> ()
     | exception e ->
         (* Never leave workers unjoined, whatever the primary did. *)
-        List.iter Domain.join spawned;
-        finish ();
+        join ();
         raise e);
-    List.iter Domain.join spawned;
-    finish ();
+    join ();
     (match Atomic.get failed with Some e -> raise e | None -> ());
     Array.map
       (function

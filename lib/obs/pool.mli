@@ -15,15 +15,17 @@
       finished by the pool;
     - [par.tasks_stolen] — tasks executed by a spawned (non-primary)
       domain;
-    - [par.merges] — worker joins, after which each worker's shard
-      is read by every snapshot;
+    - [par.merges] — worker joins, each followed by absorbing that
+      worker's telemetry store into the caller's;
     - [par.jobs] — gauge: width of the last parallel run.
 
-    While a trace sink is installed, each worker wraps its claiming
-    loop in a [par.worker] span — so a [--jobs N] trace carries at
-    least [N] distinct domain ids — and flushes its trace buffer
-    before it is joined, making the join an exact telemetry merge
-    point. *)
+    Each spawned worker records telemetry into a private store
+    ({!Telemetry.private_store}), which the caller absorbs after all
+    joins, in worker order ({!Telemetry.absorb}): counters add,
+    gauges keep the maximum, histograms merge and the worker's queued
+    trace events reach the sink.  While a trace sink is installed,
+    each worker wraps its claiming loop in a [par.worker] span — so a
+    [--jobs N] trace carries at least [N] distinct domain ids. *)
 
 val run : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [run ~jobs n f] evaluates [f i] for [0 <= i < n] on [min jobs n]

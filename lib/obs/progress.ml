@@ -23,15 +23,13 @@ let interval_ns = ref 500_000_000L
 let heartbeats = Telemetry.counter "progress.heartbeats"
 let dropped = Telemetry.counter "progress.dropped"
 
-(* stderr's TTY-ness cannot change mid-process; cache the syscall so
-   [Auto]-mode ticks from the solver hot loop stay cheap. *)
-let stderr_tty = lazy (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false)
+(* stderr's TTY-ness cannot change mid-process: one syscall at module
+   initialisation, so [Auto]-mode ticks from the solver hot loop (pool
+   workers included) read a plain immutable bool. *)
+let stderr_tty = try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false
 
 let is_active () =
-  match !mode with
-  | Off -> false
-  | Forced -> true
-  | Auto -> Lazy.force stderr_tty
+  match !mode with Off -> false | Forced -> true | Auto -> stderr_tty
 
 let set_mode m = mode := m
 let set_output oc = out := oc

@@ -6,10 +6,9 @@ let self_domain () = (Domain.self () :> int)
 (* Metric handles.
 
    A metric is an interned (name, kind, slot) triple; the slot indexes
-   into a per-domain value array, so the hot-path write is a DLS fetch
-   plus an array store and never contends with other domains.  The
-   interning registry itself is the only cross-domain table and every
-   access takes [intern_mu]. *)
+   into a store's value array, so the hot-path write is a DLS fetch
+   plus an array store.  The interning registry is the only table
+   shared by every domain, and every access takes [intern_mu]. *)
 
 type metric_kind = Counter | Gauge
 type metric = { m_name : string; m_kind : metric_kind; m_slot : int }
@@ -36,8 +35,6 @@ let register m_name m_kind =
 
 let counter name = register name Counter
 let gauge name = register name Gauge
-let kind m = m.m_kind
-let name m = m.m_name
 
 let metrics_list () =
   Mutex.lock intern_mu;
@@ -61,8 +58,7 @@ module Histogram = struct
      and quantile estimates clamp to the observed range. *)
   let bucket_count = 64
 
-  (* Every instance lives in one domain's shard; cross-domain reads only
-     at quiescent merge points. *)
+  (* Every instance lives in one store (see Stores below). *)
   type t = {
     mutable h_count : int;
     mutable h_sum : int;
@@ -129,13 +125,17 @@ module Histogram = struct
       h_buckets = Array.copy h.h_buckets;
     }
 
+  (* Add [b]'s records into [t] in place. *)
+  let merge_into t b =
+    t.h_count <- t.h_count + b.h_count;
+    t.h_sum <- t.h_sum + b.h_sum;
+    t.h_min <- min t.h_min b.h_min;
+    t.h_max <- max t.h_max b.h_max;
+    Array.iteri (fun i n -> t.h_buckets.(i) <- t.h_buckets.(i) + n) b.h_buckets
+
   let merge a b =
     let t = copy a in
-    t.h_count <- a.h_count + b.h_count;
-    t.h_sum <- a.h_sum + b.h_sum;
-    t.h_min <- min a.h_min b.h_min;
-    t.h_max <- max a.h_max b.h_max;
-    Array.iteri (fun i n -> t.h_buckets.(i) <- a.h_buckets.(i) + n) b.h_buckets;
+    merge_into t b;
     t
 
   let equal a b =
@@ -187,273 +187,7 @@ module Histogram = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain shards.
-
-   Every domain that records telemetry lazily creates one shard
-   (Domain.DLS) holding its metric cells, histogram instances, span
-   stack and pending sink bytes, and registers it in the global
-   atomic shard list.  Shards are only ever *written* by their owning
-   domain; cross-domain reads happen at merge points — snapshots,
-   pool joins, process exit — and are exact when the writers are
-   quiescent (joined workers, single-domain runs).  Mid-run reads of
-   metric cells are plain int-array loads: memory-safe, possibly a
-   few increments stale.  The shard list itself is append-only, so a
-   shard's counts keep contributing to process totals after its
-   domain terminates. *)
-
-type shard = {
-  sh_domain : int;
-  mutable sh_values : int array; (* metric slot -> value *)
-  sh_hists : (string, Histogram.t) Hashtbl.t;
-  mutable sh_spans : (int * string * int64 * float * int * int) list;
-      (* (id, name, t0, alloc_bytes0, minor0, major0), innermost
-         first; the GC baselines feed the span_close deltas *)
-  sh_buf : Buffer.t; (* complete JSONL lines not yet handed to the writer *)
-}
-
-(* CAS push, read-only traversal. *)
-let shards : shard list Atomic.t = Atomic.make []
-
-let new_shard () =
-  Mutex.lock intern_mu;
-  let n = max 64 !slot_count in
-  Mutex.unlock intern_mu;
-  {
-    sh_domain = self_domain ();
-    sh_values = Array.make n 0;
-    sh_hists = Hashtbl.create 16;
-    sh_spans = [];
-    sh_buf = Buffer.create 256;
-  }
-
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = new_shard () in
-      let rec push () =
-        let cur = Atomic.get shards in
-        if not (Atomic.compare_and_set shards cur (s :: cur)) then push ()
-      in
-      push ();
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
-
-let all_shards () =
-  List.sort (fun a b -> compare a.sh_domain b.sh_domain) (Atomic.get shards)
-
-(* Only the owning domain grows its value array (a newly registered
-   slot); a concurrent reader sees either array, reading 0 for slots
-   past the old length. *)
-let cell_shard slot =
-  let s = my_shard () in
-  let n = Array.length s.sh_values in
-  if slot >= n then begin
-    let bigger = Array.make (max (2 * n) (slot + 1)) 0 in
-    Array.blit s.sh_values 0 bigger 0 n;
-    s.sh_values <- bigger
-  end;
-  s
-
-let incr m =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- s.sh_values.(m.m_slot) + 1
-
-let add m n =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- s.sh_values.(m.m_slot) + n
-
-let set m v =
-  let s = cell_shard m.m_slot in
-  s.sh_values.(m.m_slot) <- v
-
-let shard_value s slot =
-  let values = s.sh_values in
-  if slot < Array.length values then values.(slot) else 0
-
-(* The deterministic associative merge: counters sum across shards;
-   gauges take the maximum (they are sizes and totals here, 0 when a
-   shard never set them).  Both operations are associative and
-   commutative, so the merged value is independent of shard order. *)
-let merged_value m_kind slot =
-  let shards = Atomic.get shards in
-  match m_kind with
-  | Counter -> List.fold_left (fun acc s -> acc + shard_value s slot) 0 shards
-  | Gauge -> List.fold_left (fun acc s -> max acc (shard_value s slot)) 0 shards
-
-let value m = merged_value m.m_kind m.m_slot
-
-let snapshot () =
-  List.map (fun m -> (m.m_name, merged_value m.m_kind m.m_slot)) (metrics_list ())
-  |> List.sort compare
-
-let kinds_snapshot () =
-  List.map
-    (fun m -> (m.m_name, m.m_kind, merged_value m.m_kind m.m_slot))
-    (metrics_list ())
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
-let nonzero_snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot ())
-
-let delta ~before ~after =
-  List.filter_map
-    (fun (nm, av) ->
-      let k = Option.value (kind_of_name nm) ~default:Counter in
-      let v =
-        match k with
-        | Gauge -> av
-        | Counter -> av - Option.value (List.assoc_opt nm before) ~default:0
-      in
-      if v <> 0 then Some (nm, v) else None)
-    after
-
-let histogram name =
-  let s = my_shard () in
-  match Hashtbl.find_opt s.sh_hists name with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create () in
-      Hashtbl.add s.sh_hists name h;
-      h
-
-let histogram_snapshot () =
-  let tbl : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun nm h ->
-          if not (Histogram.is_empty h) then
-            match Hashtbl.find_opt tbl nm with
-            | None -> Hashtbl.add tbl nm (Histogram.copy h)
-            | Some m -> Hashtbl.replace tbl nm (Histogram.merge m h))
-        s.sh_hists)
-    (all_shards ());
-  Hashtbl.fold (fun nm h acc -> (nm, h) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let zero m =
-  (* Quiescent-only, like [reset_metrics]: a plain [set m 0] clears
-     only the calling domain's cell, so a counter that accumulated in
-     worker shards would keep reporting their leftovers after a
-     "reset" — and a [delta] window spanning such a reset would go
-     negative.  Zero the metric's slot in every shard instead. *)
-  List.iter
-    (fun s ->
-      if m.m_slot < Array.length s.sh_values then s.sh_values.(m.m_slot) <- 0)
-    (all_shards ())
-
-let reset_metrics () =
-  (* Quiescent-only (tests, harness boundaries): zero every shard's
-     cells and histograms, whoever owns them. *)
-  List.iter
-    (fun s ->
-      Array.fill s.sh_values 0 (Array.length s.sh_values) 0;
-      Hashtbl.iter (fun _ h -> Histogram.reset h) s.sh_hists)
-    (all_shards ())
-
-(* ------------------------------------------------------------------ *)
-(* GC gauges.  Sampled only while a sink is installed (span
-   boundaries) or on explicit request, so the null-sink fast path
-   never calls [Gc.quick_stat].  Under OCaml 5 the sample describes
-   the calling domain; the merged gauge reports the per-domain
-   maximum. *)
-
-let g_gc_minor = gauge "gc.minor_collections"
-let g_gc_major = gauge "gc.major_collections"
-let g_gc_compactions = gauge "gc.compactions"
-let g_gc_heap_words = gauge "gc.heap_words"
-let g_gc_top_heap_words = gauge "gc.top_heap_words"
-let g_gc_allocated_bytes = gauge "gc.allocated_bytes"
-let g_gc_minor_words = gauge "gc.minor_words"
-let g_gc_promoted_words = gauge "gc.promoted_words"
-let g_gc_major_words = gauge "gc.major_words"
-
-let set_gc_gauges (s : Gc.stat) =
-  set g_gc_minor s.Gc.minor_collections;
-  set g_gc_major s.Gc.major_collections;
-  set g_gc_compactions s.Gc.compactions;
-  set g_gc_heap_words s.Gc.heap_words;
-  set g_gc_top_heap_words s.Gc.top_heap_words;
-  set g_gc_allocated_bytes (int_of_float (Gc.allocated_bytes ()));
-  (* [Gc.counters] is the precise per-domain word accounting — exact
-     where quick_stat's word fields may lag the current minor heap. *)
-  let minor_w, promoted_w, major_w = Gc.counters () in
-  set g_gc_minor_words (int_of_float minor_w);
-  set g_gc_promoted_words (int_of_float promoted_w);
-  set g_gc_major_words (int_of_float major_w)
-
-let sample_gc () = set_gc_gauges (Gc.quick_stat ())
-
-(* ------------------------------------------------------------------ *)
-(* Major-cycle monitor.  While a sink is installed, a [Gc.create_alarm]
-   hook fires at the end of every major GC cycle on the installing
-   domain: it bumps the [gc.majors] counter and records the latency
-   since the previous cycle's end into the [gc.major_cycle_ns]
-   histogram — the pause-pressure signal of a run.  Both writes land
-   in the calling domain's shard (alarms are per-domain under OCaml
-   5), so the monitor is as shard-safe as any span.  With the null
-   sink no alarm exists and the hot path pays nothing. *)
-
-let c_gc_majors = counter "gc.majors"
-
-(* Installed and deleted only by set_sink, on the installing domain. *)
-let gc_alarm : Gc.alarm option ref = ref None
-
-let install_gc_alarm () =
-  if !gc_alarm = None then begin
-    (* The inter-cycle clock starts at install time, so the first
-       cycle's latency measures from monitor start, not process
-       start. *)
-    let last = ref (now_ns ()) in
-    gc_alarm :=
-      Some
-        (Gc.create_alarm (fun () ->
-             let t = now_ns () in
-             let dt = Int64.to_int (Int64.sub t !last) in
-             last := t;
-             incr c_gc_majors;
-             Histogram.record (histogram "gc.major_cycle_ns") dt))
-  end
-
-let remove_gc_alarm () =
-  match !gc_alarm with
-  | None -> ()
-  | Some a ->
-      Gc.delete_alarm a;
-      gc_alarm := None
-
-(* ------------------------------------------------------------------ *)
-(* Request context.
-
-   A long-lived process (the [slocal serve] daemon) handles many
-   requests against the same shards.  [with_request] marks a window:
-   while it is open, every emitted event carries the request id (the
-   additive slocal.trace/4 [req] field, stamped at serialization
-   time so worker-domain events inside the window are tagged too),
-   and the summary returned at close reports only the window's own
-   counter deltas — computed from registry snapshots, so the global
-   totals and the live OpenMetrics registry stay exact.  Requests are
-   process-global and non-overlapping by design: the daemon handles
-   one request at a time (a pool run opened inside a window joins
-   before it closes), which is exactly what makes the per-request deltas
-   disjoint and their sum equal to the global delta. *)
-
-(* Atomic swap at request boundaries; read-only on the emit path. *)
-let current_request_id : string option Atomic.t = Atomic.make None
-
-let current_request () = Atomic.get current_request_id
-
-type request_summary = {
-  rq_id : string;
-  rq_wall_ns : int64;
-  rq_alloc_b : int;
-  rq_counters : (string * int) list;
-  rq_gauges : (string * int) list;
-}
-
-let c_request_count = counter "request.count"
-
-(* ------------------------------------------------------------------ *)
-(* Events and sinks *)
+(* Events (a pool worker's store queues them until the join) *)
 
 type event =
   | Trace_start of { t_ns : int64; domain : int }
@@ -499,53 +233,242 @@ let event_domain = function
   | Message { domain; _ } ->
       domain
 
-type sink =
-  | Null
-  | Emit of {
-      emit : event -> unit;
-      flush : unit -> unit;
-      flush_local : unit -> unit;
-          (* hand the calling domain's buffered bytes to the writer *)
-    }
+(* ------------------------------------------------------------------ *)
+(* Stores.
+
+   Telemetry is recorded into one store.  The one exception is a
+   spawned pool worker, whose private store also queues the events it
+   emits; [Pool.run] hands it to [absorb] on the calling domain after
+   the join.  So every read and every sink call happens on one domain,
+   with no live writer.  A domain's store is its DLS slot, whose
+   default is the global store. *)
+
+type store = {
+  mutable values : int array; (* metric slot -> value *)
+  hists : (string, Histogram.t) Hashtbl.t;
+  mutable spans : (int * string * int64 * float * int * int) list;
+      (* (id, name, t0, alloc_bytes0, minor0, major0), innermost
+         first; the GC baselines feed the span_close deltas *)
+  mutable pending : event list; (* a worker's events, newest first *)
+}
+
+let new_store () =
+  Mutex.lock intern_mu;
+  let n = max 64 !slot_count in
+  Mutex.unlock intern_mu;
+  { values = Array.make n 0; hists = Hashtbl.create 16; spans = []; pending = [] }
+
+let global = new_store ()
+let store_key : store Domain.DLS.key = Domain.DLS.new_key (fun () -> global)
+let my_store () = Domain.DLS.get store_key
+
+let private_store () =
+  let s = new_store () in
+  Domain.DLS.set store_key s;
+  s
+
+(* The calling domain's value array, grown for a newly registered slot. *)
+let cells slot =
+  let s = my_store () in
+  let n = Array.length s.values in
+  if slot >= n then begin
+    let bigger = Array.make (max (2 * n) (slot + 1)) 0 in
+    Array.blit s.values 0 bigger 0 n;
+    s.values <- bigger
+  end;
+  s.values
+
+let add m n =
+  let v = cells m.m_slot in
+  v.(m.m_slot) <- v.(m.m_slot) + n
+
+let incr m = add m 1
+let set m x = (cells m.m_slot).(m.m_slot) <- x
+
+let store_value s slot =
+  if slot < Array.length s.values then s.values.(slot) else 0
+
+let value m = store_value (my_store ()) m.m_slot
+
+let snapshot () =
+  let s = my_store () in
+  List.map (fun m -> (m.m_name, store_value s m.m_slot)) (metrics_list ())
+
+let kinds_snapshot () =
+  let s = my_store () in
+  List.map
+    (fun m -> (m.m_name, m.m_kind, store_value s m.m_slot))
+    (metrics_list ())
+
+let nonzero_snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot ())
+
+let delta ~before ~after =
+  List.filter_map
+    (fun (nm, av) ->
+      let k = Option.value (kind_of_name nm) ~default:Counter in
+      let v =
+        match k with
+        | Gauge -> av
+        | Counter -> av - Option.value (List.assoc_opt nm before) ~default:0
+      in
+      if v <> 0 then Some (nm, v) else None)
+    after
+
+let histogram name =
+  let s = my_store () in
+  match Hashtbl.find_opt s.hists name with
+  | Some h -> h
+  | None ->
+      let h = Histogram.create () in
+      Hashtbl.add s.hists name h;
+      h
+
+let histogram_snapshot () =
+  Hashtbl.fold
+    (fun nm h acc ->
+      if Histogram.is_empty h then acc else (nm, Histogram.copy h) :: acc)
+    (my_store ()).hists []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let reset_metrics () =
+  let s = my_store () in
+  Array.fill s.values 0 (Array.length s.values) 0;
+  Hashtbl.iter (fun _ h -> Histogram.reset h) s.hists
+
+(* ------------------------------------------------------------------ *)
+(* GC gauges.  Sampled only while a sink is installed (span
+   boundaries) or on explicit request, so the null-sink fast path
+   never calls [Gc.quick_stat].  Under OCaml 5 the sample describes
+   the calling domain; [absorb] keeps the maximum of the caller's and
+   a worker's values. *)
+
+let g_gc_minor = gauge "gc.minor_collections"
+let g_gc_major = gauge "gc.major_collections"
+let g_gc_compactions = gauge "gc.compactions"
+let g_gc_heap_words = gauge "gc.heap_words"
+let g_gc_top_heap_words = gauge "gc.top_heap_words"
+let g_gc_allocated_bytes = gauge "gc.allocated_bytes"
+let g_gc_minor_words = gauge "gc.minor_words"
+let g_gc_promoted_words = gauge "gc.promoted_words"
+let g_gc_major_words = gauge "gc.major_words"
+
+let set_gc_gauges (s : Gc.stat) =
+  set g_gc_minor s.Gc.minor_collections;
+  set g_gc_major s.Gc.major_collections;
+  set g_gc_compactions s.Gc.compactions;
+  set g_gc_heap_words s.Gc.heap_words;
+  set g_gc_top_heap_words s.Gc.top_heap_words;
+  set g_gc_allocated_bytes (int_of_float (Gc.allocated_bytes ()));
+  (* [Gc.counters] is the precise per-domain word accounting — exact
+     where quick_stat's word fields may lag the current minor heap. *)
+  let minor_w, promoted_w, major_w = Gc.counters () in
+  set g_gc_minor_words (int_of_float minor_w);
+  set g_gc_promoted_words (int_of_float promoted_w);
+  set g_gc_major_words (int_of_float major_w)
+
+let sample_gc () = set_gc_gauges (Gc.quick_stat ())
+
+(* ------------------------------------------------------------------ *)
+(* Major-cycle monitor.  While a sink is installed, a [Gc.create_alarm]
+   hook fires at the end of every major GC cycle on the installing
+   domain: it bumps the [gc.majors] counter and records the latency
+   since the previous cycle's end into the [gc.major_cycle_ns]
+   histogram — the pause-pressure signal of a run.  Both writes land
+   in the installing domain's store (alarms are per-domain under OCaml
+   5).  With the null sink no alarm exists and the hot path pays
+   nothing. *)
+
+let c_gc_majors = counter "gc.majors"
+
+(* Installed and deleted only by set_sink, on the installing domain. *)
+let gc_alarm : Gc.alarm option ref = ref None
+
+let install_gc_alarm () =
+  if !gc_alarm = None then begin
+    (* The inter-cycle clock starts at install time, so the first
+       cycle's latency measures from monitor start, not process
+       start. *)
+    let last = ref (now_ns ()) in
+    gc_alarm :=
+      Some
+        (Gc.create_alarm (fun () ->
+             let t = now_ns () in
+             let dt = Int64.to_int (Int64.sub t !last) in
+             last := t;
+             incr c_gc_majors;
+             Histogram.record (histogram "gc.major_cycle_ns") dt))
+  end
+
+let remove_gc_alarm () =
+  match !gc_alarm with
+  | None -> ()
+  | Some a ->
+      Gc.delete_alarm a;
+      gc_alarm := None
+
+(* ------------------------------------------------------------------ *)
+(* Request context.
+
+   A long-lived process (the [slocal serve] daemon) handles many
+   requests against the same store.  [with_request] marks a window:
+   while it is open, every emitted event carries the request id (the
+   additive slocal.trace/4 [req] field, stamped at serialization
+   time, so the worker events a pool run inside the window hands to
+   the sink at its join are tagged too),
+   and the summary returned at close reports only the window's own
+   counter deltas — computed from registry snapshots, so the global
+   totals and the live OpenMetrics registry stay exact.  Requests are
+   process-global and non-overlapping by design: the daemon handles
+   one request at a time (a pool run opened inside a window joins
+   before it closes), which is exactly what makes the per-request deltas
+   disjoint and their sum equal to the global delta. *)
+
+(* Atomic swap at request boundaries; read-only on the emit path. *)
+let current_request_id : string option Atomic.t = Atomic.make None
+
+let current_request () = Atomic.get current_request_id
+
+type request_summary = {
+  rq_id : string;
+  rq_wall_ns : int64;
+  rq_alloc_b : int;
+  rq_counters : (string * int) list;
+  rq_gauges : (string * int) list;
+}
+
+let c_request_count = counter "request.count"
+
+(* ------------------------------------------------------------------ *)
+(* Sinks *)
+
+type sink = Null | Emit of { emit : event -> unit; flush : unit -> unit }
 
 let null_sink = Null
-
-let collector_sink f =
-  (* Callbacks run on the emitting domain; serialize them so test
-     collectors can use plain lists. *)
-  let mu = Mutex.create () in
-  Emit
-    {
-      emit =
-        (fun ev ->
-          Mutex.lock mu;
-          Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> f ev));
-      flush = ignore;
-      flush_local = ignore;
-    }
+let collector_sink f = Emit { emit = f; flush = ignore }
 
 (* The sink slot: atomic swap on install; read-only on the emit path. *)
 let current = Atomic.make Null
 let enabled () = match Atomic.get current with Null -> false | Emit _ -> true
-let emit ev = match Atomic.get current with Null -> () | Emit e -> e.emit ev
+
+(* The global store hands events to the sink; a worker's store queues
+   them for [absorb]. *)
+let emit ev =
+  match Atomic.get current with
+  | Null -> ()
+  | Emit e ->
+      let s = my_store () in
+      if s == global then e.emit ev else s.pending <- ev :: s.pending
 
 (* Flushing must be an idempotent no-op whatever state the sink is in:
    the at_exit safety net below can run after a CLI wrapper already
    flushed and closed the underlying channel, and a double flush must
-   not duplicate or truncate the trailing record.  Buffers hold only
-   complete lines, so a swallowed [Sys_error] from a closed channel
-   can never leave a partial record behind.  Draining *other* domains'
-   buffers is exact only when those domains are quiescent (pool join,
-   process exit) — live domains flush their own buffers. *)
+   not duplicate or truncate the trailing record.  The buffer holds
+   only complete lines, so a swallowed [Sys_error] from a closed
+   channel can never leave a partial record behind. *)
 let flush_sink () =
   match Atomic.get current with
   | Null -> ()
   | Emit e -> ( try e.flush () with _ -> ())
-
-let flush_local () =
-  match Atomic.get current with
-  | Null -> ()
-  | Emit e -> ( try e.flush_local () with _ -> ())
 
 let set_sink s =
   (* Drain the outgoing sink first so buffered events reach their own
@@ -565,6 +488,27 @@ let set_sink s =
    sink down first leaves this a no-op. *)
 let () = at_exit flush_sink
 
+(* Fold a joined worker's store into the caller's: counters add,
+   gauges keep the maximum, histograms merge, and the queued events
+   reach the sink in the order the worker emitted them. *)
+let absorb w =
+  Mutex.lock intern_mu;
+  Hashtbl.iter
+    (fun _ m ->
+      let v = store_value w m.m_slot in
+      if v <> 0 then begin
+        let c = cells m.m_slot in
+        c.(m.m_slot) <-
+          (match m.m_kind with
+          | Counter -> c.(m.m_slot) + v
+          | Gauge -> max c.(m.m_slot) v)
+      end)
+    registry;
+  Mutex.unlock intern_mu;
+  Hashtbl.iter (fun nm h -> Histogram.merge_into (histogram nm) h) w.hists;
+  List.iter emit (List.rev w.pending);
+  w.pending <- []
+
 (* ------------------------------------------------------------------ *)
 (* Spans *)
 
@@ -576,22 +520,23 @@ let span nm f =
   match Atomic.get current with
   | Null -> f ()
   | Emit _ ->
-      let s = my_shard () in
+      let s = my_store () in
+      let domain = self_domain () in
       let id = Atomic.fetch_and_add next_id 1 in
       let q0 = Gc.quick_stat () in
       set_gc_gauges q0;
       let a0 = Gc.allocated_bytes () in
       let t0 = now_ns () in
       let parent =
-        match s.sh_spans with [] -> None | (pid, _, _, _, _, _) :: _ -> Some pid
+        match s.spans with [] -> None | (pid, _, _, _, _, _) :: _ -> Some pid
       in
-      emit (Span_open { id; parent; name = nm; t_ns = t0; domain = s.sh_domain });
-      s.sh_spans <-
+      emit (Span_open { id; parent; name = nm; t_ns = t0; domain });
+      s.spans <-
         (id, nm, t0, a0, q0.Gc.minor_collections, q0.Gc.major_collections)
-        :: s.sh_spans;
+        :: s.spans;
       let finish () =
-        (match s.sh_spans with
-        | (id', _, _, _, _, _) :: rest when id' = id -> s.sh_spans <- rest
+        (match s.spans with
+        | (id', _, _, _, _, _) :: rest when id' = id -> s.spans <- rest
         | _ -> ());
         let t1 = now_ns () in
         let dur_ns = Int64.sub t1 t0 in
@@ -611,11 +556,11 @@ let span nm f =
                alloc_b;
                minor_n;
                major_n;
-               domain = s.sh_domain;
+               domain;
              });
         (* A top-level close is a natural crash-consistency point:
-           hand this domain's buffered lines to the writer. *)
-        if s.sh_spans = [] then flush_local ()
+           write the buffered lines out. *)
+        if s.spans = [] && s == global then flush_sink ()
       in
       Fun.protect ~finally:finish f
 
@@ -810,29 +755,24 @@ let event_to_json ev : Json.t =
           ("text", Json.String text);
         ]
 
-(* How many pending bytes a domain accumulates before handing them to
-   the writer on its own: large enough to amortize the lock, small
-   enough that a killed run loses at most a few KB per domain. *)
+(* How many pending bytes the sink accumulates before writing them
+   out on its own: large enough to amortize the write, small enough
+   that a killed run loses at most a few KB. *)
 let flush_threshold = 8192
 
 let jsonl_sink oc =
-  (* One mutex-guarded writer; every domain renders into its own
-     shard buffer and only contends when handing over a full buffer.
-     Both channel operations tolerate a closed channel: a CLI teardown
-     path may close [oc] before the module-level [at_exit] flush runs,
-     and emits raced against teardown must not crash the instrumented
-     code.  Buffers hold only complete lines, so a swallowed
-     [Sys_error] can never leave a partial record behind. *)
-  let mu = Mutex.create () in
-  let write_buf b =
-    if Buffer.length b > 0 then begin
-      Mutex.lock mu;
+  (* Both channel operations tolerate a closed channel: a CLI teardown
+     path may close [oc] before the module-level [at_exit] flush runs.
+     The buffer holds only complete lines, so a swallowed [Sys_error]
+     can never leave a partial record behind. *)
+  let buf = Buffer.create 256 in
+  let write () =
+    if Buffer.length buf > 0 then begin
       (try
-         Buffer.output_buffer oc b;
+         Buffer.output_buffer oc buf;
          flush oc
        with Sys_error _ -> ());
-      Buffer.clear b;
-      Mutex.unlock mu;
+      Buffer.clear buf;
       incr c_sink_flushes
     end
   in
@@ -840,15 +780,13 @@ let jsonl_sink oc =
     {
       emit =
         (fun ev ->
-          let s = my_shard () in
-          Buffer.add_string s.sh_buf (Json.to_string (event_to_json ev));
-          Buffer.add_char s.sh_buf '\n';
-          if Buffer.length s.sh_buf >= flush_threshold then write_buf s.sh_buf);
+          Buffer.add_string buf (Json.to_string (event_to_json ev));
+          Buffer.add_char buf '\n';
+          if Buffer.length buf >= flush_threshold then write ());
       flush =
         (fun () ->
-          List.iter (fun s -> write_buf s.sh_buf) (all_shards ());
+          write ();
           try flush oc with Sys_error _ -> ());
-      flush_local = (fun () -> write_buf (my_shard ()).sh_buf);
     }
 
 let pp_duration fmt ns =

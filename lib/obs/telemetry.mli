@@ -1,7 +1,6 @@
 (** Structured telemetry: monotonic-clock spans, named counters,
-    gauges and histograms, and pluggable sinks — recorded into
-    per-domain shards so instrumented kernels can run under OCaml 5
-    domains without locks on the hot path.
+    gauges and histograms, and pluggable sinks — recorded into one
+    store, with no locks on the hot path.
 
     The expensive kernels of this repository — the backtracking solver,
     the RE operator, the lift construction, the exhaustive zero-round
@@ -13,24 +12,24 @@
     histogram recording and GC sampling happen only inside the
     sink-installed branch.
 
-    {b Domain model} (DESIGN.md §9).  Every domain that records
-    telemetry lazily owns one {e shard} ([Domain.DLS]): its metric
-    cells, histogram instances, span stack and pending sink bytes.
-    Shards register themselves in an append-only atomic list; reads
-    ({!value}, {!snapshot}, {!histogram_snapshot}) merge across shards
-    with a deterministic associative merge — counters sum, gauges take
-    the per-domain maximum, histograms merge pointwise.  Merged reads
-    are exact at {e quiescent} points (after a pool join, at process
-    exit, in single-domain runs) and may lag live writers by a few
-    increments mid-run.  Span ids are allocated from one atomic
-    counter, so they are unique across domains, and every {!event}
-    carries the recording domain's id.
+    {b Domain model} (DESIGN.md §9).  All telemetry is recorded into
+    one {!store}: metric cells, histogram instances and the span
+    stack.  The one exception is a spawned {!Pool} worker: it records
+    into a {!private_store}, which also queues the events it emits,
+    and the pool {!absorb}s that store into the caller's after the
+    join.  So every read ({!value}, {!snapshot},
+    {!histogram_snapshot}) and every sink call happens on one domain,
+    with no live writer.  Outside a pool, one domain at a time may
+    record.  Span ids are allocated from one atomic counter, so they
+    are unique across domains, and every {!event} carries the
+    recording domain's id.
 
-    Sinks receive a stream of {!event} values:
+    Sinks receive a stream of {!event} values, always on the domain
+    that owns the global store:
 
     - {!jsonl_sink} writes one JSON object per line (the
       [slocal.trace/4] schema, documented in DESIGN.md) through one
-      mutex-guarded writer fed by per-domain buffers;
+      buffer;
     - {!collector_sink} hands events to a callback (used by tests).
 
     {b Request windows}.  A long-lived process ({!Slocal_serve}'s
@@ -60,24 +59,16 @@ val gauge : string -> metric
     registered, the existing metric (and its kind) wins. *)
 
 val incr : metric -> unit
-(** Add 1 to the calling domain's cell (lock-free). *)
+(** Add 1 to the calling domain's store (lock-free). *)
 
 val add : metric -> int -> unit
 val set : metric -> int -> unit
-(** [set] writes the calling domain's cell.  A gauge then reports the
-    per-domain maximum when several domains set it; a counter reports
-    the cross-domain sum, so resetting a counter with [set m 0] only
-    clears the calling domain's contribution. *)
 
 val value : metric -> int
-(** Merged value across shards: counters sum, gauges take the
-    per-domain maximum.  Exact at quiescent points. *)
-
-val kind : metric -> metric_kind
-val name : metric -> string
+(** The metric's value in the calling domain's store. *)
 
 val snapshot : unit -> (string * int) list
-(** All registered metrics with their merged values, sorted by name. *)
+(** All registered metrics with their values, sorted by name. *)
 
 val kinds_snapshot : unit -> (string * metric_kind * int) list
 (** Like {!snapshot} but carrying each metric's kind, for exporters
@@ -93,16 +84,8 @@ val delta :
     absent from [before] count from 0. *)
 
 val reset_metrics : unit -> unit
-(** Zero every shard's metrics and histograms (tests and long-running
-    harnesses).  Call only at quiescent points — no live worker
-    domains. *)
-
-val zero : metric -> unit
-(** Zero one metric across {e every} shard.  [set m 0] clears only the
-    calling domain's cell; after a parallel run a counter's total
-    would keep reporting the worker shards' contributions, and a
-    {!delta} window spanning such a reset would go negative.  Like
-    {!reset_metrics}, call only at quiescent points. *)
+(** Zero the calling domain's metrics and histograms (tests and
+    long-running harnesses). *)
 
 (** {1 Histograms}
 
@@ -135,8 +118,7 @@ module Histogram : sig
 
   val merge : t -> t -> t
   (** Pointwise bucket sum (fresh histogram; arguments unchanged).
-      Associative and commutative up to {!equal} — the shard merge
-      relies on exactly this. *)
+      Associative and commutative up to {!equal}. *)
 
   val equal : t -> t -> bool
 
@@ -158,20 +140,14 @@ module Histogram : sig
 end
 
 val histogram : string -> Histogram.t
-(** Intern a histogram in the {e calling domain's} shard (same-name
-    calls from the same domain return the same instance).  Span
-    durations are recorded automatically into [span.<name>] histograms
-    while a sink is installed. *)
+(** Intern a histogram in the calling domain's store (same-name calls
+    return the same instance).  Span durations are recorded
+    automatically into [span.<name>] histograms while a sink is
+    installed. *)
 
 val histogram_snapshot : unit -> (string * Histogram.t) list
-(** All non-empty histograms merged across shards, sorted by name.
-    The returned histograms are fresh merged copies — safe to keep. *)
-
-(** {1 Domains} *)
-
-val self_domain : unit -> int
-(** The calling domain's id ([Domain.self] as an integer) — the value
-    stamped into the [domain] field of emitted events. *)
+(** All non-empty histograms, sorted by name.  The returned histograms
+    are fresh copies — safe to keep. *)
 
 (** {1 Request windows} *)
 
@@ -193,8 +169,8 @@ val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
 (** [with_request ~id f] runs [f ()] inside a request window: the
     global registry snapshot is taken at open and close and their
     {!delta} becomes the summary's counter list; every event
-    serialized while the window is open — including events emitted by
-    worker domains inside it — carries [id] in the additive
+    serialized while the window is open — including the worker events
+    a pool run inside it absorbs at its join — carries [id] in the additive
     [slocal.trace/4] [req] field; the body runs under a [request]
     span and bumps the [request.count] counter {e inside} the window.
     Windows are process-global and must not overlap (the serve daemon
@@ -216,7 +192,8 @@ val sample_gc : unit -> unit
     [promoted_words], [major_words]) from [Gc.counters].  Called
     automatically at span boundaries while a sink is installed; call
     it directly before reading a summary elsewhere.  Samples describe
-    the calling domain; merged gauges report the per-domain maximum. *)
+    the calling domain; {!absorb} keeps the larger of the caller's and
+    a worker's value. *)
 
 (** {1 Clock} *)
 
@@ -279,19 +256,17 @@ type sink
 val null_sink : sink
 
 val jsonl_sink : out_channel -> sink
-(** One JSON object per line.  Each domain renders into its own
-    buffer; buffers are handed to a single mutex-guarded writer when
-    they pass a size threshold, when a domain closes its outermost
-    span, on {!flush_local}, and on {!flush_sink} — so concurrent
-    domains never interleave partial lines and a trace file always
-    ends on a line boundary.  The caller owns (and closes) the
-    channel.  As a safety net, a module-level [at_exit] hook flushes
+(** One JSON object per line, rendered into one buffer that is written
+    out when it passes a size threshold, when a span closes with no
+    enclosing span on the global store, and on {!flush_sink} — so a
+    trace file always ends on a line boundary.  The caller owns (and
+    closes) the channel.  As a safety net, a module-level [at_exit] hook flushes
     whatever sink is still installed when the process exits (budget
     aborts, uncaught exceptions). *)
 
 val collector_sink : (event -> unit) -> sink
-(** Hand events to a callback, serialized by an internal mutex so a
-    test collector can append to a plain list under concurrency. *)
+(** Hand events to a callback.  It runs on the domain that owns the
+    global store, so a test collector can append to a plain list. *)
 
 val set_sink : sink -> unit
 (** Flush and replace the current sink and, when the new sink is
@@ -310,17 +285,11 @@ val enabled : unit -> bool
 (** [true] iff the current sink is not {!null_sink}. *)
 
 val flush_sink : unit -> unit
-(** Flush the current sink, draining {e every} domain's pending
-    buffer.  Idempotent and total: a null sink, an already-flushed
-    sink and a sink whose channel has been closed are all no-ops
-    (never an exception, never a duplicated or truncated trailing
-    record).  Exact only at quiescent points; live domains should use
-    {!flush_local}.  The module-level [at_exit] safety net is exactly
-    this call. *)
-
-val flush_local : unit -> unit
-(** Hand the {e calling} domain's pending buffer to the writer (a
-    worker's last action before it is joined; see {!Pool}). *)
+(** Flush the current sink's pending buffer.  Idempotent and total: a
+    null sink, an already-flushed sink and a sink whose channel has
+    been closed are all no-ops (never an exception, never a duplicated
+    or truncated trailing record).  The module-level [at_exit] safety
+    net is exactly this call. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()].  With a null sink this is just the
@@ -345,6 +314,20 @@ val provenance : step:int -> label:string -> (string * int) list -> unit
 
 val message : string -> unit
 (** Send a free-form {!Message} event (no-op when disabled). *)
+
+(** {1 Pool workers} *)
+
+type store
+(** Metric cells, histograms, span stack and a worker's queued events. *)
+
+val private_store : unit -> store
+(** Give the calling domain a fresh, empty store and return it (a
+    spawned pool worker's first call). *)
+
+val absorb : store -> unit
+(** Fold a joined worker's store into the calling domain's: counters
+    add, gauges keep the maximum, histograms merge, and the worker's
+    queued events are emitted in the order it recorded them. *)
 
 (** {1 Rendering} *)
 

@@ -470,28 +470,27 @@ let test_re_cache_hits () =
   check bool_t "recomputed result equal" true (Problem.equal q1 q3)
 
 let test_re_cache_clear_under_parallel () =
-  (* Regression (PR 8): [clear_cache] used to zero only the calling
-     domain's telemetry shard, so re.cache_* counts recorded by pool
-     workers survived the clear — the merged value stayed positive and
-     any delta window opened right after a clear could go negative.
-     Run REs inside pool tasks, clear, and require a genuinely zeroed
-     measurement window. *)
+  (* Regression: [clear_cache] once cleared only the calling domain's
+     telemetry, so re.cache_* counts recorded by pool workers survived
+     the clear — the value stayed positive and any delta window opened
+     right after a clear could go negative.  Run REs inside pool tasks,
+     clear, and require a genuinely zeroed measurement window. *)
   let module Pool = Slocal_obs.Pool in
   let hits = Slocal_obs.Telemetry.counter "re.cache_hits" in
   let misses = Slocal_obs.Telemetry.counter "re.cache_misses" in
   Re_step.clear_cache ();
   let specs = [| "mm:3"; "arb:3:2"; "so:3"; "mm:3"; "arb:3:2"; "so:3" |] in
-  (* Worker domains query and fill the result cache, so their shards
-     carry nonzero hit/miss counts. *)
+  (* Worker domains query and fill the result cache, so the stores
+     absorbed at the join carry nonzero hit/miss counts. *)
   ignore
     (Pool.run ~jobs:3 (Array.length specs) (fun i ->
          Problem.canonical_hash (Re_step.re (golden_problem specs.(i)))));
   check bool_t "parallel REs recorded cache traffic" true
     (Slocal_obs.Telemetry.value hits + Slocal_obs.Telemetry.value misses > 0);
   Re_step.clear_cache ();
-  check int_t "clear zeroes worker shards too (hits)" 0
+  check int_t "clear zeroes absorbed worker counts too (hits)" 0
     (Slocal_obs.Telemetry.value hits);
-  check int_t "clear zeroes worker shards too (misses)" 0
+  check int_t "clear zeroes absorbed worker counts too (misses)" 0
     (Slocal_obs.Telemetry.value misses);
   (* A post-clear delta window must never see negative counts. *)
   let before = Slocal_obs.Telemetry.snapshot () in

@@ -807,81 +807,87 @@ let test_progress_modes () =
     (Progress.heartbeat_count ())
 
 (* ------------------------------------------------------------------ *)
-(* Domains: per-domain shards, the deterministic merge, and the pool *)
+(* Domains: the pool, and worker stores absorbed at the join *)
 
 module Trace = Slocal_obs.Trace
 module Pool = Slocal_obs.Pool
 
-let test_shard_merge () =
+let test_pool_absorb () =
   with_clean_telemetry @@ fun () ->
-  let c = Telemetry.counter "test.shard.counter" in
-  let g = Telemetry.gauge "test.shard.gauge" in
+  let c = Telemetry.counter "test.absorb.counter" in
+  let g = Telemetry.gauge "test.absorb.gauge" in
+  let hist () = Telemetry.histogram "test.absorb.hist" in
+  let caller = Domain.self () in
+  let off_caller = ref 0 and domains = ref [] in
+  Telemetry.set_sink
+    (Telemetry.collector_sink (fun ev ->
+         if Domain.self () <> caller then Stdlib.incr off_caller;
+         domains := Telemetry.event_domain ev :: !domains));
   Telemetry.add c 5;
-  Telemetry.set g 3;
-  H.record (Telemetry.histogram "test.shard.hist") 10;
-  let worker dc dg dh () =
-    Telemetry.add c dc;
-    Telemetry.set g dg;
-    H.record (Telemetry.histogram "test.shard.hist") dh
-  in
-  let d1 = Domain.spawn (worker 7 9 20) and d2 = Domain.spawn (worker 11 1 30) in
-  Domain.join d1;
-  Domain.join d2;
-  check int_t "counters sum across shards" 23 (Telemetry.value c);
-  check int_t "gauges take the per-domain max" 9 (Telemetry.value g);
-  check (Alcotest.option int_t) "snapshot reads the merge" (Some 23)
-    (List.assoc_opt "test.shard.counter" (Telemetry.snapshot ()));
-  let h = List.assoc "test.shard.hist" (Telemetry.histogram_snapshot ()) in
-  check int_t "histograms merge pointwise" 3 (H.count h);
-  check int_t "histogram max survives the merge" 30 (H.max_value h);
+  H.record (hist ()) 100;
+  (* Tasks 0-2 wait for each other, so each of the three domains runs
+     at least one task whatever the schedule. *)
+  let arrived = Atomic.make 0 in
+  ignore
+    (Pool.run ~jobs:3 12 (fun i ->
+         Telemetry.span "task" @@ fun () ->
+         if i < 3 then begin
+           Atomic.incr arrived;
+           while Atomic.get arrived < 3 do
+             Domain.cpu_relax ()
+           done
+         end;
+         Telemetry.add c i;
+         Telemetry.set g i;
+         H.record (hist ()) i));
+  Telemetry.set_sink Telemetry.null_sink;
+  check int_t "counters add" (5 + 66) (Telemetry.value c);
+  (* Whichever domain claims task 11 sets the gauge to 11 last. *)
+  check int_t "gauges take the max" 11 (Telemetry.value g);
+  let h = List.assoc "test.absorb.hist" (Telemetry.histogram_snapshot ()) in
+  check int_t "histograms merge" 13 (H.count h);
+  check int_t "histogram bounds survive the merge" 100 (H.max_value h);
+  check int_t "histogram min survives the merge" 0 (H.min_value h);
+  check int_t "collector callback never ran off the caller's domain" 0
+    !off_caller;
+  check int_t "events from all three domains reach the collector" 3
+    (List.length (List.sort_uniq compare !domains));
   Telemetry.reset_metrics ();
-  check int_t "reset clears every shard" 0 (Telemetry.value c)
+  check int_t "reset clears absorbed counts" 0 (Telemetry.value c);
+  check int_t "reset clears absorbed gauges" 0 (Telemetry.value g);
+  check bool_t "reset clears absorbed histograms" true
+    (Telemetry.histogram_snapshot () = [])
 
-let test_shard_merge_order_insensitive () =
+let test_decide_batch_counters () =
   with_clean_telemetry @@ fun () ->
-  (* The merge is a fold of per-shard values through (+) for counters
-     and max for gauges — associative and commutative — so the merged
-     reading must not depend on which domain wrote what, or in which
-     order the shards were created. *)
-  let c = Telemetry.counter "test.shard.order" in
-  let g = Telemetry.gauge "test.shard.order_gauge" in
-  let run_permutation vs =
-    Telemetry.reset_metrics ();
-    List.iter
-      (fun v ->
-        Domain.join
-          (Domain.spawn (fun () ->
-               Telemetry.add c v;
-               Telemetry.set g v)))
-      vs;
-    (Telemetry.value c, Telemetry.value g)
+  let module G = Slocal_graph in
+  let support =
+    G.Bipartite.make (G.Graph_gen.cycle 6)
+      (Array.init 6 (fun v ->
+           if v mod 2 = 0 then G.Bipartite.White else G.Bipartite.Black))
   in
-  let a = run_permutation [ 1; 2; 3 ] in
-  let b = run_permutation [ 3; 1; 2 ] in
-  let d = run_permutation [ 2; 3; 1 ] in
-  check (Alcotest.pair int_t int_t) "permutation b" a b;
-  check (Alcotest.pair int_t int_t) "permutation c" a d;
-  check (Alcotest.pair int_t int_t) "sum and max" (6, 3) a
-
-let test_zero_across_shards () =
-  with_clean_telemetry @@ fun () ->
-  (* [set m 0] only writes the calling domain's shard, so counts
-     recorded by pool workers survive it — the bug behind negative
-     cache-counter deltas.  [zero] clears every shard. *)
-  let c = Telemetry.counter "test.zero.counter" in
-  Telemetry.add c 2;
-  (* An explicit domain, not a pool: a pool may run every task on the
-     calling domain, leaving no foreign shard to test. *)
-  Domain.join
-    (Domain.spawn (fun () ->
-         for _ = 1 to 6 do
-           Telemetry.incr c
-         done));
-  check int_t "foreign-shard increments merged" 8 (Telemetry.value c);
-  Telemetry.set c 0;
-  check bool_t "set 0 leaves foreign-shard residue" true (Telemetry.value c > 0);
-  Telemetry.zero c;
-  check int_t "zero clears every shard" 0 (Telemetry.value c)
+  let counters jobs =
+    Telemetry.reset_metrics ();
+    ignore
+      (Supported_local.Zero_round.decide_batch ~jobs support
+         (Supported_local.Zero_round.two_label_problems ()));
+    List.filter_map
+      (fun (nm, k, v) ->
+        if
+          k = Telemetry.Counter && v <> 0
+          && not
+               (String.starts_with ~prefix:"par." nm
+               || String.starts_with ~prefix:"gc." nm)
+        then Some (nm, v)
+        else None)
+      (Telemetry.kinds_snapshot ())
+  in
+  let seq = counters 1 in
+  check bool_t "the batch records counters" true
+    (List.mem_assoc "solver.nodes" seq);
+  check
+    (Alcotest.list (Alcotest.pair string_t int_t))
+    "counters outside par.*/gc.* equal at jobs 1 and 2" seq (counters 2)
 
 let test_pool_parity () =
   with_clean_telemetry @@ fun () ->
@@ -1201,11 +1207,10 @@ let () =
         ] );
       ( "domains",
         [
-          Alcotest.test_case "shard merge" `Quick test_shard_merge;
-          Alcotest.test_case "merge order-insensitive" `Quick
-            test_shard_merge_order_insensitive;
-          Alcotest.test_case "zero clears all shards" `Quick
-            test_zero_across_shards;
+          Alcotest.test_case "pool absorbs worker stores" `Quick
+            test_pool_absorb;
+          Alcotest.test_case "decide_batch counters across widths" `Quick
+            test_decide_batch_counters;
           Alcotest.test_case "pool parity" `Quick test_pool_parity;
           Alcotest.test_case "pool accounting" `Quick test_pool_counters;
           Alcotest.test_case "pool exception" `Quick test_pool_exception;
