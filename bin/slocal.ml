@@ -82,6 +82,21 @@ let progress_flag =
           "Emit throttled [progress] heartbeat lines to stderr even when \
            stderr is not a TTY (on a TTY the heartbeat is on by default).")
 
+(* Runs [f]; a failed operation (bad spec, bad parameter, unreadable
+   file: [Ops.error_message]) is reported as "slocal CMD: MESSAGE" on
+   stderr with exit code 2.  Any other exception is a bug and
+   propagates. *)
+let exit_on_failure ~cmd f =
+  match f () with
+  | v -> v
+  | exception e -> (
+      match Ops.error_message e with
+      | None -> raise e
+      | Some msg ->
+          Format.print_flush ();
+          Format.eprintf "slocal %s: %s@." cmd msg;
+          exit 2)
+
 (* Observability wrapper around every kernel-facing subcommand: opens
    the ledger context (one slocal.request/1 record per invocation,
    regardless of flags), installs the requested trace sink, arms the
@@ -90,9 +105,8 @@ let progress_flag =
    teardown is registered with [at_exit] as well, because lint/audit
    exit from inside their run function ([Fun.protect] finalizers do
    not run across [exit]); the [finished] guard keeps the paths
-   idempotent.  A failed operation (bad spec, bad parameter,
-   unreadable file: [Ops.error_message]) is reported as
-   "slocal CMD: MESSAGE" on stderr with exit code 2. *)
+   idempotent.  A failed operation goes through [exit_on_failure]
+   after the ledger record is written. *)
 let with_telemetry ~cmd ?(progress_mode = Progress.Auto) trace metrics
     openmetrics f =
   Ledger.begin_run ~op:cmd ~argv:(Array.to_list Sys.argv);
@@ -107,7 +121,6 @@ let with_telemetry ~cmd ?(progress_mode = Progress.Auto) trace metrics
   let finish outcome =
     if not !finished then begin
       finished := true;
-      Telemetry.sample_gc ();
       Telemetry.emit_counters ();
       Telemetry.emit_histograms ();
       if metrics then Format.eprintf "%a@?" Telemetry.pp_summary ();
@@ -128,21 +141,15 @@ let with_telemetry ~cmd ?(progress_mode = Progress.Auto) trace metrics
   in
   (* Finishes the ledger record on early exit; one process, one run. *)
   at_exit (fun () -> finish "exit");
+  exit_on_failure ~cmd @@ fun () ->
   match f () with
   | v ->
       finish "ok";
       v
-  | exception e -> (
-      match Ops.error_message e with
-      | None ->
-          finish "error";
-          raise e
-      | Some msg ->
-          Ledger.note_exit 2;
-          finish "error";
-          Format.print_flush ();
-          Format.eprintf "slocal %s: %s@." cmd msg;
-          exit 2)
+  | exception e ->
+      if Ops.error_message e <> None then Ledger.note_exit 2;
+      finish "error";
+      raise e
 
 (* The observability flags of re, solve, sequence, sweep and audit
    as one term, and [with_telemetry] over them. *)
@@ -278,7 +285,9 @@ let solve_cmd =
 let bounds_cmd =
   let n = Arg.(value & opt float 1e9 & info [ "n" ] ~doc:"Number of nodes.") in
   let run spec n =
-    (match String.split_on_char ':' spec with
+    exit_on_failure ~cmd:"bounds" @@ fun () ->
+    let int_of_string = Ops.int_field spec in
+    match String.split_on_char ':' spec with
     | [ "matching"; d'; x; y ] ->
         let delta' = int_of_string d' in
         let b =
@@ -313,8 +322,12 @@ let bounds_cmd =
           "MIS corollary at n=%.0f: Δ'=%.1f Δ=%.1f lower=%.2f χ-upper=%.2f@."
           n c.Core.Bounds.delta' c.Core.Bounds.delta c.Core.Bounds.lower_bound
           c.Core.Bounds.chromatic_upper
-    | _ -> invalid_arg "bounds spec: matching:D':X:Y | arb:D:D':A:C | ruling:D:D':A:C:B | mis");
-    ()
+    | _ ->
+        invalid_arg
+          (Printf.sprintf
+             "unknown bounds spec %S (matching:D':X:Y | arb:D:D':A:C | \
+              ruling:D:D':A:C:B | mis)"
+             spec)
   in
   let spec_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc:"Bound spec.")
@@ -863,12 +876,6 @@ let runs_cmd =
           (fun (nm, v) -> Format.printf "    %-36s %12d@." nm v)
           r.Ledger.counters
       end;
-      if r.Ledger.gauges <> [] then begin
-        Format.printf "  gauges:@.";
-        List.iter
-          (fun (nm, v) -> Format.printf "    %-36s %12d@." nm v)
-          r.Ledger.gauges
-      end;
       if r.Ledger.histograms <> [] then begin
         Format.printf "  histograms:@.";
         Format.printf "    %-36s %8s %10s %10s %10s %10s@." "" "count" "p50"
@@ -971,8 +978,8 @@ let runs_cmd =
     in
     Cmd.v
       (Cmd.info "gc"
-         ~doc:"Compact the ledger: keep the newest N records of every kind, \
-               drop damaged lines (atomic rewrite)")
+         ~doc:"Compact the ledger: keep the newest N records overall, \
+               whatever wrote them, drop damaged lines (atomic rewrite)")
       Term.(const run $ ledger_opt $ keep)
   in
   Cmd.group

@@ -110,9 +110,10 @@ let of_events ?(skipped = 0) events =
     (* Counter deltas between consecutive snapshots are charged to the
        span that is innermost-open on the snapshot's own domain when
        the later snapshot is taken ("(toplevel)" outside all spans).
-       Gauges subtract like counters here — the trace does not carry
-       metric kinds — so last-value metrics show up as +/- swings; the
-       final snapshot is reported separately and unmodified. *)
+       Only legacy traces carry gauge values (last-value metrics such
+       as [gc.*]); they subtract like counters here and so show up as
+       +/- swings.  The final snapshot is reported separately and
+       unmodified. *)
     let deltas =
       List.filter_map
         (fun (k, v) ->

@@ -73,9 +73,9 @@ type t = {
           charged to the span that was innermost-open {e on the
           snapshot's own domain} at the later snapshot
           (["(toplevel)"] outside all spans) and summed per span
-          name.  The trace carries no metric kinds, so gauges
-          subtract like counters here; the unmodified final snapshot
-          is in [final_counters]. *)
+          name.  Only legacy traces carry gauge values (last-value
+          metrics such as [gc.*]); they subtract like counters here.
+          The unmodified final snapshot is in [final_counters]. *)
   provenance : provenance_step list;  (** In trace order. *)
   histograms : (string * Slocal_obs.Telemetry.Histogram.t) list;
 }

@@ -165,7 +165,7 @@ let lint_file path =
 
 (* ------------------------------------------------------------------ *)
 (* SL041: telemetry metric names registered in the source must appear
-   in DESIGN.md §6's "Counter and gauge names" table, otherwise the
+   in DESIGN.md §6's "Metric names" table, otherwise the
    documented inventory drifts silently as kernels gain counters. *)
 
 let is_ident_char c =
@@ -174,14 +174,14 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(* Scan OCaml source text for [counter]/[gauge]/[histogram]
+(* Scan OCaml source text for [counter]/[histogram]
    applications whose argument is a string literal (qualified or not).
    A plain text scan — no lexer — is exact enough: registration sites
    are literal by convention, and a stray match inside a comment only
    adds a name that ought to be documented anyway. *)
 let telemetry_registrations text =
   let n = String.length text in
-  let kinds = [ "counter"; "gauge"; "histogram" ] in
+  let kinds = [ "counter"; "histogram" ] in
   let found = ref [] in
   List.iter
     (fun kw ->
@@ -243,7 +243,7 @@ let design_metric_names text =
   let rec skip_to_table = function
     | [] -> []
     | l :: rest ->
-        if String.trim l = "### Counter and gauge names" then in_table rest []
+        if String.trim l = "### Metric names" then in_table rest []
         else skip_to_table rest
   and in_table lines acc =
     match lines with
@@ -279,7 +279,7 @@ let telemetry_name_findings ~design sources =
     if documented = [] then
       [
         D.warning ~code:"SL041" ~subject:"DESIGN.md"
-          "no \"Counter and gauge names\" table found in the design document";
+          "no \"Metric names\" table found in the design document";
       ]
     else []
   in

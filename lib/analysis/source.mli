@@ -24,20 +24,20 @@ val lint_file : string -> Problem.t option * Diagnostic.t list
 
 (** {1 Telemetry name drift (SL041)}
 
-    Every [Telemetry.counter]/[gauge]/[histogram] name registered with
-    a string literal in the library sources must appear in DESIGN.md
-    §6's "Counter and gauge names" table, and every name in that table
+    Every [Telemetry.counter]/[histogram] name registered with a
+    string literal in the library sources must appear in DESIGN.md
+    §6's "Metric names" table, and every name in that table
     must be registered by some source. *)
 
 val telemetry_registrations : string -> (string * string) list
-(** [(kind, name)] pairs for every [counter "..."], [gauge "..."] or
+(** [(kind, name)] pairs for every [counter "..."] or
     [histogram "..."] application found in OCaml source text (plain
     text scan; qualified and unqualified uses alike), sorted and
     deduplicated. *)
 
 val design_metric_names : string -> string list
 (** The full dotted metric names documented in a design document's
-    "Counter and gauge names" markdown table (rows are
+    "Metric names" markdown table (rows are
     [| `prefix.` | `name`, `name`, ... |]; non-identifier backticked
     tokens are ignored). *)
 

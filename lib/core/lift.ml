@@ -5,9 +5,6 @@ module Combinat = Slocal_util.Combinat
 module Telemetry = Slocal_obs.Telemetry
 
 let c_lifts = Telemetry.counter "lift.calls"
-let g_labels = Telemetry.gauge "lift.labels"
-let g_white_configs = Telemetry.gauge "lift.white_configs"
-let g_black_configs = Telemetry.gauge "lift.black_configs"
 
 type t = {
   base : Problem.t;
@@ -69,9 +66,6 @@ let lift ~delta ~r (base : Problem.t) =
       ~partial:white_partial ~full:white_full
   in
   let meaning = Array.of_list candidates in
-  Telemetry.set g_labels (Array.length meaning);
-  Telemetry.set g_white_configs (List.length white_configs);
-  Telemetry.set g_black_configs (List.length black_configs);
   let index =
     let tbl = Hashtbl.create 32 in
     Array.iteri (fun i s -> Hashtbl.add tbl s i) meaning;

@@ -6,9 +6,6 @@ module Telemetry = Slocal_obs.Telemetry
    comparisons read the same counters whichever implementation ran. *)
 let c_steps = Telemetry.counter "re.steps"
 let c_enum_nodes = Telemetry.counter "re.enum_nodes"
-let g_labels_out = Telemetry.gauge "re.labels_out"
-let g_strong_configs = Telemetry.gauge "re.strong_configs"
-let g_weak_configs = Telemetry.gauge "re.weak_configs"
 
 (* Bottom-up enumeration of multisets of size [arity] over [candidates]
    (non-decreasing indices), pruning prefixes via [partial]. *)
@@ -112,9 +109,6 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
     Constr.make ~arity:(Constr.arity weak_constr)
       (List.map to_config weak_configs)
   in
-  Telemetry.set g_labels_out (Array.length meaning);
-  Telemetry.set g_strong_configs (List.length strong_configs);
-  Telemetry.set g_weak_configs (List.length weak_configs);
   (name, alphabet', strong', weak', meaning)
 
 let r_black (p : Problem.t) =

@@ -12,9 +12,6 @@ let c_steps = Telemetry.counter "re.steps"
 let c_enum_nodes = Telemetry.counter "re.enum_nodes"
 let c_cache_hits = Telemetry.counter "re.cache_hits"
 let c_cache_misses = Telemetry.counter "re.cache_misses"
-let g_labels_out = Telemetry.gauge "re.labels_out"
-let g_strong_configs = Telemetry.gauge "re.strong_configs"
-let g_weak_configs = Telemetry.gauge "re.weak_configs"
 
 (* Enumerate multisets of size [arity] over [candidates] (given as an
    array, chosen with non-decreasing indices to avoid duplicates),
@@ -311,9 +308,6 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
     Constr.make ~arity:(Constr.arity weak_constr)
       (List.map to_config weak_configs)
   in
-  Telemetry.set g_labels_out (Array.length meaning);
-  Telemetry.set g_strong_configs (List.length strong_configs);
-  Telemetry.set g_weak_configs (List.length weak_configs);
   (name, alphabet', strong', weak', meaning)
 
 let r_black (p : Problem.t) =

@@ -62,6 +62,10 @@ let is_lower_bound_sequence ?max_nodes problems =
   verdict (check ?max_nodes problems)
 
 let iterate_re p ~steps =
+  if steps < 0 then
+    invalid_arg
+      (Printf.sprintf "Sequence.iterate_re: steps must be at least 0, got %d"
+         steps);
   Telemetry.span "sequence.iterate_re" @@ fun () ->
   emit_provenance ~index:0 ~wall_ns:0 ~cache_hits:0 ~cache_misses:0 p;
   Progress.start ~total:steps "sequence.iterate_re";

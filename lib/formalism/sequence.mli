@@ -44,7 +44,8 @@ val is_lower_bound_sequence : ?max_nodes:int -> Problem.t list -> bool option
 
 val iterate_re : Problem.t -> steps:int -> Problem.t list
 (** [Π, RE(Π), RE²(Π), …] — always a lower-bound sequence (each problem
-    trivially relaxes itself, and is exactly [RE] of its predecessor). *)
+    trivially relaxes itself, and is exactly [RE] of its predecessor).
+    @raise Invalid_argument on a negative [steps]. *)
 
 val constant : Problem.t -> k:int -> Problem.t list
 (** The fixed-point sequence [Π, Π, …, Π] of length [k+1]: a

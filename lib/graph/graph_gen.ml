@@ -3,8 +3,6 @@ module Telemetry = Slocal_obs.Telemetry
 
 let c_gen_attempts = Telemetry.counter "graph.gen_attempts"
 let c_repair_sweeps = Telemetry.counter "graph.repair_sweeps"
-let g_girth_achieved = Telemetry.gauge "graph.girth_achieved"
-let g_independence_upper = Telemetry.gauge "graph.independence_upper"
 
 let cycle n =
   if n < 3 then invalid_arg "Graph_gen.cycle: need n >= 3";
@@ -377,8 +375,6 @@ let high_girth_low_independence rng ~n ~d ?min_girth () =
         (* α(G) <= n - ν(G) <= n - (greedy matching size). *)
         (n - greedy_matching_size g, false)
   in
-  Telemetry.set g_girth_achieved (Option.value girth ~default:0);
-  Telemetry.set g_independence_upper independence_upper;
   {
     graph = g;
     girth;

@@ -3,7 +3,7 @@
    One record type for every writer.  Each kernel-facing CLI
    invocation and each bench run appends one record — op, argv,
    start time and wall time, outcome, seed, problem canonical
-   hashes, the final counter/gauge snapshot, key histogram
+   hashes, the final counter snapshot, key histogram
    quantiles and artifact paths — and [slocal serve --record] appends
    one per work request with its cost summary and body.  A
    multi-session lower-bound campaign so has one durable history that
@@ -42,7 +42,6 @@ type record = {
   exit_code : int;
   seed : int option;
   counters : (string * int) list;
-  gauges : (string * int) list;
   histograms : (string * hist_summary) list;
   artifacts : (string * string) list;
   majors : int;
@@ -65,7 +64,6 @@ let empty =
     exit_code = 0;
     seed = None;
     counters = [];
-    gauges = [];
     histograms = [];
     artifacts = [];
     majors = 0;
@@ -132,7 +130,6 @@ let to_json r : Json.t =
               Json.Int (Option.get r.seed));
           unless_default "counters" (r.counters = []) (fun () ->
               ints r.counters);
-          unless_default "gauges" (r.gauges = []) (fun () -> ints r.gauges);
           unless_default "histograms" (r.histograms = []) (fun () ->
               Json.Obj
                 (List.map
@@ -226,7 +223,6 @@ let of_json j : (record, string) result =
     in
     let* problems = entries j "problems" int_entry in
     let* counters = entries j "counters" int_entry in
-    let* gauges = entries j "gauges" int_entry in
     let* histograms = entries j "histograms" hist_summary_of_json in
     let* artifacts =
       entries j "artifacts" (fun _ v ->
@@ -247,7 +243,6 @@ let of_json j : (record, string) result =
         exit_code = opt_int "exit_code";
         seed = Option.bind (Json.member "seed" j) Json.as_int;
         counters;
-        gauges;
         histograms;
         artifacts;
         majors = opt_int "majors";
@@ -425,16 +420,7 @@ let note_artifact ~kind path =
 let note_exit code = with_ctx (fun c -> c.c_exit <- code)
 
 let snapshot_record c ~outcome =
-  let counters, gauges =
-    List.fold_left
-      (fun (cs, gs) (nm, kd, v) ->
-        if v = 0 then (cs, gs)
-        else
-          match kd with
-          | Telemetry.Counter -> ((nm, v) :: cs, gs)
-          | Telemetry.Gauge -> (cs, (nm, v) :: gs))
-      ([], []) (Telemetry.kinds_snapshot ())
-  in
+  let counters = Telemetry.nonzero_snapshot () in
   let histograms =
     List.map
       (fun (nm, h) ->
@@ -464,8 +450,7 @@ let snapshot_record c ~outcome =
     started_at = c.c_started;
     exit_code = c.c_exit;
     seed = c.c_seed;
-    counters = List.rev counters;
-    gauges = List.rev gauges;
+    counters;
     histograms;
     artifacts = c.c_artifacts;
     majors = q.Gc.major_collections - c.c_majors0;

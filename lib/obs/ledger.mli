@@ -3,11 +3,12 @@
     One record type for every writer.  Every kernel-facing CLI
     subcommand and every bench run appends one record (op, argv,
     wall-clock interval, outcome and seed, problem canonical hashes,
-    the final counters, gauges and histogram quantiles, artifact
-    paths); [slocal serve --record] appends one per work request (op,
+    the final counters and histogram quantiles, artifact paths);
+    [slocal serve --record] appends one per work request (op,
     problems, cost summary and the request body).  The reader ignores
-    the [kernel] field that records written before the RE kernel
-    became fixed still carry.
+    fields it does not know, such as the [kernel] field of records
+    written before the RE kernel became fixed and the [gauges] field
+    of records written while the registry still had gauges.
     Multi-session lower-bound campaigns so get one durable history:
     [slocal runs list|show|diff|gc] renders and maintains it, and
     [slocal client --replay] re-sends its bodies.
@@ -49,7 +50,6 @@ type record = {
   exit_code : int;
   seed : int option;
   counters : (string * int) list;  (** Non-zero counters at run end. *)
-  gauges : (string * int) list;
   histograms : (string * hist_summary) list;
   artifacts : (string * string) list;
       (** [(kind, path)]: trace, profile, openmetrics, bench JSON. *)
@@ -111,7 +111,7 @@ val diff : record -> record -> (string * int * int) list
 
 val gc : path:string -> keep:int -> (int * int, string) result
 (** Rewrite the ledger atomically keeping only the newest [keep]
-    records of every kind, dropping damaged lines.  Returns
+    records overall, whatever wrote them, dropping damaged lines.  Returns
     [(kept, dropped)]; a negative [keep] is an [Error] and leaves the
     file alone. *)
 

@@ -19,19 +19,12 @@ let metric_name nm = "slocal_" ^ sanitize nm
 let render_buf buf =
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   List.iter
-    (fun (nm, kd, v) ->
-      match kd with
-      | Telemetry.Counter ->
-          let full = metric_name nm ^ "_total" in
-          pr "# HELP %s slocal counter %s\n" full nm;
-          pr "# TYPE %s counter\n" full;
-          pr "%s %d\n" full v
-      | Telemetry.Gauge ->
-          let full = metric_name nm in
-          pr "# HELP %s slocal gauge %s\n" full nm;
-          pr "# TYPE %s gauge\n" full;
-          pr "%s %d\n" full v)
-    (Telemetry.kinds_snapshot ());
+    (fun (nm, v) ->
+      let full = metric_name nm ^ "_total" in
+      pr "# HELP %s slocal counter %s\n" full nm;
+      pr "# TYPE %s counter\n" full;
+      pr "%s %d\n" full v)
+    (Telemetry.snapshot ());
   List.iter
     (fun (nm, h) ->
       let base = metric_name nm in

@@ -12,8 +12,8 @@ val metric_name : string -> string
 (** The exposition name for a registry name (without any suffix). *)
 
 val render : unit -> string
-(** Serialize every registered counter and gauge (including zero
-    values) and every non-empty histogram. *)
+(** Serialize every registered counter (including zero values) and
+    every non-empty histogram. *)
 
 val write_file : string -> unit
 (** [write_file path] atomically publishes {!render} output at [path]

@@ -11,7 +11,6 @@ let c_submitted = Telemetry.counter "par.tasks_submitted"
 let c_completed = Telemetry.counter "par.tasks_completed"
 let c_stolen = Telemetry.counter "par.tasks_stolen"
 let c_merges = Telemetry.counter "par.merges"
-let g_jobs = Telemetry.gauge "par.jobs"
 
 let run ~jobs n f =
   if n < 0 then invalid_arg "Pool.run: negative task count";
@@ -27,7 +26,6 @@ let run ~jobs n f =
   end
   else begin
     let jobs = min jobs n in
-    Telemetry.set g_jobs jobs;
     Telemetry.add c_submitted n;
     let results = Array.make n None in
     let next = Atomic.make 0 in

@@ -16,14 +16,13 @@
     - [par.tasks_stolen] — tasks executed by a spawned (non-primary)
       domain;
     - [par.merges] — worker joins, each followed by absorbing that
-      worker's telemetry store into the caller's;
-    - [par.jobs] — gauge: width of the last parallel run.
+      worker's telemetry store into the caller's.
 
     Each spawned worker records telemetry into a private store
     ({!Telemetry.private_store}), which the caller absorbs after all
     joins, in worker order ({!Telemetry.absorb}): counters add,
-    gauges keep the maximum, histograms merge and the worker's queued
-    trace events reach the sink.  While a trace sink is installed,
+    histograms merge and the worker's queued trace events reach the
+    sink.  While a trace sink is installed,
     each worker wraps its claiming loop in a [par.worker] span — so a
     [--jobs N] trace carries at least [N] distinct domain ids. *)
 

@@ -5,13 +5,12 @@ let self_domain () = (Domain.self () :> int)
 (* ------------------------------------------------------------------ *)
 (* Metric handles.
 
-   A metric is an interned (name, kind, slot) triple; the slot indexes
+   A metric is an interned (name, slot) pair; the slot indexes
    into a store's value array, so the hot-path write is a DLS fetch
    plus an array store.  The interning registry is the only table
    shared by every domain, and every access takes [intern_mu]. *)
 
-type metric_kind = Counter | Gauge
-type metric = { m_name : string; m_kind : metric_kind; m_slot : int }
+type metric = { m_name : string; m_slot : int }
 
 (* Guards [registry] and [slot_count]. *)
 let intern_mu = Mutex.create ()
@@ -19,13 +18,13 @@ let intern_mu = Mutex.create ()
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let slot_count = ref 0
 
-let register m_name m_kind =
+let counter m_name =
   Mutex.lock intern_mu;
   let m =
     match Hashtbl.find_opt registry m_name with
     | Some m -> m
     | None ->
-        let m = { m_name; m_kind; m_slot = !slot_count } in
+        let m = { m_name; m_slot = !slot_count } in
         Stdlib.incr slot_count;
         Hashtbl.add registry m_name m;
         m
@@ -33,20 +32,11 @@ let register m_name m_kind =
   Mutex.unlock intern_mu;
   m
 
-let counter name = register name Counter
-let gauge name = register name Gauge
-
 let metrics_list () =
   Mutex.lock intern_mu;
   let l = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
   Mutex.unlock intern_mu;
   List.sort (fun a b -> compare a.m_name b.m_name) l
-
-let kind_of_name nm =
-  Mutex.lock intern_mu;
-  let k = Option.map (fun m -> m.m_kind) (Hashtbl.find_opt registry nm) in
-  Mutex.unlock intern_mu;
-  k
 
 (* ------------------------------------------------------------------ *)
 (* Histograms *)
@@ -294,23 +284,12 @@ let snapshot () =
   let s = my_store () in
   List.map (fun m -> (m.m_name, store_value s m.m_slot)) (metrics_list ())
 
-let kinds_snapshot () =
-  let s = my_store () in
-  List.map
-    (fun m -> (m.m_name, m.m_kind, store_value s m.m_slot))
-    (metrics_list ())
-
 let nonzero_snapshot () = List.filter (fun (_, v) -> v <> 0) (snapshot ())
 
 let delta ~before ~after =
   List.filter_map
     (fun (nm, av) ->
-      let k = Option.value (kind_of_name nm) ~default:Counter in
-      let v =
-        match k with
-        | Gauge -> av
-        | Counter -> av - Option.value (List.assoc_opt nm before) ~default:0
-      in
+      let v = av - Option.value (List.assoc_opt nm before) ~default:0 in
       if v <> 0 then Some (nm, v) else None)
     after
 
@@ -334,39 +313,6 @@ let reset_metrics () =
   let s = my_store () in
   Array.fill s.values 0 (Array.length s.values) 0;
   Hashtbl.iter (fun _ h -> Histogram.reset h) s.hists
-
-(* ------------------------------------------------------------------ *)
-(* GC gauges.  Sampled only while a sink is installed (span
-   boundaries) or on explicit request, so the null-sink fast path
-   never calls [Gc.quick_stat].  Under OCaml 5 the sample describes
-   the calling domain; [absorb] keeps the maximum of the caller's and
-   a worker's values. *)
-
-let g_gc_minor = gauge "gc.minor_collections"
-let g_gc_major = gauge "gc.major_collections"
-let g_gc_compactions = gauge "gc.compactions"
-let g_gc_heap_words = gauge "gc.heap_words"
-let g_gc_top_heap_words = gauge "gc.top_heap_words"
-let g_gc_allocated_bytes = gauge "gc.allocated_bytes"
-let g_gc_minor_words = gauge "gc.minor_words"
-let g_gc_promoted_words = gauge "gc.promoted_words"
-let g_gc_major_words = gauge "gc.major_words"
-
-let set_gc_gauges (s : Gc.stat) =
-  set g_gc_minor s.Gc.minor_collections;
-  set g_gc_major s.Gc.major_collections;
-  set g_gc_compactions s.Gc.compactions;
-  set g_gc_heap_words s.Gc.heap_words;
-  set g_gc_top_heap_words s.Gc.top_heap_words;
-  set g_gc_allocated_bytes (int_of_float (Gc.allocated_bytes ()));
-  (* [Gc.counters] is the precise per-domain word accounting — exact
-     where quick_stat's word fields may lag the current minor heap. *)
-  let minor_w, promoted_w, major_w = Gc.counters () in
-  set g_gc_minor_words (int_of_float minor_w);
-  set g_gc_promoted_words (int_of_float promoted_w);
-  set g_gc_major_words (int_of_float major_w)
-
-let sample_gc () = set_gc_gauges (Gc.quick_stat ())
 
 (* ------------------------------------------------------------------ *)
 (* Major-cycle monitor.  While a sink is installed, a [Gc.create_alarm]
@@ -433,7 +379,6 @@ type request_summary = {
   rq_wall_ns : int64;
   rq_alloc_b : int;
   rq_counters : (string * int) list;
-  rq_gauges : (string * int) list;
 }
 
 let c_request_count = counter "request.count"
@@ -488,9 +433,9 @@ let set_sink s =
    sink down first leaves this a no-op. *)
 let () = at_exit flush_sink
 
-(* Fold a joined worker's store into the caller's: counters add,
-   gauges keep the maximum, histograms merge, and the queued events
-   reach the sink in the order the worker emitted them. *)
+(* Fold a joined worker's store into the caller's: metrics add,
+   histograms merge, and the queued events reach the sink in the
+   order the worker emitted them. *)
 let absorb w =
   Mutex.lock intern_mu;
   Hashtbl.iter
@@ -498,10 +443,7 @@ let absorb w =
       let v = store_value w m.m_slot in
       if v <> 0 then begin
         let c = cells m.m_slot in
-        c.(m.m_slot) <-
-          (match m.m_kind with
-          | Counter -> c.(m.m_slot) + v
-          | Gauge -> max c.(m.m_slot) v)
+        c.(m.m_slot) <- c.(m.m_slot) + v
       end)
     registry;
   Mutex.unlock intern_mu;
@@ -524,7 +466,6 @@ let span nm f =
       let domain = self_domain () in
       let id = Atomic.fetch_and_add next_id 1 in
       let q0 = Gc.quick_stat () in
-      set_gc_gauges q0;
       let a0 = Gc.allocated_bytes () in
       let t0 = now_ns () in
       let parent =
@@ -542,7 +483,6 @@ let span nm f =
         let dur_ns = Int64.sub t1 t0 in
         let alloc_b = int_of_float (Gc.allocated_bytes () -. a0) in
         let q1 = Gc.quick_stat () in
-        set_gc_gauges q1;
         let minor_n = q1.Gc.minor_collections - q0.Gc.minor_collections in
         let major_n = q1.Gc.major_collections - q0.Gc.major_collections in
         Histogram.record (histogram ("span." ^ nm)) (Int64.to_int dur_ns);
@@ -583,18 +523,12 @@ let with_request ~id f =
   in
   let t1 = now_ns () in
   let alloc_b = int_of_float (Gc.allocated_bytes () -. a0) in
-  let counters, gauges =
-    List.partition
-      (fun (nm, _) -> kind_of_name nm <> Some Gauge)
-      (delta ~before ~after:(snapshot ()))
-  in
   ( v,
     {
       rq_id = id;
       rq_wall_ns = Int64.sub t1 t0;
       rq_alloc_b = alloc_b;
-      rq_counters = counters;
-      rq_gauges = gauges;
+      rq_counters = delta ~before ~after:(snapshot ());
     } )
 
 let emit_counters () =
@@ -801,13 +735,7 @@ let pp_summary fmt () =
   if values = [] then Format.fprintf fmt "no telemetry counters recorded@."
   else begin
     Format.fprintf fmt "telemetry counters:@.";
-    List.iter
-      (fun (k, v) ->
-        let suffix =
-          match kind_of_name k with Some Gauge -> "  (gauge)" | _ -> ""
-        in
-        Format.fprintf fmt "  %-36s %12d%s@." k v suffix)
-      values
+    List.iter (fun (k, v) -> Format.fprintf fmt "  %-36s %12d@." k v) values
   end;
   match histogram_snapshot () with
   | [] -> ()

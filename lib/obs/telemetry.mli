@@ -1,6 +1,6 @@
-(** Structured telemetry: monotonic-clock spans, named counters,
-    gauges and histograms, and pluggable sinks — recorded into one
-    store, with no locks on the hot path.
+(** Structured telemetry: monotonic-clock spans, named counters and
+    histograms, and pluggable sinks — recorded into one store, with no
+    locks on the hot path.
 
     The expensive kernels of this repository — the backtracking solver,
     the RE operator, the lift construction, the exhaustive zero-round
@@ -9,7 +9,7 @@
     when a sink is installed).  The default sink is {!null_sink}:
     spans reduce to a single branch and a direct call of the wrapped
     thunk, so the instrumented hot paths pay nothing measurable —
-    histogram recording and GC sampling happen only inside the
+    span histograms and GC deltas are recorded only inside the
     sink-installed branch.
 
     {b Domain model} (DESIGN.md §9).  All telemetry is recorded into
@@ -41,11 +41,11 @@
     snapshots, so global totals and the live OpenMetrics registry
     stay exact. *)
 
-(** {1 Metrics} *)
+(** {1 Metrics}
 
-type metric_kind =
-  | Counter  (** Monotone accumulation; reported as deltas. *)
-  | Gauge  (** Last-value semantics; reported as the latest value. *)
+    Every metric is a counter: an integer that accumulates, is
+    reported as a delta between snapshots and adds across pool
+    workers. *)
 
 type metric
 
@@ -54,15 +54,13 @@ val counter : string -> metric
     it twice with the same name returns the same metric.  Names are
     dot-namespaced by convention ([solver.nodes]). *)
 
-val gauge : string -> metric
-(** Like {!counter} with last-value semantics.  If the name is already
-    registered, the existing metric (and its kind) wins. *)
-
 val incr : metric -> unit
 (** Add 1 to the calling domain's store (lock-free). *)
 
 val add : metric -> int -> unit
 val set : metric -> int -> unit
+(** Overwrite the calling domain's value (a cache clear zeroing its
+    own counters). *)
 
 val value : metric -> int
 (** The metric's value in the calling domain's store. *)
@@ -70,18 +68,12 @@ val value : metric -> int
 val snapshot : unit -> (string * int) list
 (** All registered metrics with their values, sorted by name. *)
 
-val kinds_snapshot : unit -> (string * metric_kind * int) list
-(** Like {!snapshot} but carrying each metric's kind, for exporters
-    that render counters and gauges differently (OpenMetrics, the run
-    ledger). *)
-
 val nonzero_snapshot : unit -> (string * int) list
 
 val delta :
   before:(string * int) list -> after:(string * int) list -> (string * int) list
-(** Per-metric change between two {!snapshot}s: counters subtract,
-    gauges take the [after] value; zero entries are dropped.  Metrics
-    absent from [before] count from 0. *)
+(** Per-metric change between two {!snapshot}s; zero entries are
+    dropped.  Metrics absent from [before] count from 0. *)
 
 val reset_metrics : unit -> unit
 (** Zero the calling domain's metrics and histograms (tests and
@@ -158,11 +150,8 @@ type request_summary = {
       (** Bytes allocated on the coordinating domain inside the
           window ([Gc.allocated_bytes] delta). *)
   rq_counters : (string * int) list;
-      (** Non-zero {e counter} deltas attributable to the window,
-          sorted by name. *)
-  rq_gauges : (string * int) list;
-      (** Non-zero gauge values at window close (last-value
-          semantics: gauges do not subtract). *)
+      (** Non-zero counter deltas attributable to the window, sorted
+          by name. *)
 }
 
 val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
@@ -181,19 +170,6 @@ val with_request : id:string -> (unit -> 'a) -> 'a * request_summary
 
 val current_request : unit -> string option
 (** The id of the currently open request window, if any. *)
-
-(** {1 GC gauges} *)
-
-val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges ([minor_collections],
-    [major_collections], [compactions], [heap_words],
-    [top_heap_words], [allocated_bytes]) from [Gc.quick_stat], plus
-    the precise per-domain word accounting ([minor_words],
-    [promoted_words], [major_words]) from [Gc.counters].  Called
-    automatically at span boundaries while a sink is installed; call
-    it directly before reading a summary elsewhere.  Samples describe
-    the calling domain; {!absorb} keeps the larger of the caller's and
-    a worker's value. *)
 
 (** {1 Clock} *)
 
@@ -296,9 +272,9 @@ val span : string -> (unit -> 'a) -> 'a
     call; otherwise a {!Span_open}/{!Span_close} pair brackets it
     (closed on exceptions too), nested spans recording their parent
     {e on the same domain}, the duration is recorded into the
-    [span.<name>] histogram, the allocation delta is attached to the
-    close event, and the [gc.*] gauges are refreshed at both
-    boundaries.  Span ids are process-unique (atomic allocator). *)
+    [span.<name>] histogram, and the allocation and GC-count deltas
+    are attached to the close event.  Span ids are process-unique
+    (atomic allocator). *)
 
 val emit_counters : unit -> unit
 (** Send a {!Counters} event with the non-zero merged metrics to the
@@ -326,8 +302,8 @@ val private_store : unit -> store
 
 val absorb : store -> unit
 (** Fold a joined worker's store into the calling domain's: counters
-    add, gauges keep the maximum, histograms merge, and the worker's
-    queued events are emitted in the order it recorded them. *)
+    add, histograms merge, and the worker's queued events are emitted
+    in the order it recorded them. *)
 
 (** {1 Rendering} *)
 
@@ -349,6 +325,6 @@ val pp_duration : Format.formatter -> int64 -> unit
 (** Nanoseconds, human-scaled ([421ns], [1.23ms], [2.07s]). *)
 
 val pp_summary : Format.formatter -> unit -> unit
-(** A sorted table of the non-zero metrics (gauges marked) followed by
+(** A sorted table of the non-zero counters followed by
     a quantile table of the non-empty histograms, or a placeholder
     line when nothing was recorded. *)

@@ -9,7 +9,6 @@ module CF = Slocal_problems.Coloring_family
 module RF = Slocal_problems.Ruling_family
 module Classic = Slocal_problems.Classic
 
-(* An integer field of a spec. *)
 let int_field spec s =
   try int_of_string s
   with Failure _ ->
@@ -75,6 +74,8 @@ type re_result = { problems : Problem.t list; fixed_point : bool }
 let last r = List.nth r.problems (List.length r.problems - 1)
 
 let re ~steps p =
+  if steps < 0 then
+    invalid_arg (Printf.sprintf "steps must be at least 0, got %d" steps);
   let rec go q i =
     if i >= steps then [ q ] else q :: go (Re_step.re q) (i + 1)
   in

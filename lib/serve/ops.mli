@@ -19,6 +19,10 @@ val parse_problem : string -> Problem.t
     any.  @raise Invalid_argument on an unknown
     spec. *)
 
+val int_field : string -> string -> int
+(** [int_field spec s] is the integer [s], a field of [spec].
+    @raise Invalid_argument naming both when [s] is not an integer. *)
+
 val parse_graph : string -> Slocal_graph.Bipartite.t
 (** [cycle:K] (C_2K), [kbb:A:B], [cover-petersen],
     [cover-random:N:D:SEED] or [biregular:NW:NB:DW:DB:SEED].
@@ -35,6 +39,8 @@ type re_result = {
 }
 
 val re : steps:int -> Problem.t -> re_result
+(** [steps] RE steps from the problem.
+    @raise Invalid_argument on a negative [steps]. *)
 
 val last : re_result -> Problem.t
 

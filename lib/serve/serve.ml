@@ -202,17 +202,7 @@ let work_op ~problems req op =
    registry at a quiescent point. *)
 
 let stats_json st =
-  Telemetry.sample_gc ();
-  let since =
-    List.filter_map
-      (fun (nm, kind, v) ->
-        match kind with
-        | Telemetry.Counter ->
-            let d = v - Option.value ~default:0 (List.assoc_opt nm st.baseline) in
-            if d = 0 then None else Some (nm, d)
-        | Telemetry.Gauge -> None)
-      (Telemetry.kinds_snapshot ())
-  in
+  let since = Telemetry.delta ~before:st.baseline ~after:(Telemetry.snapshot ()) in
   (* The sum invariant: every counter attributed to a request window
      matches the registry's movement since daemon start, and every
      counter that moved without attribution is one of the daemon's own

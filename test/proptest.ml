@@ -286,7 +286,6 @@ let ledger_record g : Ledger.record =
       exit_code = signed_int g;
       seed = opt signed_int;
       counters = kvs signed_int;
-      gauges = kvs signed_int;
       histograms = kvs hist;
       artifacts = kvs text;
       majors = signed_int g;

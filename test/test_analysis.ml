@@ -440,7 +440,7 @@ let test_roundtrip_randomized () =
 let test_telemetry_registrations () =
   let src =
     "let c = Telemetry.counter \"re.steps\"\n\
-     let g = gauge \"graph.girth_achieved\"\n\
+     let g = counter \"graph.gen_attempts\"\n\
      let h = Slocal_obs.Telemetry.histogram \"span.solve\"\n\
      let again = counter \"re.steps\"\n\
      let not_a_call = my_counter \"bogus.name\"\n\
@@ -450,19 +450,19 @@ let test_telemetry_registrations () =
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "registrations found, deduplicated, sorted"
     [
+      ("counter", "graph.gen_attempts");
       ("counter", "re.steps");
-      ("gauge", "graph.girth_achieved");
       ("histogram", "span.solve");
     ]
     (Source.telemetry_registrations src)
 
 let design_stub =
   "## 6. Telemetry\n\n\
-   ### Counter and gauge names\n\n\
+   ### Metric names\n\n\
    | prefix | names |\n\
    |---|---|\n\
    | `re.` | `steps`, `cache_hits` |\n\
-   | `graph.` | `girth_achieved` |\n\n\
+   | `graph.` | `gen_attempts` |\n\n\
    Span names follow `span.<area>`.\n\n\
    ## 7. Next\n\
    | `bogus.` | `after_section` |\n"
@@ -471,7 +471,7 @@ let test_design_metric_names () =
   check
     (Alcotest.list Alcotest.string)
     "table rows parsed, later sections ignored"
-    [ "graph.girth_achieved"; "re.cache_hits"; "re.steps" ]
+    [ "graph.gen_attempts"; "re.cache_hits"; "re.steps" ]
     (Source.design_metric_names design_stub);
   check
     (Alcotest.list Alcotest.string)
@@ -482,7 +482,7 @@ let test_telemetry_name_findings () =
   let documented_src =
     "let c = counter \"re.steps\"\n\
      let h = counter \"re.cache_hits\"\n\
-     let g = gauge \"graph.girth_achieved\"\n"
+     let g = counter \"graph.gen_attempts\"\n"
   in
   let drifted_src = "let c = counter \"re.undocumented_counter\"\n" in
   check bool_t "documented name is clean" true
@@ -512,7 +512,7 @@ let test_telemetry_stale_row () =
     Source.telemetry_name_findings ~design:design_stub
       [
         ("a.ml", "let c = counter \"re.steps\"\n");
-        ("b.ml", "let g = gauge \"graph.girth_achieved\"\n");
+        ("b.ml", "let g = counter \"graph.gen_attempts\"\n");
       ]
   with
   | [ d ] ->

@@ -115,37 +115,26 @@ let test_counters () =
   Telemetry.incr c;
   Telemetry.add c' 10;
   check int_t "interned: same metric" 11 (Telemetry.value c);
-  let g = Telemetry.gauge "test.gauge" in
-  Telemetry.set g 5;
-  Telemetry.set g 3;
-  check int_t "gauge keeps last value" 3 (Telemetry.value g);
   check bool_t "snapshot sorted" true
     (let s = List.map fst (Telemetry.snapshot ()) in
      s = List.sort compare s);
-  check bool_t "nonzero_snapshot has both" true
-    (List.mem ("test.counter", 11) (Telemetry.nonzero_snapshot ())
-    && List.mem ("test.gauge", 3) (Telemetry.nonzero_snapshot ()))
+  check bool_t "nonzero_snapshot has the counter" true
+    (List.mem ("test.counter", 11) (Telemetry.nonzero_snapshot ()))
 
 let test_delta () =
   with_clean_telemetry @@ fun () ->
   let c = Telemetry.counter "test.d.counter" in
-  let g = Telemetry.gauge "test.d.gauge" in
   let z = Telemetry.counter "test.d.zero" in
   Telemetry.add c 4;
-  Telemetry.set g 9;
   let before = Telemetry.snapshot () in
   Telemetry.add c 6;
-  Telemetry.set g 2;
   let d = Telemetry.delta ~before ~after:(Telemetry.snapshot ()) in
   check (Alcotest.option int_t) "counter delta subtracts" (Some 6)
     (List.assoc_opt "test.d.counter" d);
-  check (Alcotest.option int_t) "gauge delta is last value" (Some 2)
-    (List.assoc_opt "test.d.gauge" d);
   check bool_t "zero entries dropped" true
     (List.assoc_opt "test.d.zero" d = None);
   Telemetry.reset_metrics ();
   check int_t "reset zeroes counters" 0 (Telemetry.value c);
-  check int_t "reset zeroes gauges" 0 (Telemetry.value g);
   ignore z
 
 (* ------------------------------------------------------------------ *)
@@ -262,13 +251,13 @@ let test_histogram_registry () =
   Telemetry.reset_metrics ();
   check bool_t "reset_metrics clears histograms" true (H.is_empty h)
 
-let test_span_histogram_and_gc () =
+let test_span_histogram () =
   with_clean_telemetry @@ fun () ->
   (* Null sink: spans record nothing. *)
   ignore (Telemetry.span "quiet" (fun () -> 1));
   check bool_t "no histogram under null sink" true
     (Telemetry.histogram_snapshot () = []);
-  (* Collector sink: duration histogram, alloc delta, GC gauges. *)
+  (* Collector sink: duration histogram and alloc delta. *)
   let alloc = ref (-1) in
   Telemetry.set_sink
     (Telemetry.collector_sink (function
@@ -278,18 +267,7 @@ let test_span_histogram_and_gc () =
   Telemetry.set_sink Telemetry.null_sink;
   check bool_t "span duration recorded" true
     (H.count (Telemetry.histogram "span.work") = 1);
-  check bool_t "alloc_b non-negative" true (!alloc >= 0);
-  let v name =
-    Option.value ~default:(-1)
-      (List.assoc_opt name (Telemetry.snapshot ()))
-  in
-  check bool_t "gc.heap_words sampled" true (v "gc.heap_words" > 0);
-  check bool_t "gc.minor_collections sampled" true
-    (v "gc.minor_collections" >= 0);
-  check bool_t "gc.allocated_bytes sampled" true (v "gc.allocated_bytes" > 0);
-  check bool_t "gc.minor_words sampled" true (v "gc.minor_words" > 0);
-  check bool_t "gc.promoted_words sampled" true (v "gc.promoted_words" >= 0);
-  check bool_t "gc.major_words sampled" true (v "gc.major_words" >= 0)
+  check bool_t "alloc_b non-negative" true (!alloc >= 0)
 
 let test_span_gc_work () =
   with_clean_telemetry @@ fun () ->
@@ -534,8 +512,6 @@ let test_openmetrics_render () =
   with_clean_telemetry @@ fun () ->
   let c = Telemetry.counter "test.om.count" in
   Telemetry.add c 3;
-  let g = Telemetry.gauge "test.om.gauge" in
-  Telemetry.set g 7;
   let h = Telemetry.histogram "test.om.hist" in
   List.iter (H.record h) [ 1; 2; 3; 1000 ];
   let out = Openmetrics.render () in
@@ -550,8 +526,6 @@ let test_openmetrics_render () =
   check bool_t "counter TYPE line" true
     (has "# TYPE slocal_test_om_count_total counter");
   check bool_t "counter sample" true (has "slocal_test_om_count_total 3");
-  check bool_t "gauge TYPE line" true (has "# TYPE slocal_test_om_gauge gauge");
-  check bool_t "gauge sample" true (has "slocal_test_om_gauge 7");
   check bool_t "histogram TYPE line" true
     (has "# TYPE slocal_test_om_hist histogram");
   let buckets =
@@ -609,7 +583,6 @@ let sample_record ?(id = "cafe0001") ?(counters = [ ("c", 1) ]) () =
     problems = [ ("mm3", 123456789) ];
     cache_hits = 1;
     counters;
-    gauges = [ ("g", 2) ];
     histograms =
       [
         ( "h",
@@ -815,7 +788,6 @@ module Pool = Slocal_obs.Pool
 let test_pool_absorb () =
   with_clean_telemetry @@ fun () ->
   let c = Telemetry.counter "test.absorb.counter" in
-  let g = Telemetry.gauge "test.absorb.gauge" in
   let hist () = Telemetry.histogram "test.absorb.hist" in
   let caller = Domain.self () in
   let off_caller = ref 0 and domains = ref [] in
@@ -838,12 +810,9 @@ let test_pool_absorb () =
            done
          end;
          Telemetry.add c i;
-         Telemetry.set g i;
          H.record (hist ()) i));
   Telemetry.set_sink Telemetry.null_sink;
   check int_t "counters add" (5 + 66) (Telemetry.value c);
-  (* Whichever domain claims task 11 sets the gauge to 11 last. *)
-  check int_t "gauges take the max" 11 (Telemetry.value g);
   let h = List.assoc "test.absorb.hist" (Telemetry.histogram_snapshot ()) in
   check int_t "histograms merge" 13 (H.count h);
   check int_t "histogram bounds survive the merge" 100 (H.max_value h);
@@ -854,7 +823,6 @@ let test_pool_absorb () =
     (List.length (List.sort_uniq compare !domains));
   Telemetry.reset_metrics ();
   check int_t "reset clears absorbed counts" 0 (Telemetry.value c);
-  check int_t "reset clears absorbed gauges" 0 (Telemetry.value g);
   check bool_t "reset clears absorbed histograms" true
     (Telemetry.histogram_snapshot () = [])
 
@@ -871,23 +839,16 @@ let test_decide_batch_counters () =
     ignore
       (Supported_local.Zero_round.decide_batch ~jobs support
          (Supported_local.Zero_round.two_label_problems ()));
-    List.filter_map
-      (fun (nm, k, v) ->
-        if
-          k = Telemetry.Counter && v <> 0
-          && not
-               (String.starts_with ~prefix:"par." nm
-               || String.starts_with ~prefix:"gc." nm)
-        then Some (nm, v)
-        else None)
-      (Telemetry.kinds_snapshot ())
+    List.filter
+      (fun (nm, _) -> not (String.starts_with ~prefix:"par." nm))
+      (Telemetry.nonzero_snapshot ())
   in
   let seq = counters 1 in
   check bool_t "the batch records counters" true
     (List.mem_assoc "solver.nodes" seq);
   check
     (Alcotest.list (Alcotest.pair string_t int_t))
-    "counters outside par.*/gc.* equal at jobs 1 and 2" seq (counters 2)
+    "metrics outside par.* equal at jobs 1 and 2" seq (counters 2)
 
 let test_pool_parity () =
   with_clean_telemetry @@ fun () ->
@@ -919,7 +880,6 @@ let test_pool_counters () =
   check int_t "par.tasks_submitted" 12 (v "par.tasks_submitted");
   check int_t "par.tasks_completed" 12 (v "par.tasks_completed");
   check int_t "par.merges counts joined workers" 2 (v "par.merges");
-  check int_t "par.jobs gauge" 3 (v "par.jobs");
   check bool_t "par.tasks_stolen bounded by completed" true
     (v "par.tasks_stolen" <= 12)
 
@@ -941,8 +901,7 @@ let test_pool_width_exceeds_tasks () =
   check int_t "completed" 3 (v "par.tasks_completed");
   (* The pool clamps the width to the task count, so only
      min(jobs, n) - 1 = 2 workers are ever spawned and merged. *)
-  check int_t "spawned workers merged" 2 (v "par.merges");
-  check int_t "width clamped to the task count" 3 (v "par.jobs")
+  check int_t "spawned workers merged" 2 (v "par.merges")
 
 let test_pool_zero_tasks () =
   with_clean_telemetry @@ fun () ->
@@ -1157,7 +1116,7 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counters and gauges" `Quick test_counters;
+          Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "delta and reset" `Quick test_delta;
         ] );
       ( "histograms",
@@ -1169,8 +1128,8 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_histogram_json;
           Alcotest.test_case "registry and emission" `Quick
             test_histogram_registry;
-          Alcotest.test_case "span histograms and gc gauges" `Quick
-            test_span_histogram_and_gc;
+          Alcotest.test_case "span histograms" `Quick
+            test_span_histogram;
           Alcotest.test_case "span gc-work deltas" `Quick test_span_gc_work;
           Alcotest.test_case "major-cycle monitor" `Quick
             test_major_cycle_monitor;
