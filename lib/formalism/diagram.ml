@@ -8,30 +8,36 @@ type t = {
 
 (* Direct strength test from the definition: every configuration
    containing y stays in C under replacing any positive number of
-   copies of y by x. *)
-let directly_stronger constr x y =
+   copies of y by x.  [with_y] lists exactly the configurations that
+   contain y. *)
+let directly_stronger constr ~with_y x y =
   x = y
   || List.for_all
        (fun cfg ->
-         let k = Multiset.count y cfg in
-         if k = 0 then true
-         else begin
-           let ok = ref true in
-           let current = ref cfg in
-           for _ = 1 to k do
-             current := Multiset.add x (Multiset.remove y !current);
-             if not (Constr.mem !current constr) then ok := false
-           done;
-           !ok
-         end)
-       (Constr.configs constr)
+         let current = ref cfg in
+         let ok = ref true in
+         for _ = 1 to Multiset.count y cfg do
+           current := Multiset.add x (Multiset.remove y !current);
+           if not (Constr.mem !current constr) then ok := false
+         done;
+         !ok)
+       with_y
 
 let of_constraint ~alphabet_size constr =
   let n = alphabet_size in
+  (* containing.(y): the configurations that contain y, built in one
+     pass so each of the n² pair tests scans only those. *)
+  let containing = Array.make n [] in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun y -> if y < n then containing.(y) <- cfg :: containing.(y))
+        (Multiset.support cfg))
+    (Constr.configs constr);
   let rel = Array.make_matrix n n false in
   for y = 0 to n - 1 do
     for x = 0 to n - 1 do
-      rel.(y).(x) <- directly_stronger constr x y
+      rel.(y).(x) <- directly_stronger constr ~with_y:containing.(y) x y
     done
   done;
   (* The relation is transitive by a replacement argument, but we take

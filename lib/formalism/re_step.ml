@@ -123,22 +123,74 @@ let maximal_good_configs ~candidates ~arity constr =
     in
     let bits = Config_key.bits_for (max 1 k) in
     let key cfg = Config_key.of_multiset ~bits cfg in
-    let cfg_sets cfg =
-      List.map (fun i -> Bitset.to_list cands.(i)) (Multiset.to_list cfg)
+    (* [good s r]: every pick from the candidates at positions [r]
+       completes the partial pick [s] (a label multiset) to a
+       configuration of [constr] — no pick below [s] is dead.  [r] is a
+       tail of a node's sorted index list, shared rather than built.
+       Answers are memoized for this search only: a child replaces one
+       position by a strict subset of its candidate, which sorts no
+       later in [Diagram.right_closed_sets]' ascending-cardinality
+       order, so the tails behind that position recur, with the same
+       label prefixes, across neighbouring nodes.  The last position is
+       a handful of membership probes and is not stored.  The key is
+       [s]'s labels followed by [r]'s indices shifted past every label:
+       an ascending sequence of [arity] numbers, packed into one int
+       when it fits. *)
+    let n_labels =
+      List.fold_left
+        (fun acc c -> Bitset.fold (fun l acc -> max acc (l + 1)) c acc)
+        0 candidates
+    in
+    let memo_bits = Config_key.bits_for (n_labels + k) in
+    let packed = 1 + (arity * memo_bits) <= 62 in
+    let memo_key s r =
+      if packed then
+        let shift acc x = (acc lsl memo_bits) lor x in
+        Config_key.Packed
+          (List.fold_left
+             (fun acc i -> shift acc (n_labels + i))
+             (List.fold_left shift 1 (Multiset.to_list s))
+             r)
+      else Config_key.Wide (Multiset.to_list s @ List.map (( + ) n_labels) r)
+    in
+    let memo = Config_key.Tbl.create 16 in
+    let rec good s r =
+      match r with
+      | [] -> Constr.mem s constr
+      | [ i ] ->
+          Bitset.for_all (fun l -> Constr.mem (Multiset.add l s) constr) cands.(i)
+      | i :: rest -> (
+          let kk = memo_key s r in
+          match Config_key.Tbl.find_opt memo kk with
+          | Some b -> b
+          | None ->
+              let b =
+                Bitset.for_all
+                  (fun l ->
+                    let s' = Multiset.add l s in
+                    Constr.extendable s' constr && good s' rest)
+                  cands.(i)
+              in
+              Config_key.Tbl.add memo kk b;
+              b)
     in
     (* A violating choice of cfg: (position, label) pairs forming a
        {e dead} pick — a multiset no configuration of [constr] extends
        (at full size, deadness is non-membership); [None] means cfg is
-       good.  [for_all_choices] answers the good case.
-       The walk returns the first dead partial pick it meets (falling
-       back to a full-length pick when every proper prefix stays
-       extendable), then greedily minimizes it: dropping any label
-       that leaves the pick dead.  Minimal witnesses mean minimal
-       branching — a good configuration below cfg must exclude the
-       witness label at one of the witness positions only. *)
+       good (vacuously so when a position holds the empty set).
+       The walk returns the first dead partial pick it meets in DFS
+       order (falling back to a full-length pick when every proper
+       prefix stays extendable), skipping every subtree that [good]
+       clears, then greedily minimizes it: dropping any label that
+       leaves the pick dead.  Minimal witnesses mean minimal branching
+       — a good configuration below cfg must exclude the witness label
+       at one of the witness positions only. *)
     let violating_choice cfg =
-      let sets = cfg_sets cfg in
-      if Constr.for_all_choices sets constr then None
+      let positions = Multiset.to_list cfg in
+      if
+        List.exists (fun i -> Bitset.is_empty cands.(i)) positions
+        || good Multiset.empty positions
+      then None
       else
         let dead picked =
           not (Constr.extendable (Multiset.of_list (List.map snd picked)) constr)
@@ -152,23 +204,22 @@ let maximal_good_configs ~candidates ~arity constr =
           in
           go [] witness
         in
-        let rec go j picked = function
-          | [] ->
-              let m = Multiset.of_list (List.map snd picked) in
-              if Constr.mem m constr then None else Some (List.rev picked)
-          | s :: rest ->
-              if dead picked then Some (List.rev picked)
+        let rec go j picked s = function
+          | [] -> if Constr.mem s constr then None else Some (List.rev picked)
+          | i :: rest as r ->
+              if not (Constr.extendable s constr) then Some (List.rev picked)
+              else if good s r then None
               else
                 let rec first = function
                   | [] -> None
                   | l :: ls -> (
-                      match go (j + 1) ((j, l) :: picked) rest with
+                      match go (j + 1) ((j, l) :: picked) (Multiset.add l s) rest with
                       | Some _ as w -> w
                       | None -> first ls)
                 in
-                first s
+                first (Bitset.to_list cands.(i))
         in
-        Option.map minimize (go 0 [] sets)
+        Option.map minimize (go 0 [] Multiset.empty positions)
     in
     let visited = Config_key.Tbl.create 256 in
     let frontier = ref [] in
@@ -276,6 +327,7 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
      configuration is dominated by its position-wise right closure). *)
   let candidates = Diagram.right_closed_sets diagram in
   let strong_configs =
+    Telemetry.span "re.strong" @@ fun () ->
     maximal_good_configs ~candidates ~arity:(Constr.arity strong_constr)
       strong_constr
   in
@@ -295,6 +347,7 @@ let r_core ~name ~alphabet ~strong_constr ~weak_constr =
     Multiset.of_list (List.map (Hashtbl.find index) sets)
   in
   let weak_configs =
+    Telemetry.span "re.weak" @@ fun () ->
     enumerate_set_configs ~candidates:sigma' ~arity:(Constr.arity weak_constr)
       ~partial:(fun cfg ->
         Constr.exists_choice_partial (sets_to_lists cfg) weak_constr)

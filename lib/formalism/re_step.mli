@@ -21,7 +21,8 @@
     {b Implementation.}  {!r_black}, {!r_white} and {!re} find the
     maximal good configurations by a top-down subset-lattice search
     that expands only non-good configurations (goodness is downward
-    closed), answer constraint queries through {!Constr}'s packed-key
+    closed) and memoizes its goodness walk for the length of one
+    search, answer constraint queries through {!Constr}'s packed-key
     down closures, and cache whole RE results across invocations keyed
     by structural problem equality.  The original bottom-up
     enumerate-then-filter implementation is kept verbatim in

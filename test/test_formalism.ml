@@ -435,6 +435,36 @@ let golden_parallel_tests =
         [ 1; 2; 4 ])
     golden_cases
 
+(* Two RE steps on the matching family's heaviest profiles, cache
+   cleared first: the strong side's lattice nodes ([re.enum_nodes] over
+   all four R steps) and the canonical hashes of Π, RE(Π) and RE²(Π).
+   Arity 4 and 5 is where the lattice search's goodness memo is hit, so
+   a change to that search that visits other nodes, or numbers labels
+   differently, moves these numbers. *)
+let two_step_goldens =
+  [
+    ("matching:4:0:1", 6924, [ 398846080; 239930371; 898926657 ]);
+    ("matching:5:0:1", 23800, [ 77638650; 780157254; 656937135 ]);
+  ]
+
+let two_step_tests =
+  List.map
+    (fun (spec, nodes, hashes) ->
+      Alcotest.test_case (spec ^ " (two RE steps)") `Quick (fun () ->
+          let enum_nodes = Slocal_obs.Telemetry.counter "re.enum_nodes" in
+          Re_step.clear_cache ();
+          let before = Slocal_obs.Telemetry.value enum_nodes in
+          let p0 = golden_problem spec in
+          let p1 = Re_step.re p0 in
+          let p2 = Re_step.re p1 in
+          check int_t "re.enum_nodes" nodes
+            (Slocal_obs.Telemetry.value enum_nodes - before);
+          check
+            Alcotest.(list int)
+            "canonical hashes" hashes
+            (List.map Problem.canonical_hash [ p0; p1; p2 ])))
+    two_step_goldens
+
 let test_kernels_agree_structurally () =
   (* Beyond the counts: both kernels emit the very same problem. *)
   List.iter
@@ -629,6 +659,7 @@ let () =
         ] );
       ("golden RE", golden_tests);
       ("golden RE parallel", golden_parallel_tests);
+      ("golden RE 2 steps", two_step_tests);
       ( "kernel",
         [
           Alcotest.test_case "fast = reference structurally" `Quick

@@ -73,7 +73,7 @@ let agree p =
          | _ -> false)
   | _ -> false
 
-let arity_profiles = [ (2, 2); (2, 3); (3, 2); (3, 3) ]
+let arity_profiles = [ (2, 2); (2, 3); (3, 2); (3, 3); (4, 2) ]
 
 let re_tests =
   List.map
